@@ -90,9 +90,14 @@ def _load_ologism(path: str, report: Report) -> Optional[Ologism]:
     return result.value
 
 
-def _prop_json(p) -> str:
-    key = p.sort_key()
-    return f"{key[0]}({key[1]},{key[2]})"
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
 
 
 def _parse_literal(text: str):
@@ -123,7 +128,7 @@ def cmd_check(args, report: Report) -> int:
                f"{len(doc.premisses)} premisses")
     report.sections["ologism"] = doc.name
     report.sections["derived"] = [
-        {"proposition": _prop_json(p), "reading": reading(p, doc)} for p in derived
+        {"proposition": str(p.canonical()), "reading": reading(p, doc)} for p in derived
     ]
     if derived:
         report.say("derived beyond the premisses:")
@@ -261,9 +266,9 @@ def cmd_oracle(args, report: Report) -> int:
         report.sections["completeness"] = {
             "passed": verdict.passed,
             "universe_size": verdict.universe_size,
-            "gap": [_prop_json(p) for p in sorted(verdict.gap, key=lambda p: p.sort_key())],
+            "gap": [str(p.canonical()) for p in sorted(verdict.gap, key=lambda p: p.sort_key())],
             "gap_at_next": [
-                _prop_json(p) for p in sorted(verdict.gap_at_next, key=lambda p: p.sort_key())
+                str(p.canonical()) for p in sorted(verdict.gap_at_next, key=lambda p: p.sort_key())
             ],
             "gap_closed_by_import": verdict.gap_closed_by_import,
         }
@@ -337,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive and randomized semantic checks")
     p.add_argument("path")
-    p.add_argument("--universe", type=int, default=3, metavar="N")
+    p.add_argument("--universe", type=_positive_int, default=3, metavar="N")
     p.add_argument("--mode", choices=("soundness", "completeness", "models"), default="soundness")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1000)

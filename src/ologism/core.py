@@ -277,14 +277,8 @@ class Ologism:
                 return a
         raise KeyError((name, source, target))
 
-    def aspects_named(self, name: str) -> tuple[Aspect, ...]:
-        return tuple(a for a in self.aspects if a.name == name)
-
     def is_aspects(self) -> tuple[Aspect, ...]:
         return tuple(a for a in self.aspects if a.is_flag)
-
-    def premisses_of(self, form: str) -> tuple[CategoricalProposition, ...]:
-        return tuple(p for p in self.premisses if p.form == form)
 
     def replace_premisses(self, premisses: Iterable[CategoricalProposition]) -> "Ologism":
         """Functional update used by the REPL; re-runs the A/is completion."""

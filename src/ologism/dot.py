@@ -64,22 +64,21 @@ def export_dot(ologism: Ologism, theory: Optional[Theory] = None) -> str:
         lines.append(f"  {_q(name)} [shape=point, label={_q('')}];")
         return name
 
-    for p in o.premisses:
-        key = p.sort_key()
-        tag = f"{p.form}({key[1]},{key[2]})"
+    for p in (q.canonical() for q in o.premisses):
+        tag = str(p)
         if p.form == "E":
             b = fresh()
-            lines.append(f"  {_q(key[1])} -> {_q(b)} [label={_q(tag)}];")
-            lines.append(f"  {_q(key[2])} -> {_q(b)};")
+            lines.append(f"  {_q(p.subject)} -> {_q(b)} [label={_q(tag)}];")
+            lines.append(f"  {_q(p.predicate)} -> {_q(b)};")
         elif p.form == "I":
             b = fresh()
-            lines.append(f"  {_q(b)} -> {_q(key[1])} [label={_q(tag)}];")
-            lines.append(f"  {_q(b)} -> {_q(key[2])};")
+            lines.append(f"  {_q(b)} -> {_q(p.subject)} [label={_q(tag)}];")
+            lines.append(f"  {_q(b)} -> {_q(p.predicate)};")
         elif p.form == "O":
             b1, b2 = fresh(), fresh()
-            lines.append(f"  {_q(b1)} -> {_q(key[1])} [label={_q(tag)}];")
+            lines.append(f"  {_q(b1)} -> {_q(p.subject)} [label={_q(tag)}];")
             lines.append(f"  {_q(b1)} -> {_q(b2)};")
-            lines.append(f"  {_q(key[2])} -> {_q(b2)};")
+            lines.append(f"  {_q(p.predicate)} -> {_q(b2)};")
     for f in o.facts:
         tag = f.name or "fact"
         lines.append(
@@ -87,12 +86,11 @@ def export_dot(ologism: Ologism, theory: Optional[Theory] = None) -> str:
             f"[label={_q(chr(0x2713) + ' ' + tag)}, style=dotted, constraint=false];"
         )
     if theory is not None:
-        derived = sorted(theory.derived_beyond_premisses(), key=lambda p: p.sort_key())
+        derived = sorted((p.canonical() for p in theory.derived_beyond_premisses()),
+                         key=lambda p: p.sort_key())
         for p in derived:
-            key = p.sort_key()
-            tag = f"{p.form}({key[1]},{key[2]})"
             lines.append(
-                f"  {_q(key[1])} -> {_q(key[2])} [label={_q(tag)}, style=dashed, constraint=false];"
+                f"  {_q(p.subject)} -> {_q(p.predicate)} [label={_q(str(p))}, style=dashed, constraint=false];"
             )
     lines.append("}")
     return "\n".join(lines) + "\n"

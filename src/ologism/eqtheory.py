@@ -76,7 +76,10 @@ def default_bound(ologism: Ologism) -> int:
     """
     override = os.environ.get(BOUND_ENV_VAR)
     if override:
-        return int(override)
+        try:
+            return int(override)
+        except ValueError:
+            raise ValueError(f"{BOUND_ENV_VAR} must be an integer, got {override!r}") from None
     longest = max((max(len(f.lhs), len(f.rhs)) for f in ologism.facts), default=0)
     return max(8, 2 * longest + 2)
 
@@ -174,50 +177,6 @@ def enumerate_words(
                 stack.append((a.target, arcs + (a,)))
     out.sort(key=lambda w: (len(w.arcs), tuple(a.name for a in w.arcs)))
     return out
-
-
-@dataclass(frozen=True)
-class CongruenceIndex:
-    """The bounded word partition for one pair of endpoints, queryable.
-
-    Built once (sequentially), immutable afterwards, so one index can serve
-    any number of concurrent equality queries over the enumerated words.
-    """
-
-    ologism: Ologism
-    source: str
-    target: str
-    bound: int
-    classes: tuple[frozenset[PathWord], ...]
-
-    @staticmethod
-    def build(
-        ologism: Ologism,
-        source: str,
-        target: str,
-        bound: Optional[int] = None,
-        state_cap: int = DEFAULT_STATE_CAP,
-    ) -> "CongruenceIndex":
-        if bound is None:
-            bound = default_bound(ologism)
-        classes = congruent_closure_classes(ologism, source, target, bound, state_cap)
-        return CongruenceIndex(ologism, source, target, bound, tuple(classes))
-
-    def class_of(self, word: PathWord) -> Optional[frozenset[PathWord]]:
-        for cls in self.classes:
-            if word in cls:
-                return cls
-        return None
-
-    def equal(self, p: PathWord, q: PathWord) -> bool:
-        """Same-class membership for enumerated words; falls back to the
-        trace search for words beyond the bound."""
-        cls = self.class_of(p)
-        if cls is not None and q in cls:
-            return True
-        if cls is not None and self.class_of(q) is not None:
-            return False
-        return equal_paths(self.ologism, p, q, self.bound).equal
 
 
 def congruent_closure_classes(

@@ -4,7 +4,8 @@ A model assigns a finite set of element names to every type and a total
 function to every aspect.  Aspects labelled ``is`` are special: they are
 always interpreted as inclusions, so their maps may be omitted from a model
 document and are synthesized; when supplied they must be the identity
-embedding.  The four syllogistic forms read as set prescriptions:
+embedding.  The four syllogistic forms read as set prescriptions, given
+once in ``HOLDS``:
 
     A(X,Y)  carrier(X) is a subset of carrier(Y)
     E(X,Y)  the carriers are disjoint
@@ -17,7 +18,7 @@ O(X,X) can never hold, which is what makes it the contradiction marker.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from .core import Aspect, CategoricalProposition, Ologism, PathWord
 from . import deduce
@@ -44,17 +45,20 @@ class Model:
         return f"model {self.name or '<anonymous>'}: {parts}"
 
 
+# Form -> predicate on the subject's and the predicate's carrier.  Written
+# with ``&`` and ``==`` only, so a carrier may be a frozenset of elements or
+# an int bitmask over the universe (the oracle's enumeration uses those).
+HOLDS: dict[str, Callable[[Any, Any], bool]] = {
+    "A": lambda s, p: s & p == s,
+    "E": lambda s, p: not s & p,
+    "I": lambda s, p: bool(s & p),
+    "O": lambda s, p: s & p != s,
+}
+
+
 def satisfies(model: Model, prop: CategoricalProposition) -> bool:
     """Evaluate one prescription; unknown types raise LookupError."""
-    s = model.carrier(prop.subject)
-    p = model.carrier(prop.predicate)
-    if prop.form == "A":
-        return s <= p
-    if prop.form == "E":
-        return not (s & p)
-    if prop.form == "I":
-        return bool(s & p)
-    return not (s <= p)
+    return HOLDS[prop.form](model.carrier(prop.subject), model.carrier(prop.predicate))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,10 @@ executable checks:
   * completeness: every proposition holding in every model is derivable.
 
 Exhaustive enumeration covers the is-only fragment (no facts, no general
-aspects) where a model is just a subset assignment.  The full fragment falls
+aspects) where a model is just a subset assignment, each carrier an int
+bitmask over the universe.  The set reading of A/E/I/O is not spelled out
+here: bitmasks are judged by the same ``model.HOLDS`` table that
+``model.satisfies`` applies to frozenset carriers.  The full fragment falls
 back to seeded rejection sampling; running out of attempts yields an
 inconclusive verdict, never a silent pass.
 
@@ -29,7 +32,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
 from .core import CategoricalProposition, Ologism, proposition
-from .model import Model, check_model, satisfies
+from .model import HOLDS, Model, check_model, satisfies
 from . import deduce
 
 DEFAULT_TYPE_CAP = 6
@@ -46,7 +49,6 @@ class FragmentError(ValueError):
 @dataclass(frozen=True)
 class OracleConfig:
     universe_size: int = 3
-    fragment: str = "is_only"  # is_only | full
     seed: int = 0
     sample_count: int = 1000
     type_cap: int = DEFAULT_TYPE_CAP
@@ -55,8 +57,6 @@ class OracleConfig:
     def __post_init__(self) -> None:
         if self.universe_size < 1:
             raise ValueError("universe_size must be positive")
-        if self.fragment not in ("is_only", "full"):
-            raise ValueError(f"fragment must be is_only or full, got {self.fragment!r}")
 
 
 def is_only(ologism: Ologism) -> bool:
@@ -71,28 +71,20 @@ def _universe(n: int) -> tuple[str, ...]:
 # -- fast path: carriers as bitmasks over the n-element universe -------------
 
 
-def _premiss_checks(ologism: Ologism, order: dict[str, int]):
-    checks = []
-    for p in sorted(ologism.premisses, key=lambda p: p.sort_key()):
-        s, t, form = order[p.subject], order[p.predicate], p.form
-        if form == "A":
-            checks.append(lambda m, s=s, t=t: not (m[s] & ~m[t]))
-        elif form == "E":
-            checks.append(lambda m, s=s, t=t: not (m[s] & m[t]))
-        elif form == "I":
-            checks.append(lambda m, s=s, t=t: bool(m[s] & m[t]))
-        else:
-            checks.append(lambda m, s=s, t=t: bool(m[s] & ~m[t]))
-    return checks
+def _checks(ologism: Ologism, props: Sequence[CategoricalProposition]) -> list[tuple]:
+    """Each proposition as (its ``HOLDS`` test, subject index, predicate index)."""
+    order = {t: i for i, t in enumerate(sorted(ologism.type_ids()))}
+    return [(HOLDS[p.form], order[p.subject], order[p.predicate]) for p in props]
 
 
 def _model_masks(ologism: Ologism, n: int) -> Iterator[tuple[int, ...]]:
     """All premiss-satisfying subset assignments, lexicographically."""
-    types = sorted(ologism.type_ids())
-    order = {t: i for i, t in enumerate(types)}
-    checks = _premiss_checks(ologism, order)
-    for masks in itertools.product(range(1 << n), repeat=len(types)):
-        if all(c(masks) for c in checks):
+    checks = _checks(ologism, sorted(ologism.premisses, key=lambda p: p.sort_key()))
+    for masks in itertools.product(range(1 << n), repeat=len(ologism.types)):
+        for holds, s, t in checks:
+            if not holds(masks[s], masks[t]):
+                break
+        else:
             yield masks
 
 
@@ -146,15 +138,16 @@ def all_propositions(type_ids: Sequence[str]) -> list[CategoricalProposition]:
     return out
 
 
-def _mask_satisfies(prop: CategoricalProposition, masks: Sequence[int], order: dict[str, int]) -> bool:
-    s, t = masks[order[prop.subject]], masks[order[prop.predicate]]
-    if prop.form == "A":
-        return not (s & ~t)
-    if prop.form == "E":
-        return not (s & t)
-    if prop.form == "I":
-        return bool(s & t)
-    return bool(s & ~t)
+def _consequences(
+    ologism: Ologism, models: Sequence[tuple[int, ...]]
+) -> frozenset[CategoricalProposition]:
+    """The propositions over the document's types that hold in every model."""
+    props = all_propositions(ologism.type_ids())
+    return frozenset(
+        prop
+        for prop, (holds, s, t) in zip(props, _checks(ologism, props))
+        if all(holds(m[s], m[t]) for m in models)
+    )
 
 
 def semantic_consequences(
@@ -165,14 +158,7 @@ def semantic_consequences(
     With no model at all this is vacuously the whole proposition space.
     """
     _guard(ologism, config)
-    types = sorted(ologism.type_ids())
-    order = {t: i for i, t in enumerate(types)}
-    models = list(_model_masks(ologism, config.universe_size))
-    survivors = []
-    for prop in all_propositions(types):
-        if all(_mask_satisfies(prop, m, order) for m in models):
-            survivors.append(prop)
-    return frozenset(survivors)
+    return _consequences(ologism, list(_model_masks(ologism, config.universe_size)))
 
 
 # -- random full-fragment models ---------------------------------------------
@@ -284,16 +270,19 @@ class CompletenessVerdict:
         )
 
 
-def _import_closure(ologism: Ologism, config: OracleConfig) -> frozenset[CategoricalProposition]:
-    """Closure after adding I(X,X) for every type forced nonempty by the models."""
-    n = config.universe_size
-    forced = set(sorted(ologism.type_ids()))
-    order = {t: i for i, t in enumerate(sorted(ologism.type_ids()))}
-    for masks in _model_masks(ologism, n):
-        forced = {t for t in forced if masks[order[t]]}
-        if not forced:
-            break
-    extra = [proposition("I", t, t) for t in sorted(forced)]
+def _import_closure(
+    ologism: Ologism, consequences: frozenset[CategoricalProposition]
+) -> frozenset[CategoricalProposition]:
+    """Closure after declaring I(X,X) for every type the models force nonempty.
+
+    Nonempty in every model is exactly I(X,X) among the consequences; those
+    already declared are not declared twice.
+    """
+    extra = sorted(
+        (p for p in consequences
+         if p.form == "I" and p.subject == p.predicate and p not in ologism.premisses),
+        key=lambda p: p.sort_key(),
+    )
     enriched = ologism.replace_premisses(tuple(ologism.premisses) + tuple(extra))
     return frozenset(deduce.close(enriched).propositions())
 
@@ -308,14 +297,15 @@ def check_completeness(
     existential-import premisses for the nonempty-forced types derives every
     gap member, the gap is the import phenomenon rather than an engine bug.
     """
-    theory = deduce.close(ologism)
-    closure = frozenset(theory.propositions())
-    consequences = semantic_consequences(ologism, config)
+    closure = frozenset(deduce.close(ologism).propositions())
+    _guard(ologism, config)
+    models = list(_model_masks(ologism, config.universe_size))
+    consequences = _consequences(ologism, models)
     gap = consequences - closure
-    models_exist = count_models(ologism, config) > 0
+    models_exist = bool(models)
     if not gap:
         return CompletenessVerdict(True, config.universe_size, gap, frozenset(), False, models_exist)
     bigger = replace(config, universe_size=config.universe_size + 1)
     gap_next = semantic_consequences(ologism, bigger) - closure
-    explained = models_exist and gap <= _import_closure(ologism, config)
+    explained = models_exist and gap <= _import_closure(ologism, consequences)
     return CompletenessVerdict(False, config.universe_size, gap, gap_next, explained, models_exist)

@@ -180,6 +180,23 @@ class TestOracle:
         assert section["gap_closed_by_import"] is True
         assert "I(A,A)" in section["gap"]
 
+    def test_completeness_with_declared_import(self, capsys, tmp_path):
+        path = tmp_path / "dup.olgm"
+        path.write_text('ologism "dup" {\n  type T0 "a T0"\n  type T1 "a T1"\n'
+                        "  O T0 T1\n  I T1 T1\n  E T0 T1\n}\n")
+        code, payload = run_json(capsys, "oracle", str(path), "--mode", "completeness")
+        assert code == 1 and payload["status"] == "fail"
+        section = payload["sections"]["completeness"]
+        assert section["gap"] == ["I(T0,T0)"]
+        assert section["gap_closed_by_import"] is True
+
+    @pytest.mark.parametrize("size", ["0", "-1", "three"])
+    def test_universe_must_be_positive(self, capsys, size):
+        with pytest.raises(SystemExit) as exit_:
+            main(["oracle", str(DATA / "animals.olgm"), "--universe", size])
+        assert exit_.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
 
 class TestExportDot:
     def test_animals_parses(self, capsys):

@@ -6,7 +6,6 @@ import pytest
 
 from ologism.core import Aspect, Fact, Ologism, PathWord, empty_path
 from ologism.eqtheory import (
-    CongruenceIndex,
     ParallelismError,
     congruent_closure_classes,
     default_bound,
@@ -121,20 +120,6 @@ class TestClasses:
         with pytest.raises(KeyError):
             congruent_closure_classes(has_mother, "P", "Nope", 3)
 
-    def test_index_answers_match_trace_search(self):
-        doc = _chain_doc()
-        index = CongruenceIndex.build(doc, "X", "Q", 4)
-        words = enumerate_words(doc, "X", "Q", 4)
-        for p in words:
-            for q in words:
-                assert index.equal(p, q) == equal_paths(doc, p, q, 4).equal
-
-    def test_index_is_shareable_value(self):
-        doc = _chain_doc()
-        index = CongruenceIndex.build(doc, "X", "Q", 4)
-        assert index.bound == 4
-        assert index.class_of(enumerate_words(doc, "X", "Q", 4)[0])
-
 
 class TestEquivalenceLaws:
     def test_equivalence_and_congruence_on_random_words(self):
@@ -210,3 +195,8 @@ class TestDefaults:
     def test_env_override(self, monkeypatch, animals):
         monkeypatch.setenv("OLOGISM_PATH_BOUND", "17")
         assert default_bound(animals) == 17
+
+    def test_env_override_must_be_an_integer(self, monkeypatch, animals):
+        monkeypatch.setenv("OLOGISM_PATH_BOUND", "abc")
+        with pytest.raises(ValueError, match="OLOGISM_PATH_BOUND"):
+            default_bound(animals)

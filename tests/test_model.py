@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from ologism.core import A, E, I, O, proposition
-from ologism.model import Model, check_model, satisfies
+from ologism.model import HOLDS, Model, check_model, satisfies
+from .oracles import _holds
+
+# Every pair of carriers over a 3-element universe, as bitmasks.
+MASK_PAIRS = list(itertools.product(range(8), repeat=2))
 
 
 def tiny(**carriers) -> Model:
@@ -46,6 +52,20 @@ class TestSatisfies:
     def test_unknown_type(self):
         with pytest.raises(LookupError):
             satisfies(tiny(X={"0"}), A("X", "Z"))
+
+
+class TestHolds:
+    def test_bitmasks_agree_with_reference(self):
+        for s, t in MASK_PAIRS:
+            for form, holds in HOLDS.items():
+                assert holds(s, t) is _holds(form, s, t), (form, s, t)
+
+    def test_frozensets_agree_with_subset_and_disjointness(self):
+        for s, t in MASK_PAIRS:
+            x, y = (frozenset(i for i in range(3) if m >> i & 1) for m in (s, t))
+            expected = {"A": x <= y, "E": x.isdisjoint(y), "I": not x.isdisjoint(y), "O": not x <= y}
+            for form, holds in HOLDS.items():
+                assert holds(x, y) is expected[form], (form, x, y)
 
 
 class TestCheckModel:

@@ -165,6 +165,22 @@ class TestCompleteness:
         assert verdict.gap_at_next == verdict.gap  # not a universe-size artifact
         assert verdict.gap_closed_by_import
 
+    def test_declared_import_is_not_declared_again(self):
+        # I(T1,T1) is a premiss and T0 is forced nonempty too, so the import
+        # re-check must add I(T0,T0) without repeating I(T1,T1).
+        doc = Ologism.build("dup", ["T0", "T1"], premisses=[O("T0", "T1"), I("T1", "T1"), E("T0", "T1")])
+        verdict = check_completeness(doc)
+        assert not verdict.passed
+        assert verdict.gap == {I("T0", "T0")}
+        assert verdict.gap_closed_by_import
+
+    def test_never_raises_on_valid_is_only_documents(self):
+        rng = random.Random(7)
+        for _ in range(400):
+            doc = random_ologism(rng, max_types=3)
+            verdict = check_completeness(doc)
+            assert verdict.passed == (not verdict.gap), doc
+
     def test_contradiction_implies_unsatisfiable(self):
         rng = random.Random(13)
         for _ in range(60):

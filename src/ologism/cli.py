@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--universe", type=_positive_int, default=3, metavar="N")
     p.add_argument("--mode", choices=("soundness", "completeness", "models"), default="soundness")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_positive_int, default=1000)
     p.set_defaults(run=cmd_oracle)
 
     p = sub.add_parser("export-dot", help="write the document as Graphviz DOT")

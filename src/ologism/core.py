@@ -248,16 +248,19 @@ class Ologism:
         )
         asp = list(aspects)
         prem = list(premisses)
+        seen_asp, seen_prem = set(asp), set(prem)
         for p in prem:
             if p.form == "A":
                 a = Aspect(IS, p.subject, p.predicate)
-                if a not in asp:
+                if a not in seen_asp:
                     asp.append(a)
+                    seen_asp.add(a)
         for a in asp:
             if a.is_flag:
                 p = CategoricalProposition("A", a.source, a.target)
-                if p not in prem:
+                if p not in seen_prem:
                     prem.append(p)
+                    seen_prem.add(p)
         return cls(name, tdecls, tuple(asp), tuple(facts), tuple(prem))
 
     # -- lookups -----------------------------------------------------------

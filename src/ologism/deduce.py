@@ -1,9 +1,10 @@
 """The logical theory of an ologism: the layered closure of its premisses.
 
 The default calculus is the paper's: rules R1-R8 plus E/I symmetry.  Its
-closure runs in three strata, mirroring how the inference rules feed
-each other (no rule consumes a particular-negative to produce anything else,
-and only universal affirmatives compose among themselves):
+closure runs in three layers (four strata: A, E, I, then O), mirroring how
+the inference rules feed each other (no rule consumes a particular-negative
+to produce anything else, and only universal affirmatives compose among
+themselves):
 
     layer 1   alpha*:  A-premisses plus the identity A(X,X) for every type,
                        closed under R1  (A_xy, A_yz |- A_xz)
@@ -20,6 +21,15 @@ ties break on the rule tag, then on operand order, so output is stable.
 A derivable O(X,X) reads "Some X is not X" and marks the document as
 contradictory.
 
+Each stratum is evaluated semi-naively, level by level in derivation height.
+Identities and premisses have height 1 (an identity wins over an A(X,X)
+premiss), and facts of earlier strata keep their heights.  Facts are
+indexed by (form, position, term) as their level is reached; level h joins
+only the facts of height h with the indexed facts, so every conclusion not
+yet known gets height h + 1, and among that level's candidates for it the
+least (rule tag, child triples) wins.  That is the least (height, rule,
+operands) over all derivations, found without re-running old joins.
+
 The default calculus is sound but not complete for the set semantics: it
 cannot derive implied existential import (I(A,B) forces A nonempty, yet
 I(A,A) does not follow) and an emptiness assertion E(X,X) can meet a
@@ -31,14 +41,14 @@ calculus="complete")`` adds the rules that close those gaps:
     explosion   O(X,X) |- O(T,T), for every type T
 
 These rules break the strata: existence feeds O into I, emptiness feeds E
-into A, so the complete calculus saturates all of its rules together.  The
-same least (depth, rule, operands) choice keeps its derivations minimal.
+into A, so the complete calculus runs all of its rules as one stratum of
+the same engine, with the same choice of derivation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .core import (
     CategoricalProposition,
@@ -54,8 +64,6 @@ SYMMETRY = "Symmetry"
 EXISTENCE = "Existence"
 EMPTINESS = "Emptiness"
 EXPLOSION = "Explosion"
-
-CALCULI = ("default", "complete")
 
 Triple = tuple[str, str, str]  # (form, subject, predicate), orientation significant
 
@@ -168,118 +176,87 @@ class Theory:
         }[form]
 
 
-# --- rule instance generators ----------------------------------------------
+# --- the closure engine -----------------------------------------------------
 #
-# Each generator inspects the oriented triples known so far and yields
-# (conclusion, rule tag, child triples).  Child order is the order the rule
-# states its premisses in.
+# Facts are oriented (form, subject, predicate) triples; ``info`` maps each
+# known one to (height, rule tag, child triples), children in the order the
+# rule states its premisses.  A join rule (tag, left form, left position,
+# right form, right position, conclusion form) matches two facts that agree
+# on the term at those positions (1 subject, 2 predicate) and concludes from
+# the left fact's other term to the right fact's other term.  A unary rule
+# (tag, form, conclusions) maps one fact of that form, and the types, to
+# what it concludes.
 
 Info = dict[Triple, tuple[int, str, tuple[Triple, ...]]]
 
-
-def _by_form(info: Info, form: str) -> list[Triple]:
-    return sorted(t for t in info if t[0] == form)
-
-
-def _r1(info: Info) -> Iterator[tuple[Triple, str, tuple[Triple, ...]]]:
-    a_triples = _by_form(info, "A")
-    by_subject: dict[str, list[Triple]] = {}
-    for t in a_triples:
-        by_subject.setdefault(t[1], []).append(t)
-    for first in a_triples:
-        for second in by_subject.get(first[2], ()):
-            yield ("A", first[1], second[2]), "R1", (first, second)
-
-
-def _symmetry(form: str) -> Callable[[Info], Iterator]:
-    def gen(info: Info):
-        for t in _by_form(info, form):
-            yield (form, t[2], t[1]), SYMMETRY, (t,)
-
-    return gen
-
-
-def _join(
-    tag: str,
-    left_form: str,
-    right_form: str,
-    out_form: str,
-    combine: Callable[[Triple, Triple], Optional[tuple[str, str]]],
-) -> Callable[[Info], Iterator]:
-    def gen(info: Info):
-        rights = _by_form(info, right_form)
-        for left in _by_form(info, left_form):
-            for right in rights:
-                out = combine(left, right)
-                if out is not None:
-                    yield (out_form, out[0], out[1]), tag, (left, right)
-
-    return gen
-
-
-_RULES_ALPHA = (_r1,)
-_RULES_EPSILON = (
-    _symmetry("E"),
-    _join("R2", "E", "A", "E", lambda e, a: (e[1], a[1]) if e[2] == a[2] else None),
-    _join("R3", "A", "E", "E", lambda a, e: (a[1], e[2]) if a[2] == e[1] else None),
+_JOINS = (
+    ("R1", "A", 2, "A", 1, "A"),  # A_xy, A_yz |- A_xz
+    ("R2", "E", 2, "A", 2, "E"),  # E_xy, A_zy |- E_xz
+    ("R3", "A", 2, "E", 1, "E"),  # A_xy, E_yz |- E_xz
+    ("R4", "I", 2, "A", 1, "I"),  # I_xy, A_yz |- I_xz
+    ("R5", "A", 1, "I", 1, "I"),  # A_yx, I_yz |- I_xz
+    ("R6", "I", 2, "E", 1, "O"),  # I_xy, E_yz |- O_xz
+    ("R7", "A", 1, "O", 1, "O"),  # A_yx, O_yz |- O_xz
+    ("R8", "O", 2, "A", 2, "O"),  # O_xy, A_zy |- O_xz
 )
-_RULES_IOTA = (
-    _symmetry("I"),
-    _join("R4", "I", "A", "I", lambda i, a: (i[1], a[2]) if i[2] == a[1] else None),
-    _join("R5", "A", "I", "I", lambda a, i: (a[2], i[2]) if a[1] == i[1] else None),
-)
-_RULES_O = (
-    _join("R6", "I", "E", "O", lambda i, e: (i[1], e[2]) if i[2] == e[1] else None),
-    _join("R7", "A", "O", "O", lambda a, o: (a[2], o[2]) if a[1] == o[1] else None),
-    _join("R8", "O", "A", "O", lambda o, a: (o[1], a[1]) if o[2] == a[2] else None),
+_SYMMETRY = tuple((SYMMETRY, form, lambda t, types: ((t[0], t[2], t[1]),)) for form in "EI")
+_EXTENSIONS = (
+    (EXISTENCE, "I", lambda t, types: (("I", t[1], t[1]),)),
+    (EXISTENCE, "O", lambda t, types: (("I", t[1], t[1]),)),
+    (EMPTINESS, "E", lambda t, types: (
+        [(f, t[1], y) for y in types for f in "AE"] if t[1] == t[2] else ())),
+    (EXPLOSION, "O", lambda t, types: [("O", y, y) for y in types] if t[1] == t[2] else ()),
 )
 
-
-def _complete_rules(types: tuple[str, ...]) -> tuple[Callable[[Info], Iterator], ...]:
-    """Every default rule plus existence, emptiness and explosion, unstratified."""
-
-    def existence(info: Info):
-        for t in _by_form(info, "I") + _by_form(info, "O"):
-            yield ("I", t[1], t[1]), EXISTENCE, (t,)
-
-    def emptiness(info: Info):
-        for t in _by_form(info, "E"):
-            if t[1] == t[2]:
-                for y in types:
-                    yield ("A", t[1], y), EMPTINESS, (t,)
-                    yield ("E", t[1], y), EMPTINESS, (t,)
-
-    def explosion(info: Info):
-        for t in _by_form(info, "O"):
-            if t[1] == t[2]:
-                for y in types:
-                    yield ("O", y, y), EXPLOSION, (t,)
-
-    return (
-        _RULES_ALPHA + _RULES_EPSILON + _RULES_IOTA + _RULES_O
-        + (existence, emptiness, explosion)
-    )
+# Each calculus is a sequence of strata, each a pair (join rules, unary rules).
+# No stratum concludes a form that an earlier one concludes, so a fact an
+# earlier stratum admitted is never re-derived at a lower height.
+_CALCULI = {
+    "default": (  # A, then E, then I, then O
+        (_JOINS[:1], ()),
+        (_JOINS[1:3], _SYMMETRY[:1]),
+        (_JOINS[3:5], _SYMMETRY[1:]),
+        (_JOINS[5:], ()),
+    ),
+    "complete": ((_JOINS, _SYMMETRY + _EXTENSIONS),),
+}
 
 
-def _relax(info: Info, rules: Iterable[Callable[[Info], Iterator]]) -> None:
-    """Saturate, keeping per conclusion the least (depth, rule, operands)."""
-    changed = True
-    while changed:
-        changed = False
-        for rule in rules:
-            for concl, tag, children in rule(info):
-                height = 1 + max(info[c][0] for c in children)
-                key = (height, tag, children)
-                cur = info.get(concl)
-                if cur is None or key < cur:
-                    info[concl] = key
-                    changed = True
+def _saturate(info: Info, joins: tuple, unaries: tuple, types: tuple[str, ...]) -> None:
+    """Close ``info`` under the rules, level by level in derivation height
+    (see the module docstring); facts already known enter at their heights."""
+    levels: dict[int, list[Triple]] = {}
+    for t, (height, _, _) in info.items():
+        levels.setdefault(height, []).append(t)
+    index: dict[tuple[str, int, str], list[Triple]] = {}
+    h = 1
+    while h in levels:
+        for t in levels[h]:
+            index.setdefault((t[0], 1, t[1]), []).append(t)
+            index.setdefault((t[0], 2, t[2]), []).append(t)
+        best: dict[Triple, tuple[str, tuple[Triple, ...]]] = {}
+        for t in levels[h]:
+            found = [((out, t[3 - lj], r[3 - rj]), tag, (t, r))
+                     for tag, lf, lj, rf, rj, out in joins if t[0] == lf
+                     for r in index.get((rf, rj, t[lj]), ())]
+            found += [((out, left[3 - lj], t[3 - rj]), tag, (left, t))
+                      for tag, lf, lj, rf, rj, out in joins if t[0] == rf
+                      for left in index.get((lf, lj, t[rj]), ())]
+            found += [(c, tag, (t,)) for tag, form, conclude in unaries if t[0] == form
+                      for c in conclude(t, types)]
+            for concl, tag, children in found:
+                if concl not in info and (concl not in best or (tag, children) < best[concl]):
+                    best[concl] = (tag, children)
+        for concl, (tag, children) in best.items():
+            info[concl] = (h + 1, tag, children)
+            levels.setdefault(h + 1, []).append(concl)
+        h += 1
 
 
 def _build_trees(info: Info) -> dict[Triple, Derivation]:
+    """One tree per triple; ``info`` lists every fact after its children."""
     trees: dict[Triple, Derivation] = {}
-    for triple in sorted(info, key=lambda t: (info[t][0], t)):
-        height, tag, children = info[triple]
+    for triple, (_, tag, children) in info.items():
         trees[triple] = Derivation(
             proposition(*triple), tag, tuple(trees[c] for c in children)
         )
@@ -293,35 +270,26 @@ def close(ologism: Ologism, calculus: str = "default") -> Theory:
     ``"complete"`` (those plus existence, emptiness and explosion, saturated
     together); any other name raises ``ValueError``.
     """
-    if calculus not in CALCULI:
-        raise ValueError(f"calculus must be one of {', '.join(CALCULI)}, got {calculus!r}")
+    if calculus not in _CALCULI:
+        raise ValueError(f"calculus must be one of {', '.join(_CALCULI)}, got {calculus!r}")
     problems = validate(ologism)
     if problems:
         raise InvalidOlogismError(problems)
 
     types = tuple(sorted(ologism.type_ids()))
-    info: Info = {}
-    for t in types:
-        info[("A", t, t)] = (1, IDENTITY, ())
-    for p in sorted(ologism.premisses, key=lambda p: p.sort_key()):
-        triple = (p.form, p.subject, p.predicate)
-        if triple not in info:
-            info[triple] = (1, PREMISS, ())
-    if calculus == "complete":
-        _relax(info, _complete_rules(types))
-    else:
-        _relax(info, _RULES_ALPHA)
-        _relax(info, _RULES_EPSILON)
-        _relax(info, _RULES_IOTA)
-        _relax(info, _RULES_O)
+    info: Info = {("A", t, t): (1, IDENTITY, ()) for t in types}
+    for p in ologism.premisses:
+        info.setdefault((p.form, p.subject, p.predicate), (1, PREMISS, ()))
+    for joins, unaries in _CALCULI[calculus]:
+        _saturate(info, joins, unaries, types)
 
-    trees = _build_trees(info)
     stars: dict[str, set[CategoricalProposition]] = {f: set() for f in "AEIO"}
     derivations: dict[CategoricalProposition, Derivation] = {}
-    for form, s, p in info:
-        prop = proposition(form, s, p).canonical()
-        stars[form].add(prop)
-        derivations[prop] = trees[(prop.form, prop.subject, prop.predicate)]
+    for (form, s, p), tree in _build_trees(info).items():
+        if form in "EI" and p < s:
+            continue  # symmetry derives the canonical orientation too
+        stars[form].add(tree.conclusion)
+        derivations[tree.conclusion] = tree
 
     return Theory(
         name=ologism.name,

@@ -245,7 +245,8 @@ def parse_ologism(source: str) -> ParseResult:
     aspects: list[Aspect] = []
     premisses: list[CategoricalProposition] = []
     raw_facts: list[tuple[Optional[str], list, list, Token]] = []
-    positions: dict[object, Token] = {}
+    positions: dict[object, Token] = {}  # every accepted premiss and aspect
+    declared: set[str] = set()
 
     kw = p.expect("IDENT", "the keyword 'ologism'")
     if kw is None or kw.value != "ologism":
@@ -271,7 +272,7 @@ def parse_ologism(source: str) -> ParseResult:
             if ident and label is not None:
                 if ident.value == IS:
                     p.error("ReservedIdentifier", f"type id {IS!r} is reserved", ident)
-                if any(t.id == ident.value for t in types):
+                if ident.value in declared:
                     p.error("DuplicateType", f"type {ident.value!r} declared twice", ident)
                 else:
                     if not (label.value.startswith("a ") or label.value.startswith("an ")):
@@ -281,6 +282,7 @@ def parse_ologism(source: str) -> ParseResult:
                             label,
                         )
                     types.append(TypeDecl(ident.value, label.value))
+                    declared.add(ident.value)
         elif keyword.value == "aspect":
             ident = p.expect("IDENT", "an aspect name")
             if p.expect("COLON", "':'") is None:
@@ -296,7 +298,7 @@ def parse_ologism(source: str) -> ParseResult:
                     _add_premiss(p, premisses, aspects, positions, "A", src, tgt, keyword)
                 else:
                     aspect = Aspect(ident.value, src.value, tgt.value)
-                    if aspect in aspects:
+                    if aspect in positions:
                         p.error("DuplicateAspect", f"aspect {aspect} declared twice", ident)
                     else:
                         aspects.append(aspect)
@@ -320,7 +322,6 @@ def parse_ologism(source: str) -> ParseResult:
                 raw_facts.append((label_tok.value if label_tok else None, lhs, rhs, keyword))
     p.expect("RBRACE", "'}'")
 
-    declared = {t.id for t in types}
     for a in aspects:
         for end in (a.source, a.target):
             if end not in declared:
@@ -330,7 +331,7 @@ def parse_ologism(source: str) -> ParseResult:
             if term not in declared:
                 p.error("UnknownType", f"premiss {q} uses undeclared type {term!r}", positions.get(q))
 
-    facts = []
+    facts: dict[Fact, None] = {}
     for fact_name, lhs_items, rhs_items, at in raw_facts:
         resolved = _resolve_fact(p, types, aspects, lhs_items, rhs_items, at)
         if resolved is None:
@@ -339,7 +340,7 @@ def parse_ologism(source: str) -> ParseResult:
         if fact in facts:
             p.error("DuplicateFact", f"fact {fact} declared twice", at)
             continue
-        facts.append(fact)
+        facts[fact] = None
 
     if p.errors_present():
         return ParseResult(None, p.diagnostics)
@@ -350,14 +351,14 @@ def parse_ologism(source: str) -> ParseResult:
 
 def _add_premiss(p: _Parser, premisses, aspects, positions, form: str, subj: Token, pred: Token, at: Token) -> None:
     prop = proposition(form, subj.value, pred.value)
-    if prop in premisses:
+    if prop in positions:
         p.error("DuplicatePremiss", f"premiss {prop} declared twice", at)
         return
     premisses.append(prop)
     positions[prop] = at
     if form == "A":
         aspect = Aspect(IS, subj.value, pred.value)
-        if aspect not in aspects:
+        if aspect not in positions:
             aspects.append(aspect)
             positions[aspect] = at
 

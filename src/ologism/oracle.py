@@ -57,6 +57,8 @@ class OracleConfig:
     def __post_init__(self) -> None:
         if self.universe_size < 1:
             raise ValueError("universe_size must be positive")
+        if self.sample_count < 1:
+            raise ValueError("sample_count must be positive")
 
 
 def is_only(ologism: Ologism) -> bool:

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written as flat brute force, sharing no code
 with the engines under test: a simultaneous (unstratified) deduction
-fixpoint, exact set semantics for premiss-only documents over Venn regions,
-subset-semantics for syllogistic moods, a union-find over rewrite edges,
-random document generators, and a small structural checker for DOT output.
+fixpoint, a nested-loop relaxation for minimal derivations, exact set
+semantics for premiss-only documents over Venn regions, subset-semantics for
+syllogistic moods, a union-find over rewrite edges, random document
+generators, and a small structural checker for DOT output.
 """
 
 from __future__ import annotations
@@ -56,6 +57,85 @@ def naive_theory(type_ids: Sequence[str], premisses: Iterable[CategoricalProposi
     for f, s, t in known:
         out[f].add(proposition(f, s, t).canonical())
     return {f: frozenset(v) for f, v in out.items()}
+
+
+# --- minimal derivations by nested-loop relaxation --------------------------------
+#
+# Each derivable oriented triple keeps its least (height, rule tag, child
+# triples): relax every rule instance over all pairs of known facts until
+# nothing improves.  Binary rules map (left, right) to a conclusion or None.
+
+_BINARY_RULES = {
+    "R1": ("A", "A", lambda l, r: ("A", l[1], r[2]) if l[2] == r[1] else None),
+    "R2": ("E", "A", lambda l, r: ("E", l[1], r[1]) if l[2] == r[2] else None),
+    "R3": ("A", "E", lambda l, r: ("E", l[1], r[2]) if l[2] == r[1] else None),
+    "R4": ("I", "A", lambda l, r: ("I", l[1], r[2]) if l[2] == r[1] else None),
+    "R5": ("A", "I", lambda l, r: ("I", l[2], r[2]) if l[1] == r[1] else None),
+    "R6": ("I", "E", lambda l, r: ("O", l[1], r[2]) if l[2] == r[1] else None),
+    "R7": ("A", "O", lambda l, r: ("O", l[2], r[2]) if l[1] == r[1] else None),
+    "R8": ("O", "A", lambda l, r: ("O", l[1], r[1]) if l[2] == r[2] else None),
+}
+
+# (tag, premiss form, conclusions from the premiss triple and the types)
+_UNARY_RULES = {
+    "E-symmetry": ("Symmetry", "E", lambda t, types: [("E", t[2], t[1])]),
+    "I-symmetry": ("Symmetry", "I", lambda t, types: [("I", t[2], t[1])]),
+    "I-existence": ("Existence", "I", lambda t, types: [("I", t[1], t[1])]),
+    "O-existence": ("Existence", "O", lambda t, types: [("I", t[1], t[1])]),
+    "emptiness": ("Emptiness", "E", lambda t, types: [
+        (f, t[1], y) for y in types for f in "AE"] if t[1] == t[2] else []),
+    "explosion": ("Explosion", "O", lambda t, types: [
+        ("O", y, y) for y in types] if t[1] == t[2] else []),
+}
+
+_STRATA = {
+    "default": (
+        ("R1",),
+        ("E-symmetry", "R2", "R3"),
+        ("I-symmetry", "R4", "R5"),
+        ("R6", "R7", "R8"),
+    ),
+    "complete": (tuple(_BINARY_RULES) + tuple(_UNARY_RULES),),
+}
+
+
+def minimal_derivations(
+    type_ids: Sequence[str], premisses: Iterable[CategoricalProposition], calculus: str = "default"
+) -> dict[Triple, tuple[int, str, tuple[Triple, ...]]]:
+    """Every derivable oriented triple with its least (height, rule tag,
+    child triples); identities and premisses have height 1, an identity
+    before an A(X,X) premiss."""
+    types = sorted(type_ids)
+    info = {("A", t, t): (1, "Identity", ()) for t in types}
+    for p in premisses:
+        info.setdefault((p.form, p.subject, p.predicate), (1, "Premiss", ()))
+
+    def instances(rule):
+        if rule in _BINARY_RULES:
+            left_form, right_form, conclude = _BINARY_RULES[rule]
+            rights = [t for t in info if t[0] == right_form]
+            for left in [t for t in info if t[0] == left_form]:
+                for right in rights:
+                    concl = conclude(left, right)
+                    if concl is not None:
+                        yield concl, rule, (left, right)
+        else:
+            tag, form, conclude = _UNARY_RULES[rule]
+            for t in [t for t in info if t[0] == form]:
+                for concl in conclude(t, types):
+                    yield concl, tag, (t,)
+
+    for stratum in _STRATA[calculus]:
+        changed = True
+        while changed:
+            changed = False
+            for rule in stratum:
+                for concl, tag, children in list(instances(rule)):
+                    key = (1 + max(info[c][0] for c in children), tag, children)
+                    if concl not in info or key < info[concl]:
+                        info[concl] = key
+                        changed = True
+    return info
 
 
 # --- exact set semantics over Venn regions ---------------------------------------

@@ -197,6 +197,14 @@ class TestOracle:
         assert exit_.value.code == 2
         assert "positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["0", "-5", "many"])
+    def test_samples_must_be_positive(self, capsys, count):
+        # Zero samples would report soundness over no model at all.
+        with pytest.raises(SystemExit) as exit_:
+            main(["oracle", str(DATA / "has_mother.olgm"), "--samples", count])
+        assert exit_.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
 
 class TestExportDot:
     def test_animals_parses(self, capsys):

@@ -4,9 +4,16 @@ import random
 
 import pytest
 
+from ologism import data
 from ologism.core import A, E, I, InvalidOlogismError, O, Ologism, TypeDecl, proposition
 from ologism.deduce import Derivation, Theory, close, contradictions, explain
-from .oracles import exact_consequences, exact_satisfiable, naive_theory, random_ologism
+from .oracles import (
+    exact_consequences,
+    exact_satisfiable,
+    minimal_derivations,
+    naive_theory,
+    random_ologism,
+)
 
 
 def star_sets(theory: Theory) -> dict[str, frozenset]:
@@ -269,3 +276,67 @@ class TestCompleteCalculus:
             default, complete = close(doc), close(doc, calculus="complete")
             for form in "AEIO":
                 assert default.star(form) <= complete.star(form)
+
+
+def _premiss_only(n_types: int, per_type: int, seed: int) -> Ologism:
+    """A random is-only document with ``per_type`` premisses per type."""
+    rng = random.Random(seed)
+    names = [f"T{k}" for k in range(n_types)]
+    premisses: list = []
+    seen: set = set()
+    while len(premisses) < per_type * n_types:
+        form, x, y = rng.choice("AEIO"), rng.choice(names), rng.choice(names)
+        prop = proposition(form, x, y)
+        if (form, x) != ("A", y) and prop not in seen:
+            premisses.append(prop)
+            seen.add(prop)
+    return Ologism.build(f"large-{n_types}-{seed}", names, premisses=premisses)
+
+
+def _triple(p) -> tuple[str, str, str]:
+    return (p.form, p.subject, p.predicate)
+
+
+def assert_minimal_derivations(doc: Ologism, calculus: str) -> None:
+    """Every step of every stored derivation has the reference's height, rule
+    and child conclusions, and the theory holds exactly the reference's."""
+    theory = close(doc, calculus=calculus)
+    reference = minimal_derivations(doc.type_ids(), doc.premisses, calculus)
+    assert theory.propositions() == {proposition(*t).canonical() for t in reference}, doc
+    heights: dict[int, int] = {}
+
+    def check(d: Derivation) -> int:
+        if id(d) not in heights:
+            kids = [check(c) for c in d.children]
+            height = 1 + max(kids, default=0)
+            got = (height, d.rule, tuple(_triple(c.conclusion) for c in d.children))
+            assert got == reference[_triple(d.conclusion)], (doc.name, str(d.conclusion))
+            heights[id(d)] = height
+        return heights[id(d)]
+
+    for p, d in theory.derivations.items():
+        assert d.conclusion == p
+        check(d)
+
+
+class TestMinimalDerivations:
+    """The stored derivations equal a nested-loop relaxation's, tie-break included."""
+
+    @pytest.mark.parametrize("calculus", ["default", "complete"])
+    def test_sample(self, sample, calculus):
+        for doc in sample:
+            assert_minimal_derivations(doc, calculus)
+
+    @pytest.mark.parametrize("calculus", ["default", "complete"])
+    @pytest.mark.parametrize("name", data.NAMES)
+    def test_bundled(self, name, calculus):
+        assert_minimal_derivations(data.load(name), calculus)
+
+    @pytest.mark.parametrize("n_types, per_type", [(40, 2), (80, 2), (120, 1), (160, 1), (160, 2)])
+    def test_large_documents(self, n_types, per_type):
+        assert_minimal_derivations(_premiss_only(n_types, per_type, seed=n_types), "default")
+
+    @pytest.mark.parametrize("per_type", [1, 2])
+    def test_large_documents_complete(self, per_type):
+        # The complete closure of larger documents nears every proposition.
+        assert_minimal_derivations(_premiss_only(40, per_type, seed=41), "complete")

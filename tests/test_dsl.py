@@ -47,6 +47,22 @@ class TestParseOlogism:
         codes = {d.code for d in parse_ologism(src).errors}
         assert {"DuplicateType", "DuplicatePremiss"} <= codes
 
+    def test_every_duplicate_kind_in_declaration_order(self):
+        # E Y X repeats E X Y; "aspect is" repeats the A premiss.
+        src = ('ologism "x" {\n  type X "an x"\n  type Y "a y"\n  type X "an x"\n'
+               "  aspect f : X -> Y\n  aspect g : X -> Y\n  aspect f : X -> Y\n"
+               "  E X Y\n  E Y X\n  A X Y\n  aspect is : X -> Y\n"
+               "  fact : f = g\n  fact : f = g\n}")
+        result = parse_ologism(src)
+        assert result.value is None
+        assert [(d.code, d.line, d.column) for d in result.diagnostics] == [
+            ("DuplicateType", 4, 8),
+            ("DuplicateAspect", 7, 10),
+            ("DuplicatePremiss", 9, 3),
+            ("DuplicatePremiss", 11, 3),
+            ("DuplicateFact", 13, 3),
+        ]
+
     def test_reserved_type_id(self):
         result = parse_ologism('ologism "x" { type is "an is" }')
         assert any(d.code == "ReservedIdentifier" for d in result.errors)

@@ -135,6 +135,12 @@ class TestSoundness:
         verdict = check_soundness(doc, OracleConfig(sample_count=3, attempts_per_sample=5))
         assert verdict.inconclusive and not verdict.passed
 
+    @pytest.mark.parametrize("field", ["universe_size", "sample_count"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_config_sizes_must_be_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            OracleConfig(**{field: value})
+
 
 class TestCompleteness:
     def test_explicit_import_closes_the_gap(self):

@@ -1,10 +1,13 @@
-"""Finite models, satisfaction, and the brute-force semantic oracle.
+"""Finite models, satisfaction, and the exact semantic oracle.
 
 A model assigns finite sets to types and total functions to aspects, with
-"is" forced to be an inclusion.  On small universes every model can be
-enumerated outright, which turns soundness (everything derivable holds
-everywhere) and completeness (everything holding everywhere is derivable)
-into executable checks.  Soundness passes; completeness genuinely gaps on
+"is" forced to be an inclusion.  For premiss-only documents the oracle
+counts the models on an n-element universe exactly, from the Venn regions
+the premisses allow and the regions that witness I and O premisses, without
+listing them; n may be any size for which 2^(types*n) has at most 4300
+digits.  That turns soundness (everything derivable holds everywhere)
+and completeness (everything holding everywhere is derivable) into
+executable checks.  Soundness passes; completeness genuinely gaps on
 implied existential import, and the oracle classifies the gap as such.
 """
 

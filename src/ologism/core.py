@@ -11,6 +11,7 @@ on these types.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 FORMS = ("A", "E", "I", "O")
@@ -268,11 +269,14 @@ class Ologism:
     def type_ids(self) -> tuple[str, ...]:
         return tuple(t.id for t in self.types)
 
+    @cached_property
+    def _labels(self) -> dict[str, str]:
+        # Not a field, so equality, hashing and repr ignore it.  The first
+        # declaration of an id wins; ``validate`` reports any later one.
+        return {t.id: t.label for t in reversed(self.types)}
+
     def label(self, type_id: str) -> str:
-        for t in self.types:
-            if t.id == type_id:
-                return t.label
-        raise KeyError(type_id)
+        return self._labels[type_id]
 
     def aspect(self, name: str, source: str, target: str) -> Aspect:
         for a in self.aspects:

@@ -1,19 +1,32 @@
-"""Brute-force semantics: exhaustive model enumeration and random sampling.
+"""Exact semantics on finite universes, and random sampling for the rest.
 
-On small universes the satisfaction relation is cheap enough to enumerate
-outright, which turns the soundness and completeness statements into
-executable checks:
+On a fixed n-element universe the satisfaction relation turns the soundness
+and completeness statements into executable checks:
 
   * soundness: every derivable proposition holds in every model;
   * completeness: every proposition holding in every model is derivable.
 
-Exhaustive enumeration covers the is-only fragment (no facts, no general
-aspects) where a model is just a subset assignment, each carrier an int
-bitmask over the universe.  The set reading of A/E/I/O is not spelled out
-here: bitmasks are judged by the same ``model.HOLDS`` table that
-``model.satisfies`` applies to frozenset carriers.  The full fragment falls
-back to seeded rejection sampling; running out of attempts yields an
-inconclusive verdict, never a silent pass.
+For the is-only fragment (no facts, no general aspects) a model is a subset
+assignment, and the oracle answers exactly without listing the assignments.
+A region is the set of types one element belongs to.  Membership in each
+carrier is one bit, so ``model.HOLDS`` applied to those bits reads a
+proposition at one element: A and E premisses must hold at every element,
+which leaves a set R of allowed regions, and each distinct I or O premiss
+needs one element in its witness regions.  By inclusion-exclusion over the
+witness sets, the number of n-element models is ``sum c[U] * |R - U|**n``
+over the unions U of witness sets; the coefficients are built once per
+document, so every n is one sum.  Whether any n-element model exists is a
+search for at most n elements that witness every set, and a proposition is
+a consequence iff the document plus its negation has no model (the
+negations A->O and E->I add a witness set, I->E and O->A shrink R).
+
+A document may have at most ``type_cap`` types, and 2**(types*n), the
+number of assignments and so a bound on every count, may have at most
+``MAX_COUNT_DIGITS`` decimal digits; beyond either the oracle raises
+``ScaleError``.  ``enumerate_models`` still lists the models one by one;
+soundness sweeps use it, and so does a failing soundness check to find its
+counterexample.  The full fragment falls back to seeded rejection sampling;
+running out of attempts yields an inconclusive verdict, never a silent pass.
 
 Soundness holds unconditionally.  Completeness of the default calculus,
 which ``check_completeness`` judges, does not: nonemptiness can be implied
@@ -26,8 +39,11 @@ calculus="complete")`` closes that gap.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
@@ -36,10 +52,12 @@ from .model import HOLDS, Model, check_model, satisfies
 from . import deduce
 
 DEFAULT_TYPE_CAP = 6
+# Python's default limit on printing an int (sys.get_int_max_str_digits).
+MAX_COUNT_DIGITS = 4300
 
 
 class ScaleError(ValueError):
-    """Raised when exhaustive enumeration would be astronomically large."""
+    """Raised when a document or universe is beyond the oracle's bounds."""
 
 
 class FragmentError(ValueError):
@@ -70,18 +88,16 @@ def _universe(n: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(n))
 
 
-# -- fast path: carriers as bitmasks over the n-element universe -------------
-
-
-def _checks(ologism: Ologism, props: Sequence[CategoricalProposition]) -> list[tuple]:
-    """Each proposition as (its ``HOLDS`` test, subject index, predicate index)."""
-    order = {t: i for i, t in enumerate(sorted(ologism.type_ids()))}
-    return [(HOLDS[p.form], order[p.subject], order[p.predicate]) for p in props]
+# -- enumeration: carriers as bitmasks over the n-element universe -----------
 
 
 def _model_masks(ologism: Ologism, n: int) -> Iterator[tuple[int, ...]]:
     """All premiss-satisfying subset assignments, lexicographically."""
-    checks = _checks(ologism, sorted(ologism.premisses, key=lambda p: p.sort_key()))
+    order = {t: i for i, t in enumerate(sorted(ologism.type_ids()))}
+    checks = [
+        (HOLDS[p.form], order[p.subject], order[p.predicate])
+        for p in sorted(ologism.premisses, key=lambda p: p.sort_key())
+    ]
     for masks in itertools.product(range(1 << n), repeat=len(ologism.types)):
         for holds, s, t in checks:
             if not holds(masks[s], masks[t]):
@@ -110,6 +126,12 @@ def _guard(ologism: Ologism, config: OracleConfig) -> None:
         raise ScaleError(
             f"{len(ologism.types)} types exceed the enumeration cap of {config.type_cap}"
         )
+    bits = len(ologism.types) * config.universe_size
+    if bits * math.log10(2) >= MAX_COUNT_DIGITS:
+        raise ScaleError(
+            f"{len(ologism.types)} types on a {config.universe_size}-element universe "
+            f"give 2^{bits} assignments, more than {MAX_COUNT_DIGITS} digits"
+        )
 
 
 def enumerate_models(ologism: Ologism, config: OracleConfig = OracleConfig()) -> Iterator[Model]:
@@ -122,7 +144,7 @@ def enumerate_models(ologism: Ologism, config: OracleConfig = OracleConfig()) ->
 
 def count_models(ologism: Ologism, config: OracleConfig = OracleConfig()) -> int:
     _guard(ologism, config)
-    return sum(1 for _ in _model_masks(ologism, config.universe_size))
+    return _Venn(ologism).count(config.universe_size)
 
 
 def all_propositions(type_ids: Sequence[str]) -> list[CategoricalProposition]:
@@ -140,27 +162,135 @@ def all_propositions(type_ids: Sequence[str]) -> list[CategoricalProposition]:
     return out
 
 
-def _consequences(
-    ologism: Ologism, models: Sequence[tuple[int, ...]]
-) -> frozenset[CategoricalProposition]:
-    """The propositions over the document's types that hold in every model."""
-    props = all_propositions(ologism.type_ids())
-    return frozenset(
-        prop
-        for prop, (holds, s, t) in zip(props, _checks(ologism, props))
-        if all(holds(m[s], m[t]) for m in models)
-    )
-
-
 def semantic_consequences(
     ologism: Ologism, config: OracleConfig = OracleConfig()
 ) -> frozenset[CategoricalProposition]:
-    """Propositions satisfied by every enumerated model.
+    """Propositions satisfied by every model on the n-element universe.
 
     With no model at all this is vacuously the whole proposition space.
     """
     _guard(ologism, config)
-    return _consequences(ologism, list(_model_masks(ologism, config.universe_size)))
+    props = all_propositions(ologism.type_ids())
+    return _Venn(ologism).entailed(props, config.universe_size)
+
+
+# -- exact semantics over Venn regions ------------------------------------------
+
+_NEGATION = {"A": "O", "E": "I", "I": "E", "O": "A"}
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of a mask, each as an int with that one bit."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _coverable(
+    sets: list[int], hits: dict[int, int], unhit: int, m: int, memo: dict
+) -> bool:
+    """Whether m elements can witness every set in ``unhit``, a bitmask over
+    ``sets``; ``hits`` maps a region to the sets it witnesses."""
+    if unhit.bit_count() <= m:
+        return True  # one element for each set still unwitnessed
+    if not m:
+        return False
+    if (unhit, m) not in memo:
+        first = sets[(unhit & -unhit).bit_length() - 1]
+        # Each distinct remainder once, the one with the fewest sets first.
+        rests = sorted({unhit & ~hits[r] for r in _bits(first)}, key=int.bit_count)
+        memo[unhit, m] = any(_coverable(sets, hits, rest, m - 1, memo) for rest in rests)
+    return memo[unhit, m]
+
+
+class _Venn:
+    """An is-only document's models by region, for every universe size.
+
+    A region is a bitmask over the sorted type ids, and a set of regions a
+    bitmask over the 2**k region numbers.
+    """
+
+    def __init__(self, ologism: Ologism) -> None:
+        self.order = {t: i for i, t in enumerate(sorted(ologism.type_ids()))}
+        self.allowed = (1 << (1 << len(self.order))) - 1
+        witnesses = set()
+        for p in set(ologism.premisses):
+            regions = self.regions(p.form, p.subject, p.predicate)
+            if p.form in "AE":
+                self.allowed &= regions
+            else:
+                witnesses.add(regions)
+        # Smallest first: the search branches on the first set left
+        # unwitnessed, and the coefficients grow least in this order.
+        self.witnesses = sorted(
+            {w & self.allowed for w in witnesses}, key=lambda w: (w.bit_count(), w)
+        )
+
+    def regions(self, form: str, subject: str, predicate: str) -> int:
+        """The regions at whose elements the proposition holds."""
+        holds, s, p = HOLDS[form], self.order[subject], self.order[predicate]
+        return sum(
+            1 << r for r in range(1 << len(self.order)) if holds(r >> s & 1, r >> p & 1)
+        )
+
+    def satisfiable(self, n: int, within: int = -1, witness: Optional[int] = None) -> bool:
+        """Whether some n-element model exists with every element inside
+        ``within`` and one inside ``witness``: whether n elements in the
+        allowed regions can witness every witness set."""
+        allowed = self.allowed & within
+        sets = [w & allowed for w in self.witnesses]
+        if witness is not None:
+            sets.append(witness & allowed)
+        if not all(sets):
+            return False
+        hits = {r: sum(1 << j for j, w in enumerate(sets) if w & r) for r in _bits(allowed)}
+        return _coverable(sets, hits, (1 << len(sets)) - 1, n, {})
+
+    def entailed(
+        self, props: Sequence[CategoricalProposition], n: int
+    ) -> frozenset[CategoricalProposition]:
+        """The props true in every n-element model: those whose negation
+        leaves the document without one.  All of them when it has none."""
+        if not self.satisfiable(n):
+            return frozenset(props)
+        out = set()
+        for prop in props:
+            negation = _NEGATION[prop.form]
+            regions = self.regions(negation, prop.subject, prop.predicate)
+            if negation in "AE":  # every element satisfies the negation
+                refutable = self.satisfiable(n, within=regions)
+            else:  # some element does
+                refutable = self.satisfiable(n, witness=regions)
+            if not refutable:
+                out.add(prop)
+        return frozenset(out)
+
+    @functools.cached_property
+    def _coefficients(self) -> Counter:
+        """The inclusion-exclusion coefficient of each power base |R - U|.
+
+        A subset S of the witness sets contributes (-1)**|S| * |R - U|**n,
+        U the union of S.  The terms are built one witness set at a time,
+        keyed by the regions R - U left free, so that subsets with one union
+        share a term and terms that cancel drop out.
+        """
+        terms = {self.allowed: 1}
+        for w in self.witnesses:
+            step = dict(terms)
+            for free, c in terms.items():
+                step[free & ~w] = step.get(free & ~w, 0) - c
+            terms = {free: c for free, c in step.items() if c}
+        by_base: Counter = Counter()
+        for free, c in terms.items():
+            by_base[free.bit_count()] += c
+        return by_base
+
+    def count(self, n: int) -> int:
+        """The number of n-element models."""
+        if not self.satisfiable(n):
+            return 0  # without building the coefficients
+        return sum(c * base**n for base, c in self._coefficients.items())
 
 
 # -- random full-fragment models ---------------------------------------------
@@ -240,12 +370,20 @@ def _verify_theory(
 
 
 def check_soundness(ologism: Ologism, config: OracleConfig = OracleConfig()) -> SoundnessVerdict:
-    """Verify that every closure proposition holds in every available model."""
+    """Verify that every closure proposition holds in every available model.
+
+    On the is-only fragment this is exact and counts the models; only a
+    failing check enumerates them, to report the first that refutes one.
+    """
     theory = deduce.close(ologism)
     props = sorted(theory.propositions(), key=lambda p: p.sort_key())
     if is_only(ologism) and len(ologism.types) <= config.type_cap:
+        _guard(ologism, config)
+        venn, n = _Venn(ologism), config.universe_size
+        if len(venn.entailed(props, n)) == len(props):
+            return SoundnessVerdict(True, "exhaustive", venn.count(n))
         checked, bad = _verify_theory(props, enumerate_models(ologism, config))
-        return SoundnessVerdict(bad is None, "exhaustive", checked, bad)
+        return SoundnessVerdict(False, "exhaustive", checked, bad)
     models, complete = sample_models(ologism, config)
     checked, bad = _verify_theory(props, iter(models))
     if bad is not None:
@@ -301,13 +439,13 @@ def check_completeness(
     """
     closure = frozenset(deduce.close(ologism).propositions())
     _guard(ologism, config)
-    models = list(_model_masks(ologism, config.universe_size))
-    consequences = _consequences(ologism, models)
+    venn, n = _Venn(ologism), config.universe_size
+    props = all_propositions(ologism.type_ids())
+    consequences = venn.entailed(props, n)
     gap = consequences - closure
-    models_exist = bool(models)
+    models_exist = venn.satisfiable(n)
     if not gap:
-        return CompletenessVerdict(True, config.universe_size, gap, frozenset(), False, models_exist)
-    bigger = replace(config, universe_size=config.universe_size + 1)
-    gap_next = semantic_consequences(ologism, bigger) - closure
+        return CompletenessVerdict(True, n, gap, frozenset(), False, models_exist)
+    gap_next = venn.entailed(props, n + 1) - closure
     explained = models_exist and gap <= _import_closure(ologism, consequences)
-    return CompletenessVerdict(False, config.universe_size, gap, gap_next, explained, models_exist)
+    return CompletenessVerdict(False, n, gap, gap_next, explained, models_exist)

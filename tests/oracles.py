@@ -3,7 +3,8 @@
 Everything here is deliberately written as flat brute force, sharing no code
 with the engines under test: a simultaneous (unstratified) deduction
 fixpoint, a nested-loop relaxation for minimal derivations, exact set
-semantics for premiss-only documents over Venn regions, subset-semantics for
+semantics for premiss-only documents over Venn regions, the same semantics
+on one universe size by enumerating subset assignments, subset-semantics for
 syllogistic moods, a union-find over rewrite edges, random document
 generators, and a small structural checker for DOT output.
 """
@@ -232,6 +233,33 @@ def semantically_valid_mood(
             if not _holds(conclusion, assign["S"], assign["P"]):
                 return False
     return True
+
+
+# --- set semantics on one universe by enumeration --------------------------------
+
+
+def enumerated_semantics(
+    type_ids: Sequence[str], premisses: Iterable[CategoricalProposition], universe: int
+) -> tuple[int, frozenset[CategoricalProposition]]:
+    """Model count and consequences on a universe of the given size, by
+    testing every subset assignment.  With no model, every proposition."""
+    types = sorted(type_ids)
+    index = {t: i for i, t in enumerate(types)}
+    checks = [(p.form, index[p.subject], index[p.predicate]) for p in set(premisses)]
+    alive = [
+        (proposition(f, s, t).canonical(), f, index[s], index[t])
+        for f in "AEIO"
+        for s, t in itertools.product(types, repeat=2)
+    ]
+    count = 0
+    for masks in itertools.product(range(1 << universe), repeat=len(types)):
+        for f, i, j in checks:
+            if not _holds(f, masks[i], masks[j]):
+                break
+        else:
+            count += 1
+            alive = [a for a in alive if _holds(a[1], masks[a[2]], masks[a[3]])]
+    return count, frozenset(a[0] for a in alive)
 
 
 # --- union-find over bounded rewrite edges ---------------------------------------

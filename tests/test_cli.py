@@ -197,6 +197,14 @@ class TestOracle:
         assert exit_.value.code == 2
         assert "positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["models", "soundness", "completeness"])
+    def test_universe_beyond_the_count_bound(self, capsys, mode):
+        argv = ["oracle", str(DATA / "animals.olgm"), "--universe", "100000", "--mode", mode]
+        code, out = run(capsys, *argv)
+        assert code == 1 and "more than 4300 digits" in out
+        code, payload = run_json(capsys, *argv)
+        assert code == 1 and "more than 4300 digits" in payload["sections"]["error"]
+
     @pytest.mark.parametrize("count", ["0", "-5", "many"])
     def test_samples_must_be_positive(self, capsys, count):
         # Zero samples would report soundness over no model at all.
@@ -264,6 +272,16 @@ class TestRepl:
         assert "CONTRADICTION" in out
         assert "O(M,M)" in out or "O(A,A)" in out
         assert "consistent" in out
+
+    def test_models_beyond_the_count_bound(self):
+        out = self.run_session([
+            f"load {DATA / 'animals.olgm'}",
+            "models 100000",
+            "models 2",
+            "quit",
+        ])
+        assert "error: " in out and "more than 4300 digits" in out
+        assert "model(s) on a 2-element universe" in out
 
     def test_models_and_save(self, tmp_path):
         target = tmp_path / "copy.olgm"

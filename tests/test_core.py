@@ -112,6 +112,15 @@ class TestReading(object):
         with pytest.raises(LookupError):
             reading(A("B", "ZZ"), animals)
 
+    def test_label_lookup_leaves_the_value_alone(self):
+        types = [TypeDecl("D", "a donkey"), TypeDecl("D", "a mule"), TypeDecl("A", "an ass")]
+        looked_up, fresh = Ologism.build("d", types), Ologism.build("d", types)
+        assert (looked_up.label("D"), looked_up.label("A")) == ("a donkey", "an ass")
+        with pytest.raises(KeyError):
+            looked_up.label("ZZ")
+        assert looked_up == fresh and hash(looked_up) == hash(fresh)
+        assert repr(looked_up) == repr(fresh)
+
 
 class TestValidate:
     def test_clean_document(self, animals):

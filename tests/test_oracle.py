@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import functools
 import random
 
 import pytest
@@ -7,7 +9,9 @@ import pytest
 from ologism.core import A, E, I, O, Ologism, proposition
 from ologism.deduce import close, contradictions
 from ologism.model import satisfies
+from ologism import oracle
 from ologism.oracle import (
+    MAX_COUNT_DIGITS,
     FragmentError,
     OracleConfig,
     ScaleError,
@@ -20,7 +24,7 @@ from ologism.oracle import (
     sample_models,
     semantic_consequences,
 )
-from .oracles import exact_consequences, exact_satisfiable, random_ologism
+from .oracles import enumerated_semantics, exact_consequences, exact_satisfiable, random_ologism
 
 
 class TestEnumeration:
@@ -64,6 +68,28 @@ class TestEnumeration:
         doc = Ologism.build("big", [f"T{i}" for i in range(7)])
         with pytest.raises(ScaleError):
             count_models(doc)
+
+    @pytest.mark.parametrize("n", [1, 10, 100, 1000, 7142, 14284])
+    def test_closed_forms_at_large_universes(self, n):
+        # 14284 and 7142 are the largest universes one and two types allow.
+        config = OracleConfig(universe_size=n)
+        free = Ologism.build("one", ["X"])
+        assert count_models(free, config) == 2**n
+        inhabited = Ologism.build("one", ["X"], premisses=[I("X", "X")])
+        assert count_models(inhabited, config) == 2**n - 1
+        if n <= 7142:
+            square = Ologism.build("sq", ["S", "P"], premisses=[A("S", "P"), O("S", "P")])
+            assert count_models(square, config) == 0
+
+    def test_universe_bound(self, animals):
+        # 2**(4*3571) has 4300 digits, 2**(4*3572) has 4302.
+        assert len(str(count_models(animals, OracleConfig(universe_size=3571)))) <= MAX_COUNT_DIGITS
+        beyond = OracleConfig(universe_size=3572)
+        for check in (count_models, semantic_consequences, check_soundness, check_completeness):
+            with pytest.raises(ScaleError, match="4300 digits"):
+                check(animals, beyond)
+        with pytest.raises(ScaleError):
+            next(enumerate_models(animals, beyond))
 
     def test_fragment_guard(self, has_mother):
         assert not is_only(has_mother)
@@ -120,6 +146,25 @@ class TestSoundness:
         prop, model = offence
         assert prop == E("M", "V")
         assert not satisfies(model, prop)
+
+    def test_unsound_closure_gets_the_enumerated_counterexample(self, animals, monkeypatch):
+        from ologism.oracle import _verify_theory
+
+        real_close = oracle.deduce.close
+
+        def close_with_e_m_v(doc, *args, **kwargs):
+            theory = real_close(doc, *args, **kwargs)
+            return dataclasses.replace(theory, epsilon_star=theory.epsilon_star | {E("M", "V")})
+
+        monkeypatch.setattr(oracle.deduce, "close", close_with_e_m_v)
+        config = OracleConfig()
+        props = sorted(close_with_e_m_v(animals).propositions(), key=lambda p: p.sort_key())
+        assert E("M", "V") in props
+        checked, offence = _verify_theory(props, enumerate_models(animals, config))
+        verdict = check_soundness(animals, config)
+        assert not verdict.passed and verdict.mode == "exhaustive"
+        assert (verdict.models_checked, verdict.counterexample) == (checked, offence)
+        assert offence[0] == E("M", "V")
 
     def test_inconclusive_when_models_cannot_be_sampled(self):
         # A full-fragment document with unsatisfiable premisses: every
@@ -256,3 +301,44 @@ class TestExactReference:
         )
         assert A("T0", "T1") in semantic_consequences(doc, OracleConfig(universe_size=3))
         assert A("T0", "T1") not in exact_consequences(doc.type_ids(), doc.premisses)
+
+
+class TestAgainstEnumeration:
+    """The exact oracle equals ``enumerated_semantics``, which tests every
+    subset assignment, wherever that is at most 2**15 assignments."""
+
+    BITS = 15
+
+    def check(self, doc, universes):
+        types = doc.type_ids()
+        reference = functools.cache(lambda m: enumerated_semantics(types, doc.premisses, m))
+        closure = frozenset(close(doc).propositions())
+        for n in universes:
+            if len(types) * n > self.BITS:
+                return
+            config = OracleConfig(universe_size=n)
+            count, consequences = reference(n)
+            assert count_models(doc, config) == count, (doc, n)
+            assert semantic_consequences(doc, config) == consequences, (doc, n)
+            assert check_soundness(doc, config).models_checked == count, (doc, n)
+            if len(types) * (n + 1) > self.BITS:
+                return
+            verdict = check_completeness(doc, config)
+            gap = consequences - closure
+            assert verdict.gap == gap, (doc, n)
+            assert verdict.gap_at_next == (reference(n + 1)[1] - closure if gap else frozenset())
+            forced = [p for p in consequences if p.form == "I" and p.subject == p.predicate]
+            enriched = doc.replace_premisses(
+                tuple(doc.premisses) + tuple(p for p in forced if p not in doc.premisses)
+            )
+            explained = bool(gap) and count > 0 and gap <= close(enriched).propositions()
+            assert verdict.gap_closed_by_import == explained, (doc, n)
+
+    def test_sample(self, sample):
+        for doc in sample:
+            self.check(doc, range(1, 5))
+
+    def test_random_documents(self):
+        rng = random.Random(16)
+        for _ in range(60):
+            self.check(random_ologism(rng, max_types=5), range(1, 4))

@@ -20,10 +20,15 @@ Model documents (``.olgmodel``)::
       map hasAsMother : Michael -> Susan, Diana -> Susan
     }
 
-Identifiers are ``[A-Za-z_][A-Za-z0-9_]*``; strings are double quoted with
-``\\"`` and ``\\\\`` escapes; ``#`` starts a line comment.  The parser never
-raises on bad input: it reports positioned diagnostics and returns whatever
-it could build.  ``serialize`` writes canonical form and round-trips.
+An identifier's first character is ``str.isalpha()`` or ``_`` and the rest
+are ``str.isalnum()`` or ``_``, so ``é`` and ``Δ1`` are identifiers but
+``9a`` and ``²`` are not.  Strings are double quoted with ``\\"`` and ``\\\\``
+escapes and end on their line; ``#`` starts a line comment.  The closing
+``}`` must end the document: anything after it but whitespace and comments
+is an error.  The parser never raises on bad input: it reports positioned
+diagnostics (line and column count characters from 1; only ``\\n`` starts a
+line) and returns whatever it could build.  ``serialize`` writes canonical
+form and round-trips.
 
 One syntactic wrinkle: fact paths name arrows by label, and the label
 ``is`` may legitimately mark several inclusions.  Resolution keeps every
@@ -34,8 +39,9 @@ rejected as ambiguous rather than guessed at.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .core import (
     IS,
@@ -83,6 +89,7 @@ class ParseResult:
 # --- tokens -------------------------------------------------------------------
 
 _PUNCT = {
+    "->": "ARROW",
     "{": "LBRACE",
     "}": "RBRACE",
     ":": "COLON",
@@ -93,96 +100,82 @@ _PUNCT = {
     ")": "RPAREN",
 }
 
+# The identifier rule, for the lexer and the serializer alike: a run of
+# characters that are str.isalnum() or "_" (exactly regex \w), whose first
+# character is str.isalpha() or "_".  So 9, ² and ½ cannot lead one.
+_WORD = r"\w+"
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # IDENT | STRING | ARROW | one of _PUNCT values | EOF
+
+def _ident_start(char: str) -> bool:
+    return char.isalpha() or char == "_"
+
+
+def _is_ident(text: str) -> bool:
+    return re.fullmatch(_WORD, text) is not None and _ident_start(text[0])
+
+
+# One alternative per token class, tried in order at each position.  A string
+# stops before a newline; inside it a backslash escapes '"' or '\\', and any
+# other backslash is a BadEscape that drops out of the value.
+_TOKEN = re.compile(
+    rf"""(?P<SKIP>(?:\s|\#[^\n]*)+)
+       | (?P<PUNCT>->|[{{}}:;=,()])
+       | (?P<STRING>"(?P<body>(?:[^"\\\n]|\\["\\]?)*)(?P<closed>")?)
+       | (?P<WORD>{_WORD})
+       | (?P<OTHER>.)""",
+    re.VERBOSE | re.DOTALL,
+)
+_ESCAPE = re.compile(r'\\(["\\]?)')
+
+
+class Token(NamedTuple):
+    kind: str  # IDENT | STRING | one of _PUNCT values | EOF
     value: str
     line: int
     column: int
 
 
-class _Lexer:
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-        self.diagnostics: list[SourceDiagnostic] = []
-
-    def error(self, code: str, message: str, line: int, column: int) -> None:
-        self.diagnostics.append(SourceDiagnostic("error", code, message, line, column))
-
-    def tokens(self) -> list[Token]:
-        out: list[Token] = []
-        src = self.source
-        while self.pos < len(src):
-            ch = src[self.pos]
-            if ch == "\n":
-                self._advance()
-                continue
-            if ch.isspace():
-                self._advance()
-                continue
-            if ch == "#":
-                while self.pos < len(src) and src[self.pos] != "\n":
-                    self._advance()
-                continue
-            line, column = self.line, self.column
-            if ch == "-" and src[self.pos : self.pos + 2] == "->":
-                self._advance(2)
-                out.append(Token("ARROW", "->", line, column))
-                continue
-            if ch in _PUNCT:
-                self._advance()
-                out.append(Token(_PUNCT[ch], ch, line, column))
-                continue
-            if ch == '"':
-                out.append(self._string(line, column))
-                continue
-            if ch.isalpha() or ch == "_":
-                start = self.pos
-                while self.pos < len(src) and (src[self.pos].isalnum() or src[self.pos] == "_"):
-                    self._advance()
-                out.append(Token("IDENT", src[start : self.pos], line, column))
-                continue
-            self.error("UnexpectedCharacter", f"unexpected character {ch!r}", line, column)
-            self._advance()
-        out.append(Token("EOF", "", self.line, self.column))
-        return out
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.source) and self.source[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def _string(self, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        buf: list[str] = []
-        src = self.source
-        while self.pos < len(src):
-            ch = src[self.pos]
-            if ch == '"':
-                self._advance()
-                return Token("STRING", "".join(buf), line, column)
-            if ch == "\\":
-                if self.pos + 1 < len(src) and src[self.pos + 1] in ('"', "\\"):
-                    buf.append(src[self.pos + 1])
-                    self._advance(2)
-                    continue
-                self.error("BadEscape", "only \\\" and \\\\ escapes are recognized", self.line, self.column)
-                self._advance()
-                continue
-            if ch == "\n":
-                break
-            buf.append(ch)
-            self._advance()
-        self.error("UnterminatedString", "string literal is not closed", line, column)
-        return Token("STRING", "".join(buf), line, column)
+def _tokenize(source: str) -> tuple[list[Token], list[SourceDiagnostic]]:
+    """Tokens ending in EOF, and the lexer's diagnostics in source order."""
+    tokens: list[Token] = []
+    diagnostics: list[SourceDiagnostic] = []
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source):
+        kind, text, pos = m.lastgroup, m.group(), m.start()
+        if kind == "SKIP":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = source.rindex("\n", pos, m.end()) + 1
+            continue
+        column = pos - line_start + 1
+        if kind == "WORD":
+            lead = 0
+            while lead < len(text) and not _ident_start(text[lead]):
+                diagnostics.append(SourceDiagnostic(
+                    "error", "UnexpectedCharacter", f"unexpected character {text[lead]!r}", line, column + lead))
+                lead += 1
+            if lead < len(text):
+                tokens.append(Token("IDENT", text[lead:], line, column + lead))
+        elif kind == "STRING":
+            value = m.group("body")
+            if "\\" in value:
+                for e in _ESCAPE.finditer(value):
+                    if not e.group(1):
+                        diagnostics.append(SourceDiagnostic(
+                            "error", "BadEscape", "only \\\" and \\\\ escapes are recognized",
+                            line, column + 1 + e.start()))
+                value = _ESCAPE.sub(r"\1", value)
+            tokens.append(Token("STRING", value, line, column))
+            if m.group("closed") is None:
+                diagnostics.append(SourceDiagnostic(
+                    "error", "UnterminatedString", "string literal is not closed", line, column))
+        elif kind == "PUNCT":
+            tokens.append(Token(_PUNCT[text], text, line, column))
+        else:
+            diagnostics.append(SourceDiagnostic(
+                "error", "UnexpectedCharacter", f"unexpected character {text!r}", line, column))
+    tokens.append(Token("EOF", "", line, len(source) - line_start + 1))
+    return tokens, diagnostics
 
 
 # --- parsing ------------------------------------------------------------------
@@ -190,9 +183,7 @@ class _Lexer:
 
 class _Parser:
     def __init__(self, source: str):
-        lexer = _Lexer(source)
-        self.tokens = lexer.tokens()
-        self.diagnostics = lexer.diagnostics
+        self.tokens, self.diagnostics = _tokenize(source)
         self.index = 0
 
     # token plumbing
@@ -321,6 +312,7 @@ def parse_ologism(source: str) -> ParseResult:
             if lhs is not None and rhs is not None:
                 raw_facts.append((label_tok.value if label_tok else None, lhs, rhs, keyword))
     p.expect("RBRACE", "'}'")
+    p.expect("EOF", "end of input")
 
     for a in aspects:
         for end in (a.source, a.target):
@@ -543,6 +535,7 @@ def parse_model(source: str) -> ParseResult:
             p.advance()
             p.skip_to_next_item()
     p.expect("RBRACE", "'}'")
+    p.expect("EOF", "end of input")
 
     if p.errors_present():
         return ParseResult(None, p.diagnostics)
@@ -554,14 +547,6 @@ def parse_model(source: str) -> ParseResult:
 
 def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _is_ident(text: str) -> bool:
-    if not text:
-        return False
-    if not (text[0].isalpha() or text[0] == "_"):
-        return False
-    return all(c.isalnum() or c == "_" for c in text[1:])
 
 
 def _elem(text: str) -> str:

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import IO, Optional
 
 from . import deduce, dsl, oracle
-from .core import Ologism, reading
+from .core import Ologism, proposition, reading
 from .oracle import OracleConfig
 
 HELP = """commands:
@@ -90,11 +90,19 @@ class Repl:
             raise ValueError("no document loaded; use: load FILE")
         return self.doc
 
-    def recompute(self, doc: Ologism) -> None:
+    def require_theory(self) -> deduce.Theory:
+        if self.theory is None:
+            raise ValueError("no document loaded; use: load FILE")
+        return self.theory
+
+    def adopt(self, doc: Ologism, theory: deduce.Theory) -> None:
+        """Make a closed document current and print what it newly derives.
+
+        Callers close first, so a document that fails validation raises
+        before anything here changes."""
         before = self.theory.propositions() if self.theory else frozenset()
         before_clash = {x for x, _ in deduce.contradictions(self.theory)} if self.theory else set()
-        self.doc = doc
-        self.theory = deduce.close(doc)
+        self.doc, self.theory = doc, theory
         fresh = sorted(self.theory.propositions() - before, key=lambda p: p.sort_key())
         fresh = [p for p in fresh if p.subject != p.predicate or p.form != "A"]
         if fresh:
@@ -104,8 +112,6 @@ class Repl:
         clashes = deduce.contradictions(self.theory)
         for x, derivation in clashes:
             if x not in before_clash:
-                from .core import proposition
-
                 said = self._read(proposition("O", x, x))
                 self.say(f"CONTRADICTION: O({x},{x}) {said}")
                 self.say(derivation.render(indent=1))
@@ -124,12 +130,13 @@ class Repl:
         result = dsl.parse_ologism(Path(path).read_text(encoding="utf-8"))
         for d in result.diagnostics:
             self.say(str(d))
-        if result.value is None:
+        doc = result.value
+        if doc is None:
             return
+        theory = deduce.close(doc)
+        self.say(f"loaded {doc.name!r}: {len(doc.types)} types, {len(doc.premisses)} premisses")
         self.theory = None
-        self.say(f"loaded {result.value.name!r}: "
-                 f"{len(result.value.types)} types, {len(result.value.premisses)} premisses")
-        self.recompute(result.value)
+        self.adopt(doc, theory)
 
     def mutate(self, item: str, retract: bool) -> None:
         if retract:
@@ -144,19 +151,17 @@ class Repl:
             for d in result.errors:
                 self.say(str(d))
             return
-        self.recompute(result.value)
+        self.adopt(result.value, deduce.close(result.value))
 
     def retract_item(self, item: str) -> None:
         doc = self.require_doc()
         words = item.split()
         if len(words) == 3 and words[0] in ("A", "E", "I", "O"):
-            from .core import proposition
-
             target = proposition(words[0], words[1], words[2])
             if target not in doc.premisses:
                 raise ValueError(f"premiss {target} is not declared")
-            remaining = tuple(p for p in doc.premisses if p != target)
-            self.recompute(doc.replace_premisses(remaining))
+            doc = doc.replace_premisses(tuple(p for p in doc.premisses if p != target))
+            self.adopt(doc, deduce.close(doc))
             self.say(f"retracted {target}")
             return
         raise ValueError("retract handles premisses, e.g.: retract E B M")
@@ -165,32 +170,21 @@ class Repl:
         words = text.split()
         if len(words) != 3 or words[0] not in ("A", "E", "I", "O"):
             raise ValueError("usage: why FORM SUBJECT PREDICATE, e.g.  why O V A")
-        from .core import proposition
-
-        theory = self.theory
-        if theory is None:
-            raise ValueError("no document loaded; use: load FILE")
-        derivation = deduce.explain(theory, proposition(words[0], words[1], words[2]))
+        derivation = deduce.explain(self.require_theory(), proposition(words[0], words[1], words[2]))
         if derivation is None:
             self.say("not derivable")
         else:
             self.say(derivation.render())
 
     def show_derived(self) -> None:
-        theory = self.theory
-        if theory is None:
-            raise ValueError("no document loaded; use: load FILE")
-        props = sorted(theory.derived_beyond_premisses(), key=lambda p: p.sort_key())
+        props = sorted(self.require_theory().derived_beyond_premisses(), key=lambda p: p.sort_key())
         if not props:
             self.say("nothing beyond the premisses")
         for p in props:
             self.say(f"  {p}   {self._read(p)}")
 
     def show_contradictions(self) -> None:
-        theory = self.theory
-        if theory is None:
-            raise ValueError("no document loaded; use: load FILE")
-        clashes = deduce.contradictions(theory)
+        clashes = deduce.contradictions(self.require_theory())
         if not clashes:
             self.say("consistent: no O(X,X) is derivable")
         for x, derivation in clashes:

@@ -6,7 +6,8 @@ fixpoint, a nested-loop relaxation for minimal derivations, exact set
 semantics for premiss-only documents over Venn regions, the same semantics
 on one universe size by enumerating subset assignments, subset-semantics for
 syllogistic moods, a union-find over rewrite edges, random document
-generators, and a small structural checker for DOT output.
+generators, the character-stepping lexer that the document lexer replaced,
+and a small structural checker for DOT output.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from ologism.core import (
     TypeDecl,
     proposition,
 )
+from ologism.dsl import SourceDiagnostic, Token
 
 Triple = tuple[str, str, str]
 
@@ -397,6 +399,112 @@ def random_model(rng: random.Random, doc: Ologism, universe: int = 3) -> "object
             carriers[a.source] = frozenset()
         maps[a.name] = {x: rng.choice(tgt) for x in sorted(carriers[a.source])} if tgt else {}
     return Model(f"rm{rng.randint(0,999)}", carriers, maps, doc.name)
+
+
+# --- the character-stepping lexer -------------------------------------------------
+
+
+def reference_tokens(source: str) -> tuple[list[Token], list[SourceDiagnostic]]:
+    """What ``ologism.dsl`` tokenized before its master pattern: the tokens and
+    the lexer's diagnostics, one character per step with line and column kept
+    by hand."""
+    lexer = _Lexer(source)
+    return lexer.tokens(), lexer.diagnostics
+
+
+_PUNCT = {
+    "{": "LBRACE",
+    "}": "RBRACE",
+    ":": "COLON",
+    ";": "SEMI",
+    "=": "EQUALS",
+    ",": "COMMA",
+    "(": "LPAREN",
+    ")": "RPAREN",
+}
+
+
+class _Lexer:
+    def __init__(self, source: str):
+        self.source = source
+        self.pos = 0
+        self.line = 1
+        self.column = 1
+        self.diagnostics: list[SourceDiagnostic] = []
+
+    def error(self, code: str, message: str, line: int, column: int) -> None:
+        self.diagnostics.append(SourceDiagnostic("error", code, message, line, column))
+
+    def tokens(self) -> list[Token]:
+        out: list[Token] = []
+        src = self.source
+        while self.pos < len(src):
+            ch = src[self.pos]
+            if ch == "\n":
+                self._advance()
+                continue
+            if ch.isspace():
+                self._advance()
+                continue
+            if ch == "#":
+                while self.pos < len(src) and src[self.pos] != "\n":
+                    self._advance()
+                continue
+            line, column = self.line, self.column
+            if ch == "-" and src[self.pos : self.pos + 2] == "->":
+                self._advance(2)
+                out.append(Token("ARROW", "->", line, column))
+                continue
+            if ch in _PUNCT:
+                self._advance()
+                out.append(Token(_PUNCT[ch], ch, line, column))
+                continue
+            if ch == '"':
+                out.append(self._string(line, column))
+                continue
+            if ch.isalpha() or ch == "_":
+                start = self.pos
+                while self.pos < len(src) and (src[self.pos].isalnum() or src[self.pos] == "_"):
+                    self._advance()
+                out.append(Token("IDENT", src[start : self.pos], line, column))
+                continue
+            self.error("UnexpectedCharacter", f"unexpected character {ch!r}", line, column)
+            self._advance()
+        out.append(Token("EOF", "", self.line, self.column))
+        return out
+
+    def _advance(self, n: int = 1) -> None:
+        for _ in range(n):
+            if self.pos < len(self.source) and self.source[self.pos] == "\n":
+                self.line += 1
+                self.column = 1
+            else:
+                self.column += 1
+            self.pos += 1
+
+    def _string(self, line: int, column: int) -> Token:
+        self._advance()  # opening quote
+        buf: list[str] = []
+        src = self.source
+        while self.pos < len(src):
+            ch = src[self.pos]
+            if ch == '"':
+                self._advance()
+                return Token("STRING", "".join(buf), line, column)
+            if ch == "\\":
+                if self.pos + 1 < len(src) and src[self.pos + 1] in ('"', "\\"):
+                    buf.append(src[self.pos + 1])
+                    self._advance(2)
+                    continue
+                self.error("BadEscape", "only \\\" and \\\\ escapes are recognized", self.line, self.column)
+                self._advance()
+                continue
+            if ch == "\n":
+                break
+            buf.append(ch)
+            self._advance()
+        self.error("UnterminatedString", "string literal is not closed", line, column)
+        return Token("STRING", "".join(buf), line, column)
 
 
 # --- a structural DOT checker -----------------------------------------------------

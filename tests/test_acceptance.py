@@ -33,6 +33,7 @@ from .oracles import (
     exact_satisfiable,
     naive_theory,
     random_document,
+    reference_tokens,
 )
 
 
@@ -282,6 +283,7 @@ def test_criterion_10_property_suites(sample):
             back = dsl.parse_ologism(text).value
             assert back is not None, text
             assert structurally_equal(doc, back)
+            assert dsl._tokenize(text) == reference_tokens(text)
 
         # Fuzzed parser never aborts abnormally.
         alphabet = 'ologism model type aspect fact set map {}";:->,()= ABEIOxyz_09#\\\n\t'
@@ -289,6 +291,7 @@ def test_criterion_10_property_suites(sample):
             text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 120)))
             dsl.parse_ologism(text)
             dsl.parse_model(text)
+            assert dsl._tokenize(text) == reference_tokens(text)
 
 
 def tree_leaf_props(tree: syll.SyllProofTree):

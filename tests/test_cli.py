@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 from ologism.cli import main
+from ologism.dsl import serialize
 from ologism.repl import Repl
 from .oracles import check_dot
 
@@ -327,3 +328,33 @@ class TestRepl:
             assert replayed.star(form) == fresh.star(form)
         assert I("S", "R") in replayed.iota_star
         assert A("S", "Q") not in replayed.alpha_star
+
+    def test_rejected_add_keeps_the_document(self, tmp_path, animals):
+        target = tmp_path / "after.olgm"
+        out = self.run_session([
+            f"load {DATA / 'animals.olgm'}",
+            'add type Z ""',
+            "add O V B }",
+            f"save {target}",
+            "derived",
+            "quit",
+        ])
+        assert "error: ologism fails validation: EmptyTypeLabel" in out
+        # The item's brace closes the spliced document; the document's own is left over.
+        assert "12:1: error: UnexpectedToken: expected end of input, found '}'" in out
+        assert "now derivable" not in out.split("EmptyTypeLabel")[1]
+        assert target.read_text() == serialize(animals)
+        assert out.count("O(V,A)") == 2  # from load, then from derived
+
+    def test_rejected_load_keeps_the_document(self, tmp_path):
+        bad = tmp_path / "bad.olgm"
+        bad.write_text('ologism "bad" {\n  type Z ""\n}\n')
+        repl = Repl(io.StringIO())
+        repl.run(io.StringIO(f"load {DATA / 'animals.olgm'}\n"), prompt="")
+        doc, theory = repl.doc, repl.theory
+        out = io.StringIO()
+        repl.out = out
+        repl.run(io.StringIO(f"load {bad}\nderived\n"), prompt="")
+        assert "loaded" not in out.getvalue()
+        assert "error: ologism fails validation: EmptyTypeLabel" in out.getvalue()
+        assert repl.doc is doc and repl.theory is theory

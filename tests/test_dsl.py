@@ -3,11 +3,11 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ologism.core import SerializeError, TypeDecl, Ologism, structurally_equal
-from ologism.dsl import parse_model, parse_ologism, serialize
-from .oracles import random_document
+from ologism.dsl import _tokenize, parse_model, parse_ologism, serialize
+from .oracles import random_document, reference_tokens
 
 
 class TestParseOlogism:
@@ -104,6 +104,28 @@ class TestParseOlogism:
         result = parse_ologism('ologism "x { }')
         assert any(d.code == "UnterminatedString" for d in result.errors)
 
+    @pytest.mark.parametrize("source, expected", [
+        ('ologism "x" {\n  type X "an \\x"\n}', [("BadEscape", 2, 14)]),
+        ('ologism "x" {\n  type X "an x\\\n}', [("BadEscape", 2, 15), ("UnterminatedString", 2, 10)]),
+        ('ologism "x" {\n  type X "an x\\',
+         [("BadEscape", 2, 15), ("UnterminatedString", 2, 10), ("UnexpectedToken", 2, 16)]),
+        ('ologism "x" {\n  type X "an x\n}', [("UnterminatedString", 2, 10)]),
+        ('ologism "x" {\n  type X "an x"\n  type Y "a y"\n  aspect f : X - Y\n}',
+         [("UnexpectedCharacter", 4, 16), ("UnexpectedToken", 4, 18)]),
+        # Each leading numeric is its own error; the identifier is "a".
+        ('ologism "x" {\n  type ²9a "an a"\n}', [("UnexpectedCharacter", 2, 8), ("UnexpectedCharacter", 2, 9)]),
+        # \t and \r are one column each, and \r does not start a line.
+        ('ologism "x" {\n\ttype\rX "an x"\r\tE X @\n}',
+         [("UnexpectedCharacter", 2, 21), ("UnexpectedToken", 3, 1)]),
+        # End of input sits after the trailing comment.
+        ('ologism "x" {\n  type X "an x"  # no closing brace', [("UnexpectedToken", 2, 36)]),
+    ], ids=["bad-escape", "backslash-newline", "backslash-eof", "unterminated", "lone-dash",
+            "leading-numeric", "tab-cr-columns", "eof-after-comment"])
+    def test_lexer_diagnostics_pinned(self, source, expected):
+        result = parse_ologism(source)
+        assert result.value is None
+        assert [(d.code, d.line, d.column) for d in result.diagnostics] == expected
+
 
 class TestParseModel:
     def test_custodian_model(self, custodian_model):
@@ -179,3 +201,28 @@ def test_parser_never_raises_on_arbitrary_text(text):
 def test_parser_never_raises_on_near_miss_text(text):
     parse_ologism(text)
     parse_model(text)
+
+
+# Characters where the str predicates and the lexer's classes could part:
+# non-ASCII letters, numerics that are \w but cannot start an identifier,
+# and whitespace that is not a newline.
+_LEXER_EDGES = 'é²½٣Δ\r\x0b\x0c\x85\u2028\u3000\t\n"\\#->{}:;=,()_9aZ '
+
+
+@settings(max_examples=500, suppress_health_check=[HealthCheck.too_slow], deadline=None)
+@given(st.text(alphabet=st.one_of(st.sampled_from(_LEXER_EDGES), st.characters()), max_size=80))
+@example('²9a ½ ٣x _1 é\r"a\\x\\"\\\\" \x0b\u3000- -> # c\n"open\\')
+def test_lexer_matches_reference(text):
+    assert _tokenize(text) == reference_tokens(text)
+
+
+def test_trailing_input_is_an_error():
+    two = 'ologism "x" { type X "an x" }\nologism "y" { type Y "a y" }'
+    result = parse_ologism(two)
+    assert result.value is None
+    assert [(d.code, d.line, d.column, d.message) for d in result.diagnostics] == [
+        ("UnexpectedToken", 2, 1, "expected end of input, found 'ologism'")]
+    model = parse_model('model "m" for "d" { set X = {a} } }  # comment')
+    assert model.value is None
+    assert [(d.code, d.line, d.column) for d in model.diagnostics] == [("UnexpectedToken", 1, 35)]
+    assert parse_ologism('ologism "x" { type X "an x" }  # done\n\n').ok

@@ -208,7 +208,8 @@ class _Parser:
     def expect(self, kind: str, what: str) -> Optional[Token]:
         if self.here.kind == kind:
             return self.advance()
-        self.error("UnexpectedToken", f"expected {what}, found {self.here.value or 'end of input'!r}")
+        found = "end of input" if self.here.kind == "EOF" else self.here.value
+        self.error("UnexpectedToken", f"expected {what}, found {found!r}")
         return None
 
     def at_keyword(self, *words: str) -> bool:

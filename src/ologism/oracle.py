@@ -27,6 +27,12 @@ number of assignments and so a bound on every count, may have at most
 soundness sweeps use it, and so does a failing soundness check to find its
 counterexample.  The full fragment falls back to seeded rejection sampling;
 running out of attempts yields an inconclusive verdict, never a silent pass.
+Every model's carriers meet the premisses, and a named aspect's target is
+nonempty wherever its source is; for a document of at most ``type_cap``
+types, whether any carriers do is decided exactly over the Venn regions
+before the first attempt, and a document none can meet is inconclusive
+after 0 sampled models at once.  Universe x types x attempts x samples may
+be at most ``MAX_SAMPLED_WORK``, beyond which sampling raises ``ScaleError``.
 
 Soundness holds unconditionally.  Completeness of the default calculus,
 which ``check_completeness`` judges, does not: nonemptiness can be implied
@@ -54,6 +60,10 @@ from . import deduce
 DEFAULT_TYPE_CAP = 6
 # Python's default limit on printing an int (sys.get_int_max_str_digits).
 MAX_COUNT_DIGITS = 4300
+# Elements x types x attempts x samples: the carrier bits that sampling may
+# draw.  The default 1000 samples of 2000 attempts on 3 elements stay under
+# it up to 16 types.
+MAX_SAMPLED_WORK = 10**8
 
 
 class ScaleError(ValueError):
@@ -234,14 +244,12 @@ class _Venn:
             1 << r for r in range(1 << len(self.order)) if holds(r >> s & 1, r >> p & 1)
         )
 
-    def satisfiable(self, n: int, within: int = -1, witness: Optional[int] = None) -> bool:
+    def satisfiable(self, n: int, within: int = -1, witnesses: Sequence[int] = ()) -> bool:
         """Whether some n-element model exists with every element inside
-        ``within`` and one inside ``witness``: whether n elements in the
-        allowed regions can witness every witness set."""
+        ``within`` and one inside each of ``witnesses``: whether n elements
+        in the allowed regions can witness every witness set."""
         allowed = self.allowed & within
-        sets = [w & allowed for w in self.witnesses]
-        if witness is not None:
-            sets.append(witness & allowed)
+        sets = [w & allowed for w in (*self.witnesses, *witnesses)]
         if not all(sets):
             return False
         hits = {r: sum(1 << j for j, w in enumerate(sets) if w & r) for r in _bits(allowed)}
@@ -261,7 +269,7 @@ class _Venn:
             if negation in "AE":  # every element satisfies the negation
                 refutable = self.satisfiable(n, within=regions)
             else:  # some element does
-                refutable = self.satisfiable(n, witness=regions)
+                refutable = self.satisfiable(n, witnesses=[regions])
             if not refutable:
                 out.add(prop)
         return frozenset(out)
@@ -311,11 +319,37 @@ def _sample_model(ologism: Ologism, n: int, rng: random.Random) -> Optional[Mode
         src, tgt = carriers[a.source], carriers[a.target]
         if src and not tgt:
             return None
-        maps[a.name] = {x: rng.choice(sorted(tgt)) for x in sorted(src)}
+        targets = sorted(tgt)
+        maps[a.name] = {x: rng.choice(targets) for x in sorted(src)}
     model = Model("sample", carriers, maps, ologism.name)
     if not check_model(ologism, model, against="premisses").ok:
         return None
     return model
+
+
+def _carriers_possible(ologism: Ologism, n: int) -> bool:
+    """Whether some n-element assignment of carriers meets the premisses and
+    gives every named aspect with a nonempty source a nonempty target, as
+    every model must.
+
+    Each set Z of empty types that holds a named aspect's source whenever
+    it holds its target is one search: the elements avoid the regions of
+    the types in Z, and each other type needs an element in its regions.
+    """
+    venn = _Venn(ologism)
+    regions = range(1 << len(venn.order))
+    inside = [sum(1 << r for r in regions if r >> t & 1) for t in range(len(venn.order))]
+    arrows = [
+        (venn.order[a.source], venn.order[a.target]) for a in ologism.aspects if not a.is_flag
+    ]
+    for empty in regions:  # a set of types, numbered as a region is
+        if any(empty >> t & 1 and not empty >> s & 1 for s, t in arrows):
+            continue
+        within = sum(1 << r for r in regions if not r & empty)
+        nonempty = [w for t, w in enumerate(inside) if not empty >> t & 1]
+        if venn.satisfiable(n, within, nonempty):
+            return True
+    return False
 
 
 def sample_models(ologism: Ologism, config: OracleConfig) -> tuple[list[Model], bool]:
@@ -323,12 +357,24 @@ def sample_models(ologism: Ologism, config: OracleConfig) -> tuple[list[Model], 
 
     Reproducible from the seed alone: each sample index derives its own
     generator, so the stream does not depend on how work is scheduled.
+    Up to ``type_cap`` types, a document no carrier assignment can meet is
+    decided before the first attempt, with the result the attempts would
+    reach: no model and no quota.
     """
+    n, types = config.universe_size, len(ologism.types)
+    work = n * types * config.attempts_per_sample * config.sample_count
+    if work > MAX_SAMPLED_WORK:
+        raise ScaleError(
+            f"{n} elements x {types} types x {config.attempts_per_sample} attempts x "
+            f"{config.sample_count} samples exceed the sampling bound of {MAX_SAMPLED_WORK}"
+        )
+    if types <= config.type_cap and not _carriers_possible(ologism, n):
+        return [], False
     out: list[Model] = []
     for i in range(config.sample_count):
         rng = random.Random(f"{config.seed}/{i}")
         for _ in range(config.attempts_per_sample):
-            m = _sample_model(ologism, config.universe_size, rng)
+            m = _sample_model(ologism, n, rng)
             if m is not None:
                 out.append(replace(m, name=f"sample-{i}"))
                 break

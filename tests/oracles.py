@@ -4,10 +4,11 @@ Everything here is deliberately written as flat brute force, sharing no code
 with the engines under test: a simultaneous (unstratified) deduction
 fixpoint, a nested-loop relaxation for minimal derivations, exact set
 semantics for premiss-only documents over Venn regions, the same semantics
-on one universe size by enumerating subset assignments, subset-semantics for
-syllogistic moods, a union-find over rewrite edges, random document
-generators, the character-stepping lexer that the document lexer replaced,
-and a small structural checker for DOT output.
+on one universe size by enumerating subset assignments, a search of every
+carrier assignment for one that meets a full document's premisses and
+aspects, subset-semantics for syllogistic moods, a union-find over rewrite
+edges, random document generators, the character-stepping lexer that the
+document lexer replaced, and a small structural checker for DOT output.
 """
 
 from __future__ import annotations
@@ -262,6 +263,21 @@ def enumerated_semantics(
             count += 1
             alive = [a for a in alive if _holds(a[1], masks[a[2]], masks[a[3]])]
     return count, frozenset(a[0] for a in alive)
+
+
+def carrier_assignment_exists(doc: Ologism, universe: int) -> bool:
+    """Whether some subset assignment on a universe of the given size meets
+    the premisses and gives every named aspect with a nonempty source a
+    nonempty target, by testing every assignment."""
+    types = sorted(doc.type_ids())
+    index = {t: i for i, t in enumerate(types)}
+    checks = [(p.form, index[p.subject], index[p.predicate]) for p in doc.premisses]
+    arrows = [(index[a.source], index[a.target]) for a in doc.aspects if a.name != "is"]
+    return any(
+        all(_holds(f, masks[i], masks[j]) for f, i, j in checks)
+        and all(masks[t] or not masks[s] for s, t in arrows)
+        for masks in itertools.product(range(1 << universe), repeat=len(types))
+    )
 
 
 # --- union-find over bounded rewrite edges ---------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -205,6 +206,17 @@ class TestOracle:
         assert code == 1 and "more than 4300 digits" in out
         code, payload = run_json(capsys, *argv)
         assert code == 1 and "more than 4300 digits" in payload["sections"]["error"]
+
+    def test_sampled_work_beyond_the_bound(self, capsys):
+        argv = ["oracle", str(DATA / "custodian.olgm"), "--universe", "100000",
+                "--mode", "soundness", "--samples", "1"]
+        start = time.perf_counter()
+        code, out = run(capsys, *argv)
+        assert code == 1 and "exceed the sampling bound of 100000000" in out
+        code, payload = run_json(capsys, *argv)
+        assert code == 1 and payload["status"] == "fail"
+        assert "exceed the sampling bound of 100000000" in payload["sections"]["error"]
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("count", ["0", "-5", "many"])
     def test_samples_must_be_positive(self, capsys, count):

@@ -216,6 +216,16 @@ def test_lexer_matches_reference(text):
     assert _tokenize(text) == reference_tokens(text)
 
 
+def test_only_the_end_token_reads_as_end_of_input():
+    # An empty string is a token with an empty value, not the end.
+    trailing = parse_ologism('ologism "x" { } ""')
+    assert [(d.line, d.column, d.message) for d in trailing.diagnostics] == [
+        (1, 17, "expected end of input, found ''")]
+    unclosed = parse_ologism('ologism "x" {')
+    assert [(d.line, d.column, d.message) for d in unclosed.diagnostics] == [
+        (1, 14, "expected '}', found 'end of input'")]
+
+
 def test_trailing_input_is_an_error():
     two = 'ologism "x" { type X "an x" }\nologism "y" { type Y "a y" }'
     result = parse_ologism(two)

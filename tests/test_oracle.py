@@ -3,10 +3,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import random
+from collections import Counter
 
 import pytest
 
-from ologism.core import A, E, I, O, Ologism, proposition
+from ologism.core import A, E, I, O, Aspect, Ologism, proposition
 from ologism.deduce import close, contradictions
 from ologism.model import satisfies
 from ologism import oracle
@@ -15,6 +16,8 @@ from ologism.oracle import (
     FragmentError,
     OracleConfig,
     ScaleError,
+    SoundnessVerdict,
+    _carriers_possible,
     all_propositions,
     check_completeness,
     check_soundness,
@@ -24,7 +27,21 @@ from ologism.oracle import (
     sample_models,
     semantic_consequences,
 )
-from .oracles import enumerated_semantics, exact_consequences, exact_satisfiable, random_ologism
+from .oracles import (
+    carrier_assignment_exists,
+    enumerated_semantics,
+    exact_consequences,
+    exact_satisfiable,
+    random_document,
+    random_ologism,
+)
+
+# The premisses alone have models (X nonempty, Y empty), but f sends each
+# element of X into Y.
+EMPTY_TARGET = Ologism.build(
+    "empty-target", ["X", "Y"], aspects=[Aspect("f", "X", "Y")],
+    premisses=[I("X", "X"), E("Y", "Y")],
+)
 
 
 class TestEnumeration:
@@ -179,6 +196,14 @@ class TestSoundness:
         )
         verdict = check_soundness(doc, OracleConfig(sample_count=3, attempts_per_sample=5))
         assert verdict.inconclusive and not verdict.passed
+
+    def test_unsamplable_documents_are_decided_without_an_attempt(self, monkeypatch):
+        def attempt(*args):
+            raise AssertionError("an attempt on a document no carriers can meet")
+
+        monkeypatch.setattr(oracle, "_sample_model", attempt)
+        verdict = check_soundness(EMPTY_TARGET, OracleConfig())
+        assert verdict == SoundnessVerdict(False, "sampled", 0, None, inconclusive=True)
 
     @pytest.mark.parametrize("field", ["universe_size", "sample_count"])
     @pytest.mark.parametrize("value", [0, -1])
@@ -342,3 +367,25 @@ class TestAgainstEnumeration:
         rng = random.Random(16)
         for _ in range(60):
             self.check(random_ologism(rng, max_types=5), range(1, 4))
+
+
+class TestCarrierPrecheck:
+    """``_carriers_possible`` against ``carrier_assignment_exists``, which
+    tests every subset assignment."""
+
+    def test_aspect_nonemptiness_beyond_the_premisses(self):
+        assert exact_satisfiable(EMPTY_TARGET.type_ids(), EMPTY_TARGET.premisses)
+        for n in (1, 2, 3):
+            assert not carrier_assignment_exists(EMPTY_TARGET, n)
+            assert not _carriers_possible(EMPTY_TARGET, n)
+
+    def test_random_documents(self):
+        rng = random.Random(23)
+        decided = Counter()
+        for _ in range(300):
+            doc = random_document(rng)
+            for n in (1, 2, 3):
+                expected = carrier_assignment_exists(doc, n)
+                assert _carriers_possible(doc, n) == expected, (doc, n)
+                decided[expected] += 1
+        assert min(decided.values()) > 100  # both answers are exercised

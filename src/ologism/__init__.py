@@ -7,7 +7,7 @@ The pieces, bottom up:
 - ``syll``      the diagrammatic syllogistic calculus: proof search over
                 superposition and middle-term deletion, mood enumeration
 - ``eqtheory``  bounded congruence of aspect paths modulo declared facts
-- ``deduce``    the layered closure of a document's premisses, with
+- ``deduce``    the closure of a document's premisses, with
                 derivations and contradiction detection
 - ``model``     finite set models and the satisfaction checker
 - ``oracle``    exhaustive/randomized semantics for soundness and

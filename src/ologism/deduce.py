@@ -1,34 +1,31 @@
-"""The logical theory of an ologism: the layered closure of its premisses.
+"""The logical theory of an ologism: the closure of its premisses.
 
 The default calculus is the paper's: rules R1-R8 plus E/I symmetry.  Its
-closure runs in three layers (four strata: A, E, I, then O), mirroring how
-the inference rules feed each other (no rule consumes a particular-negative
-to produce anything else, and only universal affirmatives compose among
-themselves):
+closure is four starred sets:
 
-    layer 1   alpha*:  A-premisses plus the identity A(X,X) for every type,
-                       closed under R1  (A_xy, A_yz |- A_xz)
-    layer 2   epsilon*: E-premisses with alpha*, closed under symmetry,
-                       R2 (E_xy, A_zy |- E_xz) and R3 (A_xy, E_yz |- E_xz)
-              iota*:   I-premisses with alpha*, closed under symmetry,
-                       R4 (I_xy, A_yz |- I_xz) and R5 (A_yx, I_yz |- I_xz)
-    layer 3   o*:      O-premisses with the closed layers, closed under
-                       R6 (I_xy, E_yz |- O_xz), R7 (A_yx, O_yz |- O_xz)
-                       and R8 (O_xy, A_zy |- O_xz)
+    alpha*:   A-premisses plus the identity A(X,X) for every type,
+              closed under R1  (A_xy, A_yz |- A_xz)
+    epsilon*: E-premisses with alpha*, closed under symmetry,
+              R2 (E_xy, A_zy |- E_xz) and R3 (A_xy, E_yz |- E_xz)
+    iota*:    I-premisses with alpha*, closed under symmetry,
+              R4 (I_xy, A_yz |- I_xz) and R5 (A_yx, I_yz |- I_xz)
+    o*:       O-premisses with the other sets, closed under
+              R6 (I_xy, E_yz |- O_xz), R7 (A_yx, O_yz |- O_xz)
+              and R8 (O_xy, A_zy |- O_xz)
 
 Every proposition in the theory carries one minimal-depth derivation;
 ties break on the rule tag, then on operand order, so output is stable.
 A derivable O(X,X) reads "Some X is not X" and marks the document as
 contradictory.
 
-Each stratum is evaluated semi-naively, level by level in derivation height.
-Identities and premisses have height 1 (an identity wins over an A(X,X)
-premiss), and facts of earlier strata keep their heights.  Facts are
-indexed by (form, position, term) as their level is reached; level h joins
-only the facts of height h with the indexed facts, so every conclusion not
-yet known gets height h + 1, and among that level's candidates for it the
-least (rule tag, child triples) wins.  That is the least (height, rule,
-operands) over all derivations, found without re-running old joins.
+The closure is one semi-naive saturation over every rule at once, level by
+level in derivation height.  Identities and premisses have height 1 (an
+identity wins over an A(X,X) premiss).  Facts are indexed by (form,
+position, term) as their level is reached; level h joins only the facts of
+height h with the indexed facts, so every conclusion not yet known gets
+height h + 1, and among that level's candidates for it the least (rule tag,
+child triples) wins.  That is the least (height, rule, operands) over all
+derivations, found without re-running old joins.
 
 The default calculus is sound but not complete for the set semantics: it
 cannot derive implied existential import (I(A,B) forces A nonempty, yet
@@ -39,16 +36,12 @@ calculus="complete")`` adds the rules that close those gaps:
     existence   I(X,Y) |- I(X,X)  and  O(X,Y) |- I(X,X)
     emptiness   E(X,X) |- A(X,Y)  and  E(X,X) |- E(X,Y), for every type Y
     explosion   O(X,X) |- O(T,T), for every type T
-
-These rules break the strata: existence feeds O into I, emptiness feeds E
-into A, so the complete calculus runs all of its rules as one stratum of
-the same engine, with the same choice of derivation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .core import (
     CategoricalProposition,
@@ -77,47 +70,17 @@ class Derivation:
     rule: str
     children: tuple["Derivation", ...] = ()
 
-    @property
-    def height(self) -> int:
-        return 1 + max((c.height for c in self.children), default=0)
-
     def replay(self) -> CategoricalProposition:
-        """Re-check every rule instance bottom-up; raises when a step is off."""
+        """Re-check every rule instance bottom-up against the rule rows
+        ``close`` runs; raises when a step is off."""
         kids = [c.replay() for c in self.children]
-        f, s, p = self.conclusion.form, self.conclusion.subject, self.conclusion.predicate
-        shapes: dict[str, Callable[[], bool]] = {
-            PREMISS: lambda: not kids,
-            IDENTITY: lambda: not kids and f == "A" and s == p,
-            SYMMETRY: lambda: (
-                len(kids) == 1
-                and f in ("E", "I")
-                and (kids[0].form, kids[0].subject, kids[0].predicate) == (f, p, s)
-            ),
-            "R1": lambda: _matches(kids, ("A", s, "?"), ("A", "?", p)) and f == "A",
-            "R2": lambda: f == "E" and _matches(kids, ("E", s, "?"), ("A", p, "?"))
-            and kids[0].predicate == kids[1].predicate,
-            "R3": lambda: f == "E" and _matches(kids, ("A", s, "?"), ("E", "?", p))
-            and kids[0].predicate == kids[1].subject,
-            "R4": lambda: f == "I" and _matches(kids, ("I", s, "?"), ("A", "?", p))
-            and kids[0].predicate == kids[1].subject,
-            "R5": lambda: f == "I" and _matches(kids, ("A", "?", s), ("I", "?", p))
-            and kids[0].subject == kids[1].subject,
-            "R6": lambda: f == "O" and _matches(kids, ("I", s, "?"), ("E", "?", p))
-            and kids[0].predicate == kids[1].subject,
-            "R7": lambda: f == "O" and _matches(kids, ("A", "?", s), ("O", "?", p))
-            and kids[0].subject == kids[1].subject,
-            "R8": lambda: f == "O" and _matches(kids, ("O", s, "?"), ("A", p, "?"))
-            and kids[0].predicate == kids[1].predicate,
-            EXISTENCE: lambda: f == "I" and s == p
-            and (_matches(kids, ("I", s, "?")) or _matches(kids, ("O", s, "?"))),
-            EMPTINESS: lambda: f in ("A", "E") and _matches(kids, ("E", s, s)),
-            EXPLOSION: lambda: f == "O" and s == p
-            and _matches(kids, ("O", "?", "?")) and kids[0].subject == kids[0].predicate,
-        }
-        check = shapes.get(self.rule)
-        if check is None:
+        if self.rule not in _TAGS:
             raise ValueError(f"unknown rule {self.rule!r}")
-        if not check():
+        # The conclusion's own terms stand in for the types: a unary rule
+        # concludes it over all types iff it does over these two.
+        concl = _triple(self.conclusion)
+        if not (self.rule == PREMISS and not kids
+                or concl in _yields(self.rule, [_triple(k) for k in kids], concl[1:])):
             raise ValueError(f"rule {self.rule} does not yield {self.conclusion} from {kids}")
         return self.conclusion
 
@@ -130,19 +93,6 @@ class Derivation:
 
     def __str__(self) -> str:
         return self.render()
-
-
-def _matches(kids: list[CategoricalProposition], *shapes: Triple) -> bool:
-    if len(kids) != len(shapes):
-        return False
-    for kid, (form, s, p) in zip(kids, shapes):
-        if kid.form != form:
-            return False
-        if s != "?" and kid.subject != s:
-            return False
-        if p != "?" and kid.predicate != p:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -208,39 +158,46 @@ _EXTENSIONS = (
     (EXPLOSION, "O", lambda t, types: [("O", y, y) for y in types] if t[1] == t[2] else ()),
 )
 
-# Each calculus is a sequence of strata, each a pair (join rules, unary rules).
-# No stratum concludes a form that an earlier one concludes, so a fact an
-# earlier stratum admitted is never re-derived at a lower height.
-_CALCULI = {
-    "default": (  # A, then E, then I, then O
-        (_JOINS[:1], ()),
-        (_JOINS[1:3], _SYMMETRY[:1]),
-        (_JOINS[3:5], _SYMMETRY[1:]),
-        (_JOINS[5:], ()),
-    ),
-    "complete": ((_JOINS, _SYMMETRY + _EXTENSIONS),),
-}
+# Each calculus's unary rules; every calculus runs all of ``_JOINS``.
+_CALCULI = {"default": _SYMMETRY, "complete": _SYMMETRY + _EXTENSIONS}
+_TAGS = {PREMISS, IDENTITY} | {row[0] for row in _JOINS + _CALCULI["complete"]}
 
 
-def _saturate(info: Info, joins: tuple, unaries: tuple, types: tuple[str, ...]) -> None:
-    """Close ``info`` under the rules, level by level in derivation height
-    (see the module docstring); facts already known enter at their heights."""
-    levels: dict[int, list[Triple]] = {}
-    for t, (height, _, _) in info.items():
-        levels.setdefault(height, []).append(t)
+def _triple(p: CategoricalProposition) -> Triple:
+    return (p.form, p.subject, p.predicate)
+
+
+def _yields(rule: str, kids: list[Triple], types: tuple[str, ...]) -> list[Triple]:
+    """Every conclusion of one ``rule`` step from ``kids`` over ``types``."""
+    if rule == IDENTITY and not kids:
+        return [("A", t, t) for t in types]
+    if len(kids) == 2:
+        left, right = kids
+        return [(out, left[3 - lj], right[3 - rj]) for tag, lf, lj, rf, rj, out in _JOINS
+                if tag == rule and (left[0], right[0]) == (lf, rf) and left[lj] == right[rj]]
+    if len(kids) == 1:
+        return [c for tag, form, conclude in _CALCULI["complete"]
+                if tag == rule and kids[0][0] == form for c in conclude(kids[0], types)]
+    return []
+
+
+def _saturate(info: Info, unaries: tuple, types: tuple[str, ...]) -> None:
+    """Close ``info``, whose facts all have height 1, under ``_JOINS`` and
+    ``unaries``, level by level in derivation height (see the module
+    docstring)."""
     index: dict[tuple[str, int, str], list[Triple]] = {}
-    h = 1
-    while h in levels:
-        for t in levels[h]:
+    level, h = list(info), 1
+    while level:
+        for t in level:
             index.setdefault((t[0], 1, t[1]), []).append(t)
             index.setdefault((t[0], 2, t[2]), []).append(t)
         best: dict[Triple, tuple[str, tuple[Triple, ...]]] = {}
-        for t in levels[h]:
+        for t in level:
             found = [((out, t[3 - lj], r[3 - rj]), tag, (t, r))
-                     for tag, lf, lj, rf, rj, out in joins if t[0] == lf
+                     for tag, lf, lj, rf, rj, out in _JOINS if t[0] == lf
                      for r in index.get((rf, rj, t[lj]), ())]
             found += [((out, left[3 - lj], t[3 - rj]), tag, (left, t))
-                      for tag, lf, lj, rf, rj, out in joins if t[0] == rf
+                      for tag, lf, lj, rf, rj, out in _JOINS if t[0] == rf
                       for left in index.get((lf, lj, t[rj]), ())]
             found += [(c, tag, (t,)) for tag, form, conclude in unaries if t[0] == form
                       for c in conclude(t, types)]
@@ -249,8 +206,7 @@ def _saturate(info: Info, joins: tuple, unaries: tuple, types: tuple[str, ...]) 
                     best[concl] = (tag, children)
         for concl, (tag, children) in best.items():
             info[concl] = (h + 1, tag, children)
-            levels.setdefault(h + 1, []).append(concl)
-        h += 1
+        level, h = list(best), h + 1
 
 
 def _build_trees(info: Info) -> dict[Triple, Derivation]:
@@ -266,9 +222,9 @@ def _build_trees(info: Info) -> dict[Triple, Derivation]:
 def close(ologism: Ologism, calculus: str = "default") -> Theory:
     """Compute the least fixpoint of the deductive equipment.
 
-    ``calculus`` is ``"default"`` (R1-R8 plus symmetry, stratified) or
-    ``"complete"`` (those plus existence, emptiness and explosion, saturated
-    together); any other name raises ``ValueError``.
+    ``calculus`` is ``"default"`` (R1-R8 plus symmetry) or ``"complete"``
+    (those plus existence, emptiness and explosion); either is one
+    saturation pass over its rules.  Any other name raises ``ValueError``.
     """
     if calculus not in _CALCULI:
         raise ValueError(f"calculus must be one of {', '.join(_CALCULI)}, got {calculus!r}")
@@ -280,8 +236,7 @@ def close(ologism: Ologism, calculus: str = "default") -> Theory:
     info: Info = {("A", t, t): (1, IDENTITY, ()) for t in types}
     for p in ologism.premisses:
         info.setdefault((p.form, p.subject, p.predicate), (1, PREMISS, ()))
-    for joins, unaries in _CALCULI[calculus]:
-        _saturate(info, joins, unaries, types)
+    _saturate(info, _CALCULI[calculus], types)
 
     stars: dict[str, set[CategoricalProposition]] = {f: set() for f in "AEIO"}
     derivations: dict[CategoricalProposition, Derivation] = {}

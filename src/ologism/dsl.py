@@ -554,12 +554,6 @@ def _elem(text: str) -> str:
     return text if _is_ident(text) else _quote(text)
 
 
-def _path_text(path: PathWord) -> str:
-    if not path.arcs:
-        return f"id({path.source})"
-    return " ; ".join(a.name for a in path.arcs)
-
-
 def serialize(value: Union[Ologism, Model]) -> str:
     """Canonical document text; ``parse(serialize(v))`` equals ``v``."""
     if isinstance(value, Ologism):
@@ -592,7 +586,7 @@ def _serialize_ologism(o: Ologism) -> str:
                 lines.append(f"  {form} {key[1]} {key[2]}")
     for f in canon.facts:
         label = f"{_quote(f.name)} " if f.name else ""
-        lines.append(f"  fact {label}: {_path_text(f.lhs)} = {_path_text(f.rhs)}")
+        lines.append(f"  fact {label}: {f.lhs} = {f.rhs}")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

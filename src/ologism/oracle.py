@@ -20,19 +20,20 @@ search for at most n elements that witness every set, and a proposition is
 a consequence iff the document plus its negation has no model (the
 negations A->O and E->I add a witness set, I->E and O->A shrink R).
 
-A document may have at most ``type_cap`` types, and 2**(types*n), the
-number of assignments and so a bound on every count, may have at most
+A document may have at most ``DEFAULT_TYPE_CAP`` types, and 2**(types*n),
+the number of assignments and so a bound on every count, may have at most
 ``MAX_COUNT_DIGITS`` decimal digits; beyond either the oracle raises
 ``ScaleError``.  ``enumerate_models`` still lists the models one by one;
 soundness sweeps use it, and so does a failing soundness check to find its
 counterexample.  The full fragment falls back to seeded rejection sampling;
 running out of attempts yields an inconclusive verdict, never a silent pass.
 Every model's carriers meet the premisses, and a named aspect's target is
-nonempty wherever its source is; for a document of at most ``type_cap``
-types, whether any carriers do is decided exactly over the Venn regions
-before the first attempt, and a document none can meet is inconclusive
-after 0 sampled models at once.  Universe x types x attempts x samples may
-be at most ``MAX_SAMPLED_WORK``, beyond which sampling raises ``ScaleError``.
+nonempty wherever its source is; for a document of at most
+``DEFAULT_TYPE_CAP`` types, whether any carriers do is decided exactly over
+the Venn regions before the first attempt, and a document none can meet is
+inconclusive after 0 sampled models at once.  Universe x types x attempts x
+samples may be at most ``MAX_SAMPLED_WORK``, beyond which sampling raises
+``ScaleError``.
 
 Soundness holds unconditionally.  Completeness of the default calculus,
 which ``check_completeness`` judges, does not: nonemptiness can be implied
@@ -58,6 +59,8 @@ from .model import HOLDS, Model, check_model, satisfies
 from . import deduce
 
 DEFAULT_TYPE_CAP = 6
+# Rejection-sampling attempts per requested sample.
+ATTEMPTS_PER_SAMPLE = 2000
 # Python's default limit on printing an int (sys.get_int_max_str_digits).
 MAX_COUNT_DIGITS = 4300
 # Elements x types x attempts x samples: the carrier bits that sampling may
@@ -79,8 +82,6 @@ class OracleConfig:
     universe_size: int = 3
     seed: int = 0
     sample_count: int = 1000
-    type_cap: int = DEFAULT_TYPE_CAP
-    attempts_per_sample: int = 2000
 
     def __post_init__(self) -> None:
         if self.universe_size < 1:
@@ -132,9 +133,9 @@ def _guard(ologism: Ologism, config: OracleConfig) -> None:
             f"{ologism.name!r} has facts or general aspects; exhaustive "
             "enumeration covers the is-only fragment"
         )
-    if len(ologism.types) > config.type_cap:
+    if len(ologism.types) > DEFAULT_TYPE_CAP:
         raise ScaleError(
-            f"{len(ologism.types)} types exceed the enumeration cap of {config.type_cap}"
+            f"{len(ologism.types)} types exceed the enumeration cap of {DEFAULT_TYPE_CAP}"
         )
     bits = len(ologism.types) * config.universe_size
     if bits * math.log10(2) >= MAX_COUNT_DIGITS:
@@ -357,23 +358,23 @@ def sample_models(ologism: Ologism, config: OracleConfig) -> tuple[list[Model], 
 
     Reproducible from the seed alone: each sample index derives its own
     generator, so the stream does not depend on how work is scheduled.
-    Up to ``type_cap`` types, a document no carrier assignment can meet is
-    decided before the first attempt, with the result the attempts would
-    reach: no model and no quota.
+    Up to ``DEFAULT_TYPE_CAP`` types, a document no carrier assignment can
+    meet is decided before the first attempt, with the result the attempts
+    would reach: no model and no quota.
     """
     n, types = config.universe_size, len(ologism.types)
-    work = n * types * config.attempts_per_sample * config.sample_count
+    work = n * types * ATTEMPTS_PER_SAMPLE * config.sample_count
     if work > MAX_SAMPLED_WORK:
         raise ScaleError(
-            f"{n} elements x {types} types x {config.attempts_per_sample} attempts x "
+            f"{n} elements x {types} types x {ATTEMPTS_PER_SAMPLE} attempts x "
             f"{config.sample_count} samples exceed the sampling bound of {MAX_SAMPLED_WORK}"
         )
-    if types <= config.type_cap and not _carriers_possible(ologism, n):
+    if types <= DEFAULT_TYPE_CAP and not _carriers_possible(ologism, n):
         return [], False
     out: list[Model] = []
     for i in range(config.sample_count):
         rng = random.Random(f"{config.seed}/{i}")
-        for _ in range(config.attempts_per_sample):
+        for _ in range(ATTEMPTS_PER_SAMPLE):
             m = _sample_model(ologism, n, rng)
             if m is not None:
                 out.append(replace(m, name=f"sample-{i}"))
@@ -423,7 +424,7 @@ def check_soundness(ologism: Ologism, config: OracleConfig = OracleConfig()) -> 
     """
     theory = deduce.close(ologism)
     props = sorted(theory.propositions(), key=lambda p: p.sort_key())
-    if is_only(ologism) and len(ologism.types) <= config.type_cap:
+    if is_only(ologism) and len(ologism.types) <= DEFAULT_TYPE_CAP:
         _guard(ologism, config)
         venn, n = _Venn(ologism), config.universe_size
         if len(venn.entailed(props, n)) == len(props):

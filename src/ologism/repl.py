@@ -8,6 +8,7 @@ assisting an author while they impose constraints.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 from typing import IO, Optional
 
@@ -66,9 +67,9 @@ class Repl:
         elif command == "load":
             self.load(rest)
         elif command == "add":
-            self.mutate(rest, retract=False)
+            self.mutate(rest)
         elif command == "retract":
-            self.mutate(rest, retract=True)
+            self.retract_item(rest)
         elif command == "why":
             self.why(rest)
         elif command == "derived":
@@ -138,18 +139,17 @@ class Repl:
         self.theory = None
         self.adopt(doc, theory)
 
-    def mutate(self, item: str, retract: bool) -> None:
-        if retract:
-            self.retract_item(item)
-            return
+    def mutate(self, item: str) -> None:
         doc = self.require_doc()
         # The item may reference existing declarations, so parse it spliced
-        # into the current document rather than in isolation.
-        merged_src = dsl.serialize(doc).rstrip()[:-1] + f"  {item}\n}}\n"
-        result = dsl.parse_ologism(merged_src)
+        # into the current document rather than in isolation, then report
+        # each diagnostic at its position in the item.
+        head = dsl.serialize(doc).rstrip()[:-1]
+        result = dsl.parse_ologism(head + f"  {item}\n}}\n")
         if result.value is None:
+            line = head.count("\n") + 1
             for d in result.errors:
-                self.say(str(d))
+                self.say(str(_in_item(d, line, len(item))))
             return
         self.adopt(result.value, deduce.close(result.value))
 
@@ -202,3 +202,14 @@ class Repl:
             raise ValueError("usage: save FILE")
         Path(path).write_text(dsl.serialize(self.require_doc()), encoding="utf-8")
         self.say(f"wrote {path}")
+
+
+def _in_item(d: dsl.SourceDiagnostic, line: int, width: int) -> dsl.SourceDiagnostic:
+    """``d`` moved from the spliced document onto the item, which it holds
+    on ``line`` after two columns of indent: a position after the item maps
+    just past it, one before it to its start."""
+    if d.line == line:
+        column = d.column - 2
+    else:
+        column = width + 1 if d.line > line else 1
+    return replace(d, line=1, column=column)

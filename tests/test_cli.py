@@ -352,11 +352,19 @@ class TestRepl:
             "quit",
         ])
         assert "error: ologism fails validation: EmptyTypeLabel" in out
-        # The item's brace closes the spliced document; the document's own is left over.
-        assert "12:1: error: UnexpectedToken: expected end of input, found '}'" in out
+        # The item's brace closes the spliced document; the document's own,
+        # reported just past the item, is left over.
+        assert "1:8: error: UnexpectedToken: expected end of input, found '}'" in out
         assert "now derivable" not in out.split("EmptyTypeLabel")[1]
         assert target.read_text() == serialize(animals)
         assert out.count("O(V,A)") == 2  # from load, then from derived
+
+    def test_add_diagnostics_point_into_the_item(self):
+        out = self.run_session([f"load {DATA / 'animals.olgm'}", "add E X Y", "add E B", "quit"])
+        assert "1:1: error: UnknownType: premiss E(X,Y) uses undeclared type 'X'\n" in out
+        assert "1:1: error: UnknownType: premiss E(X,Y) uses undeclared type 'Y'\n" in out
+        # The item ends before its predicate: the spliced closing brace is just past it.
+        assert "1:4: error: UnexpectedToken: expected the predicate type, found '}'\n" in out
 
     def test_rejected_load_keeps_the_document(self, tmp_path):
         bad = tmp_path / "bad.olgm"

@@ -6,7 +6,8 @@ import pytest
 
 from ologism import data
 from ologism.core import A, E, I, InvalidOlogismError, O, Ologism, TypeDecl, proposition
-from ologism.deduce import Derivation, Theory, close, contradictions, explain
+from ologism.deduce import _JOINS, Derivation, Theory, close, contradictions, explain
+from ologism.syll import Rejection, enumerate_moods, mood_premisses, prove
 from .oracles import (
     exact_consequences,
     exact_satisfiable,
@@ -255,6 +256,35 @@ class TestCompleteCalculus:
             with pytest.raises(ValueError):
                 bad.replay()
 
+    # Each join rule as the paper states it: (tag, left, right, conclusion).
+    JOINS = (
+        ("R1", A("X", "Y"), A("Y", "Z"), A("X", "Z")),
+        ("R2", E("X", "Y"), A("Z", "Y"), E("X", "Z")),
+        ("R3", A("X", "Y"), E("Y", "Z"), E("X", "Z")),
+        ("R4", I("X", "Y"), A("Y", "Z"), I("X", "Z")),
+        ("R5", A("Y", "X"), I("Y", "Z"), I("X", "Z")),
+        ("R6", I("X", "Y"), E("Y", "Z"), O("X", "Z")),
+        ("R7", A("Y", "X"), O("Y", "Z"), O("X", "Z")),
+        ("R8", O("X", "Y"), A("Z", "Y"), O("X", "Z")),
+    )
+
+    @pytest.mark.parametrize("rule, left, right, conclusion", JOINS, ids=[j[0] for j in JOINS])
+    def test_replay_rejects_joins_without_a_shared_middle(self, rule, left, right, conclusion):
+        def join(tag, left, right):
+            return Derivation(conclusion, tag, (Derivation(left, "Premiss"), Derivation(right, "Premiss")))
+
+        assert join(rule, left, right).replay() == conclusion
+        # The right premiss's Y becomes Q: the two no longer share a middle term.
+        unshared = proposition(right.form, *("Q" if t == "Y" else t for t in right.terms))
+        with pytest.raises(ValueError, match=f"rule {rule} does not yield"):
+            join(rule, left, unshared).replay()
+
+    def test_replay_rejects_a_join_under_another_tag(self):
+        _, left, right, conclusion = self.JOINS[2]  # an R3 instance
+        bad = Derivation(conclusion, "R2", (Derivation(left, "Premiss"), Derivation(right, "Premiss")))
+        with pytest.raises(ValueError, match="rule R2 does not yield"):
+            bad.replay()
+
     def test_equals_exact_semantics(self):
         # Consequences over every universe size on satisfiable documents, and
         # an O(X,X) for every type on exactly the unsatisfiable ones.
@@ -340,3 +370,24 @@ class TestMinimalDerivations:
     def test_large_documents_complete(self, per_type):
         # The complete closure of larger documents nears every proposition.
         assert_minimal_derivations(_premiss_only(40, per_type, seed=41), "complete")
+
+
+class TestRulesAgainstDiagrams:
+    """The closure's rule rows against the paper's diagram calculus."""
+
+    @pytest.mark.parametrize("row", _JOINS, ids=[row[0] for row in _JOINS])
+    def test_every_join_row_is_a_diagram_proof(self, row):
+        # Middle term M at the joined positions, S and P the other terms.
+        _, lf, lj, rf, rj, out = row
+        left = proposition(lf, *(("M", "S") if lj == 1 else ("S", "M")))
+        right = proposition(rf, *(("M", "P") if rj == 1 else ("P", "M")))
+        assert not isinstance(prove([left, right], proposition(out, "S", "P")), Rejection)
+
+    @pytest.mark.parametrize("calculus", ["default", "complete"])
+    def test_closure_decides_every_mood_as_the_diagrams_do(self, calculus):
+        records = enumerate_moods()
+        assert len(records) == 256
+        for record in records:
+            premisses, conclusion = mood_premisses(record.figure, record.major, record.minor, record.conclusion)
+            theory = close(Ologism.build("mood", ["S", "M", "P"], premisses=premisses), calculus=calculus)
+            assert (conclusion in theory.propositions()) == record.valid_direct, record.mood

@@ -194,7 +194,7 @@ class TestSoundness:
             aspects=[Aspect("f", "X", "Y")],
             premisses=[I("X", "X"), E("X", "X")],
         )
-        verdict = check_soundness(doc, OracleConfig(sample_count=3, attempts_per_sample=5))
+        verdict = check_soundness(doc, OracleConfig(sample_count=3))
         assert verdict.inconclusive and not verdict.passed
 
     def test_unsamplable_documents_are_decided_without_an_attempt(self, monkeypatch):

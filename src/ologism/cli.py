@@ -15,6 +15,7 @@ for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -358,8 +359,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser, built on the first ``main`` call rather than at
+    import: building it costs more than most commands do."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     report = Report(command=args.command)
     code = args.run(args, report)
     if args.command != "repl":

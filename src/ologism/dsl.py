@@ -229,17 +229,43 @@ class _Parser:
 
 _ITEM_KEYWORDS = ("type", "aspect", "fact", "A", "E", "I", "O")
 
+# Where a diagnostic about a declaration a document already holds points
+# when an item is parsed against it: the item's first column.
+_HELD = Token("IDENT", "", 1, 1)
+
+
+class _Declarations:
+    """What a document declares, in the order the parser meets it."""
+
+    def __init__(self) -> None:
+        self.types: list[TypeDecl] = []
+        self.declared: set[str] = set()
+        self.aspects: list[Aspect] = []
+        self.premisses: list[CategoricalProposition] = []
+        self.positions: dict[object, Token] = {}  # every accepted premiss and aspect
+        self.written_facts: list[tuple[Optional[str], list, list, Token]] = []
+        self.facts: dict[Fact, None] = {}  # resolved
+        self.held_aspects = 0
+
+    @classmethod
+    def of(cls, doc: Ologism) -> "_Declarations":
+        """``doc``'s declarations as the parser meets them in ``serialize(doc)``:
+        in canonical order and orientation."""
+        d = cls()
+        d.types = sorted(doc.types, key=lambda t: t.id)
+        d.declared = {t.id for t in d.types}
+        d.aspects = sorted(doc.aspects, key=lambda a: (a.is_flag, a.name, a.source, a.target))
+        d.premisses = [q.canonical() for q in sorted(doc.premisses, key=lambda q: q.sort_key())]
+        d.positions = dict.fromkeys(d.aspects + d.premisses, _HELD)
+        facts = sorted(doc.facts, key=lambda f: (f.name or "", str(f.lhs), str(f.rhs)))
+        d.facts = dict.fromkeys(facts)
+        d.held_aspects = len(d.aspects)
+        return d
+
 
 def parse_ologism(source: str) -> ParseResult:
     """Parse an ologism document; diagnostics carry positions, never raises."""
     p = _Parser(source)
-    types: list[TypeDecl] = []
-    aspects: list[Aspect] = []
-    premisses: list[CategoricalProposition] = []
-    raw_facts: list[tuple[Optional[str], list, list, Token]] = []
-    positions: dict[object, Token] = {}  # every accepted premiss and aspect
-    declared: set[str] = set()
-
     kw = p.expect("IDENT", "the keyword 'ologism'")
     if kw is None or kw.value != "ologism":
         if kw is not None:
@@ -250,7 +276,26 @@ def parse_ologism(source: str) -> ParseResult:
         return ParseResult(None, p.diagnostics)
     if p.expect("LBRACE", "'{'") is None:
         return ParseResult(None, p.diagnostics)
+    return _parse_items(p, name_tok.value, _Declarations())
 
+
+def parse_item(doc: Ologism, item: str) -> ParseResult:
+    """``doc`` with the declarations a one-line ``item`` holds, written as in
+    a document, or None with the diagnostics; never raises.
+
+    The item is read as if it stood alone before the closing brace of
+    ``serialize(doc)``, which is just past its end.  Diagnostics are at
+    positions in ``item``, and one about a declaration ``doc`` already
+    holds (a fact that a new aspect makes ambiguous) is at 1:1.
+    """
+    p = _Parser(item)
+    end = p.tokens[-1]
+    p.tokens.insert(-1, Token("RBRACE", "}", end.line, end.column))
+    return _parse_items(p, doc.name, _Declarations.of(doc))
+
+
+def _parse_items(p: _Parser, name: str, d: _Declarations) -> ParseResult:
+    """Declarations up to the closing brace and end of input, added to ``d``."""
     while p.here.kind not in ("EOF", "RBRACE"):
         if not p.at_keyword(*_ITEM_KEYWORDS):
             p.error("UnexpectedToken", f"expected a declaration keyword, found {p.here.value!r}")
@@ -264,7 +309,7 @@ def parse_ologism(source: str) -> ParseResult:
             if ident and label is not None:
                 if ident.value == IS:
                     p.error("ReservedIdentifier", f"type id {IS!r} is reserved", ident)
-                if ident.value in declared:
+                if ident.value in d.declared:
                     p.error("DuplicateType", f"type {ident.value!r} declared twice", ident)
                 else:
                     if not (label.value.startswith("a ") or label.value.startswith("an ")):
@@ -273,8 +318,8 @@ def parse_ologism(source: str) -> ParseResult:
                             f"label {label.value!r} does not begin with an indefinite article",
                             label,
                         )
-                    types.append(TypeDecl(ident.value, label.value))
-                    declared.add(ident.value)
+                    d.types.append(TypeDecl(ident.value, label.value))
+                    d.declared.add(ident.value)
         elif keyword.value == "aspect":
             ident = p.expect("IDENT", "an aspect name")
             if p.expect("COLON", "':'") is None:
@@ -287,19 +332,19 @@ def parse_ologism(source: str) -> ParseResult:
             tgt = p.expect("IDENT", "the target type")
             if ident and src and tgt:
                 if ident.value == IS:
-                    _add_premiss(p, premisses, aspects, positions, "A", src, tgt, keyword)
+                    _add_premiss(p, d, "A", src, tgt, keyword)
                 else:
                     aspect = Aspect(ident.value, src.value, tgt.value)
-                    if aspect in positions:
+                    if aspect in d.positions:
                         p.error("DuplicateAspect", f"aspect {aspect} declared twice", ident)
                     else:
-                        aspects.append(aspect)
-                        positions[aspect] = ident
+                        d.aspects.append(aspect)
+                        d.positions[aspect] = ident
         elif keyword.value in ("A", "E", "I", "O"):
             subj = p.expect("IDENT", "the subject type")
             pred = p.expect("IDENT", "the predicate type")
             if subj and pred:
-                _add_premiss(p, premisses, aspects, positions, keyword.value, subj, pred, keyword)
+                _add_premiss(p, d, keyword.value, subj, pred, keyword)
         else:  # fact
             label_tok = p.advance() if p.here.kind == "STRING" else None
             if p.expect("COLON", "':'") is None:
@@ -311,49 +356,61 @@ def parse_ologism(source: str) -> ParseResult:
                 continue
             rhs = _parse_path(p)
             if lhs is not None and rhs is not None:
-                raw_facts.append((label_tok.value if label_tok else None, lhs, rhs, keyword))
+                # An empty label is no label: the serializer and every report agree.
+                d.written_facts.append((label_tok and label_tok.value or None, lhs, rhs, keyword))
     p.expect("RBRACE", "'}'")
     p.expect("EOF", "end of input")
 
-    for a in aspects:
+    for a in d.aspects:
         for end in (a.source, a.target):
-            if end not in declared:
-                p.error("UnknownType", f"aspect {a} uses undeclared type {end!r}", positions.get(a))
-    for q in premisses:
+            if end not in d.declared:
+                p.error("UnknownType", f"aspect {a} uses undeclared type {end!r}", d.positions.get(a))
+    for q in d.premisses:
         for term in q.terms:
-            if term not in declared:
-                p.error("UnknownType", f"premiss {q} uses undeclared type {term!r}", positions.get(q))
+            if term not in d.declared:
+                p.error("UnknownType", f"premiss {q} uses undeclared type {term!r}", d.positions.get(q))
 
-    facts: dict[Fact, None] = {}
-    for fact_name, lhs_items, rhs_items, at in raw_facts:
-        resolved = _resolve_fact(p, types, aspects, lhs_items, rhs_items, at)
+    written = d.written_facts
+    if d.facts and len(d.aspects) > d.held_aspects:
+        # A new aspect can make a held fact's path resolve in several ways.
+        written = [_written(f) for f in d.facts] + written
+        d.facts = {}
+    for fact_name, lhs_items, rhs_items, at in written:
+        resolved = _resolve_fact(p, d.types, d.aspects, lhs_items, rhs_items, at)
         if resolved is None:
             continue
         fact = Fact(resolved[0], resolved[1], fact_name)
-        if fact in facts:
+        if fact in d.facts:
             p.error("DuplicateFact", f"fact {fact} declared twice", at)
             continue
-        facts[fact] = None
+        d.facts[fact] = None
 
     if p.errors_present():
         return ParseResult(None, p.diagnostics)
-    return ParseResult(
-        Ologism.build(name_tok.value, types, aspects, facts, premisses), p.diagnostics
-    )
+    return ParseResult(Ologism.build(name, d.types, d.aspects, d.facts, d.premisses), p.diagnostics)
 
 
-def _add_premiss(p: _Parser, premisses, aspects, positions, form: str, subj: Token, pred: Token, at: Token) -> None:
+def _add_premiss(p: _Parser, d: _Declarations, form: str, subj: Token, pred: Token, at: Token) -> None:
     prop = proposition(form, subj.value, pred.value)
-    if prop in positions:
+    if prop in d.positions:
         p.error("DuplicatePremiss", f"premiss {prop} declared twice", at)
         return
-    premisses.append(prop)
-    positions[prop] = at
+    d.premisses.append(prop)
+    d.positions[prop] = at
     if form == "A":
         aspect = Aspect(IS, subj.value, pred.value)
-        if aspect not in positions:
-            aspects.append(aspect)
-            positions[aspect] = at
+        if aspect not in d.positions:
+            d.aspects.append(aspect)
+            d.positions[aspect] = at
+
+
+def _written(fact: Fact) -> tuple[Optional[str], list, list, Token]:
+    """A held fact as its paths are written, for resolving again."""
+    def path(word: PathWord) -> list:
+        if not word.arcs:
+            return [("id", _HELD._replace(value=word.source))]
+        return [("arc", _HELD._replace(value=a.name)) for a in word.arcs]
+    return fact.name, path(fact.lhs), path(fact.rhs), _HELD
 
 
 def _parse_path(p: _Parser) -> Optional[list]:

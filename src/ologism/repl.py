@@ -1,14 +1,14 @@
 """Interactive authoring loop: edit a document, see consequences at once.
 
-Every mutating command recomputes the closure from scratch (documents are
-tiny; correctness over cleverness) and immediately prints the newly derived
+``add`` parses only the typed item, against the current document's
+declarations, and reports diagnostics at positions in the item.  Every write
+then closes the new document from scratch and prints the newly derived
 propositions and any fresh contradiction, which is the whole point of
 assisting an author while they impose constraints.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 from typing import IO, Optional
 
@@ -140,16 +140,10 @@ class Repl:
         self.adopt(doc, theory)
 
     def mutate(self, item: str) -> None:
-        doc = self.require_doc()
-        # The item may reference existing declarations, so parse it spliced
-        # into the current document rather than in isolation, then report
-        # each diagnostic at its position in the item.
-        head = dsl.serialize(doc).rstrip()[:-1]
-        result = dsl.parse_ologism(head + f"  {item}\n}}\n")
+        result = dsl.parse_item(self.require_doc(), item)
         if result.value is None:
-            line = head.count("\n") + 1
             for d in result.errors:
-                self.say(str(_in_item(d, line, len(item))))
+                self.say(str(d))
             return
         self.adopt(result.value, deduce.close(result.value))
 
@@ -193,7 +187,12 @@ class Repl:
 
     def models(self, rest: str) -> None:
         doc = self.require_doc()
-        n = int(rest) if rest else 3
+        try:
+            n = int(rest) if rest else 3
+        except ValueError:
+            n = 0
+        if n < 1:
+            raise ValueError("usage: models N, with N a positive integer")
         count = oracle.count_models(doc, OracleConfig(universe_size=n))
         self.say(f"{count} model(s) on a {n}-element universe")
 
@@ -203,13 +202,3 @@ class Repl:
         Path(path).write_text(dsl.serialize(self.require_doc()), encoding="utf-8")
         self.say(f"wrote {path}")
 
-
-def _in_item(d: dsl.SourceDiagnostic, line: int, width: int) -> dsl.SourceDiagnostic:
-    """``d`` moved from the spliced document onto the item, which it holds
-    on ``line`` after two columns of indent: a position after the item maps
-    just past it, one before it to its start."""
-    if d.line == line:
-        column = d.column - 2
-    else:
-        column = width + 1 if d.line > line else 1
-    return replace(d, line=1, column=column)

@@ -9,6 +9,9 @@ carrier assignment for one that meets a full document's premisses and
 aspects, subset-semantics for syllogistic moods, a union-find over rewrite
 edges, random document generators, the character-stepping lexer that the
 document lexer replaced, and a small structural checker for DOT output.
+The one exception is the spliced re-parse that REPL ``add`` used before it
+parsed items alone: it is the whole-document parser run on a document with
+the item spliced in, a reference for the item parser.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 import string
+from dataclasses import replace
 from typing import Iterable, Optional, Sequence
 
 from ologism.core import (
@@ -27,7 +31,7 @@ from ologism.core import (
     TypeDecl,
     proposition,
 )
-from ologism.dsl import SourceDiagnostic, Token
+from ologism.dsl import ParseResult, SourceDiagnostic, Token, parse_ologism, serialize
 
 Triple = tuple[str, str, str]
 
@@ -521,6 +525,33 @@ class _Lexer:
             self._advance()
         self.error("UnterminatedString", "string literal is not closed", line, column)
         return Token("STRING", "".join(buf), line, column)
+
+
+# --- the spliced re-parse of a REPL item ------------------------------------------
+
+
+def spliced_item(doc: Ologism, item: str) -> ParseResult:
+    """What REPL ``add`` parsed before ``dsl.parse_item``: ``doc`` serialized
+    with ``item`` spliced in before its closing brace, all of it parsed again.
+
+    The text holds the item on one line after two columns of indent; each
+    diagnostic moves onto the item, one after it to just past its end and
+    one before it to its start.  Warnings about the document's own
+    declarations, which the REPL never showed, are dropped.
+    """
+    head = serialize(doc).rstrip()[:-1]
+    line = head.count("\n") + 1
+    result = parse_ologism(head + f"  {item}\n}}\n")
+    moved = []
+    for d in result.diagnostics:
+        if d.line == line:
+            column = d.column - 2
+        elif d.severity == "warning":
+            continue
+        else:
+            column = len(item) + 1 if d.line > line else 1
+        moved.append(replace(d, line=1, column=column))
+    return ParseResult(result.value, moved)
 
 
 # --- a structural DOT checker -----------------------------------------------------

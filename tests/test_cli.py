@@ -296,6 +296,18 @@ class TestRepl:
         assert "error: " in out and "more than 4300 digits" in out
         assert "model(s) on a 2-element universe" in out
 
+    def test_models_wants_a_positive_count(self):
+        out = self.run_session([
+            f"load {DATA / 'animals.olgm'}",
+            "models x",
+            "models 0",
+            "models -2",
+            "models",
+            "quit",
+        ])
+        assert out.count("error: usage: models N, with N a positive integer\n") == 3
+        assert "42 model(s) on a 3-element universe" in out
+
     def test_models_and_save(self, tmp_path):
         target = tmp_path / "copy.olgm"
         out = self.run_session([

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ologism.core import SerializeError, TypeDecl, Ologism, structurally_equal
-from ologism.dsl import _tokenize, parse_model, parse_ologism, serialize
-from .oracles import random_document, reference_tokens
+from ologism.dsl import _tokenize, parse_item, parse_model, parse_ologism, serialize
+from .oracles import random_document, reference_tokens, spliced_item
 
 
 class TestParseOlogism:
@@ -236,3 +236,157 @@ def test_trailing_input_is_an_error():
     assert model.value is None
     assert [(d.code, d.line, d.column) for d in model.diagnostics] == [("UnexpectedToken", 1, 35)]
     assert parse_ologism('ologism "x" { type X "an x" }  # done\n\n').ok
+
+
+# --- REPL items ------------------------------------------------------------------
+#
+# ``parse_item`` parses one item against a document; ``spliced_item`` parses
+# the document's serialization with the item spliced in.  They must agree on
+# the document and on every diagnostic.
+
+
+def assert_item_parity(doc: Ologism, item: str) -> None:
+    got, want = parse_item(doc, item), spliced_item(doc, item)
+    diagnostics = [(d.severity, d.code, d.message, d.line, d.column) for d in got.diagnostics]
+    assert diagnostics == [(d.severity, d.code, d.message, d.line, d.column) for d in want.diagnostics]
+    assert (got.value is None) == (want.value is None)
+    if got.value is not None:
+        assert structurally_equal(got.value, want.value)
+        # Declaration order and written orientation too: outputs follow them.
+        assert got.value == want.value
+        assert [str(q) for q in got.value.premisses] == [str(q) for q in want.value.premisses]
+
+
+def _held(rng: random.Random) -> Ologism:
+    """A document as the REPL holds one: parsed, then perhaps retracted from,
+    so that its declarations need not be in canonical order or orientation."""
+    doc = parse_ologism(serialize(random_document(rng))).value
+    premisses = [q.swapped() if q.form in "EI" and rng.random() < 0.5 else q for q in doc.premisses]
+    rng.shuffle(premisses)
+    doc = doc.replace_premisses(premisses)
+    types = list(doc.types)
+    rng.shuffle(types)
+    return Ologism(doc.name, tuple(types), doc.aspects, doc.facts, doc.premisses)
+
+
+def _items(doc: Ologism):
+    """One to three declarations over ``doc``'s names and a few new ones,
+    sometimes cut short: well formed, malformed, duplicated, and clashing
+    with a held fact's path."""
+    type_ids = st.sampled_from(doc.type_ids() + ("T9",))
+    names = st.sampled_from(tuple(sorted({a.name for a in doc.aspects} | {"is", "g"})))
+    paths = st.one_of(st.builds("id({})".format, type_ids),
+                      st.lists(names, min_size=1, max_size=3).map(" ; ".join))
+    declarations = [
+        st.builds("type {} {}".format, type_ids, st.sampled_from(('"a new one"', '"new"', '""'))),
+        st.builds("aspect {} : {} -> {}".format, names, type_ids, type_ids),
+        st.builds("{} {} {}".format, st.sampled_from("AEIO"), type_ids, type_ids),
+        st.builds("fact {}: {} = {}".format, st.sampled_from(('', '"law0" ', '"" ')), paths, paths),
+        st.text(alphabet='ologism"{}#->;:,()AEIO T0f1_\\', max_size=12),
+    ]
+    # A second start for both sides of a held fact gives its paths a second
+    # parallel reading.
+    clashes = [
+        f"aspect {f.lhs.arcs[0].name} : {{0}} -> {f.lhs.arcs[0].target} "
+        f"aspect {f.rhs.arcs[0].name} : {{0}} -> {f.rhs.arcs[0].target}"
+        for f in doc.facts if f.lhs.arcs and f.rhs.arcs
+    ]
+    if clashes:
+        declarations.append(st.builds(str.format, st.sampled_from(clashes), type_ids))
+    return st.builds(
+        lambda parts, cut: " ".join(parts)[:cut],
+        st.lists(st.one_of(declarations), min_size=1, max_size=3),
+        st.one_of(st.none(), st.none(), st.integers(0, 40)),
+    )
+
+
+def _extends_last_fact(doc: Ologism, item: str) -> bool:
+    """Whether the spliced text reads ``item`` as more of ``doc``'s last fact,
+    which ``serialize`` writes last: a ';' goes on with a path of aspects.
+    The spliced re-parse rewrote that fact; an item is read on its own."""
+    facts = doc.sorted().facts
+    return bool(facts and facts[-1].rhs.arcs) and _tokenize(item)[0][0].kind == "SEMI"
+
+
+@settings(max_examples=400, suppress_health_check=[HealthCheck.too_slow], deadline=None)
+@given(st.integers(0, 10**6), st.data())
+def test_item_parse_matches_the_spliced_reparse(seed, data):
+    doc = _held(random.Random(seed))
+    item = data.draw(_items(doc), label="item")
+    if _extends_last_fact(doc, item):
+        assert parse_item(doc, item).value is None
+    else:
+        assert_item_parity(doc, item)
+
+
+def test_a_leading_semicolon_does_not_extend_the_last_fact():
+    doc = parse_ologism(
+        'ologism "semi" {\n  type X "an x"\n  type Y "a y"\n  type Z "a z"\n'
+        "  aspect f : X -> Y\n  aspect g : Y -> Z\n  aspect h : X -> Z\n  aspect k : Z -> Z\n"
+        "  fact : f ; g = h\n}\n"
+    ).value
+    assert _extends_last_fact(doc, "; k")
+    assert str(spliced_item(doc, "; k").value.facts[0]) == "f ; g = h ; k"
+    assert [str(d) for d in parse_item(doc, "; k").diagnostics] == [
+        "1:1: error: UnexpectedToken: expected a declaration keyword, found ';'"]
+
+
+_IS_FACT = """ologism "clash" {
+  type X "an x"
+  type Y "a y"
+  type Z "a z"
+  aspect f : X -> Y
+  aspect g : Y -> Z
+  aspect h : X -> Z
+  aspect k : Z -> X
+  A X Y
+  fact "law" : is = f
+  fact : f ; g = h
+}
+"""
+
+
+@pytest.mark.parametrize("item", [
+    "O V B }",
+    "E X Y",
+    "E B",
+    'type Z "a zebra" A Z V E Z B',
+    "A B V",
+    'type B "a bird"',
+    "A A B",
+    "fact : is = is",
+])
+def test_items_against_animals(animals, item):
+    assert_item_parity(animals, item)
+
+
+@pytest.mark.parametrize("item", [
+    # A second is-aspect and a second f make the first fact ambiguous.
+    "A Z Y aspect f : Z -> Y",
+    # A second g and h make the second fact's path resolve two ways.
+    "aspect g : Y -> X aspect h : X -> X",
+    "aspect f : X -> Y",  # a duplicate aspect
+    "A X Y",  # a duplicate premiss, and its is-aspect
+    'fact "law" : f = is',
+    "fact : f ; g = h",  # a duplicate fact
+    "aspect k : X -> Z fact : k = h",
+])
+def test_items_against_held_facts(item):
+    assert_item_parity(parse_ologism(_IS_FACT).value, item)
+
+
+def test_an_empty_fact_label_is_no_label():
+    src = 'ologism "x" {\n  type X "an x"\n  aspect f : X -> X\n  fact "" : f = id(X)\n%s}'
+    assert parse_ologism(src % "").value.facts[0].name is None
+    twice = parse_ologism(src % "  fact : f = id(X)\n")
+    assert [(d.code, d.line) for d in twice.errors] == [("DuplicateFact", 5)]
+
+
+def test_an_item_reports_positions_in_itself(animals):
+    result = parse_item(animals, "O V B }")
+    assert [str(d) for d in result.diagnostics] == [
+        "1:8: error: UnexpectedToken: expected end of input, found '}'"]
+    clash = parse_item(parse_ologism(_IS_FACT).value, "A Z Y aspect f : Z -> Y")
+    assert [(d.code, d.line, d.column) for d in clash.diagnostics] == [("AmbiguousAspect", 1, 1)]
+    added = parse_item(animals, "A Z V type Z \"a zebra\"").value
+    assert ("is", "Z", "V") in {(a.name, a.source, a.target) for a in added.aspects}

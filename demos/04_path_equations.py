@@ -19,7 +19,7 @@ composite = PathWord(
 
 result = eqtheory.equal_paths(doc, direct, composite)
 print(f"\n{direct}  =  {composite} ?  ->  {'Equal' if result.equal else 'NotEqualWithinBound'}")
-print(f"bound used: {result.bound} (override with OLOGISM_PATH_BOUND)")
+print(f"bound used: {result.bound}")
 for step in result.trace:
     print(f"  rewrite {step}")
 print(f"trace replays to: {result.replay()}")

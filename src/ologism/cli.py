@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Exit codes are uniform across subcommands:
+A subcommand only sets its report's status; ``EXIT_CODES`` maps the status
+to the exit code, uniformly across subcommands:
 
-    0  success (document ok, proof found, checks pass)
-    1  a logical finding (contradiction, rejection, violation, failed check)
-    2  parse or validation error in an input document
-    3  I/O error
+    0  ok (document consistent, proof found, checks pass)
+    1  a logical finding (contradiction, rejection, violation, fail)
+    2  parse_error in an input document, or a command-line usage error
+    3  io_error
 
 ``--format json`` renders the same report as a stable JSON envelope
 (validated by ``schemas/report.schema.json``); text output is byte-identical
@@ -28,7 +29,9 @@ from .model import check_model
 from .oracle import OracleConfig
 from .repl import Repl
 
-OK, FINDING, PARSE_ERROR, IO_ERROR = 0, 1, 2, 3
+# One entry per value of ``status`` in ``schemas/report.schema.json``.
+EXIT_CODES = {"ok": 0, "contradiction": 1, "rejection": 1, "violation": 1, "fail": 1,
+              "parse_error": 2, "io_error": 3}
 
 
 @dataclass
@@ -36,7 +39,7 @@ class Report:
     """What a command has to say, renderable as text or JSON."""
 
     command: str
-    status: str = "ok"  # ok | contradiction | rejection | violation | fail | parse_error | io_error
+    status: str = "ok"  # a key of EXIT_CODES
     sections: dict[str, Any] = field(default_factory=dict)
     lines: list[str] = field(default_factory=list)
 
@@ -101,13 +104,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _term(text: str) -> str:
+    """A term name as written on the command line: stripped, not empty."""
+    term = text.strip()
+    if not term:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a term name")
+    return term
+
+
 def _parse_literal(text: str):
     """Proposition literals as written on the command line: ``E:M,P``."""
     try:
         form, pair = text.split(":", 1)
         subject, predicate = pair.split(",", 1)
-        return proposition(form.strip(), subject.strip(), predicate.strip())
-    except ValueError as exc:
+        return proposition(form.strip(), _term(subject), _term(predicate))
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a proposition literal like A:S,P"
         ) from exc
@@ -116,10 +127,10 @@ def _parse_literal(text: str):
 # --- subcommands ---------------------------------------------------------------
 
 
-def cmd_check(args, report: Report) -> int:
+def cmd_check(args, report: Report) -> None:
     doc = _load_ologism(args.path, report)
     if doc is None:
-        return PARSE_ERROR if report.status == "parse_error" else IO_ERROR
+        return
     theory = deduce.close(doc)
     derived = sorted(theory.derived_beyond_premisses(), key=lambda p: p.sort_key())
     clashes = deduce.contradictions(theory)
@@ -148,12 +159,11 @@ def cmd_check(args, report: Report) -> int:
             said = reading(proposition("O", x, x), doc)
             report.say(f"CONTRADICTION O({x},{x}), read \"{said}\":")
             report.say(derivation.render(indent=1))
-        return FINDING
+        return
     report.say("consistent: no O(X,X) is derivable")
-    return OK
 
 
-def cmd_prove(args, report: Report) -> int:
+def cmd_prove(args, report: Report) -> None:
     premisses = list(args.premiss)
     if args.existential_import:
         premisses.append(proposition("I", args.existential_import, args.existential_import))
@@ -163,27 +173,26 @@ def cmd_prove(args, report: Report) -> int:
         report.status = "parse_error"
         report.sections["error"] = str(exc)
         report.say(f"not a syllogistic pattern: {exc}")
-        return PARSE_ERROR
+        return
     prem_text = ", ".join(str(p) for p in premisses)
     if isinstance(result, syll.Rejection):
         report.status = "rejection"
         report.sections["rejection"] = {"reason": result.reason, "detail": result.detail}
         report.say(f"{prem_text} |- {args.conclusion}")
         report.say(str(result))
-        return FINDING
+        return
     report.sections["proof"] = result.render()
     if args.dot:
         text = dot.proof_tree_dot(result)
         report.sections["dot"] = text
         report.lines = [text.rstrip("\n")]
-        return OK
+        return
     report.say(f"{prem_text} |- {args.conclusion}")
     report.say("valid; proof tree:")
     report.say(result.render(indent=1))
-    return OK
 
 
-def cmd_enumerate(args, report: Report) -> int:
+def cmd_enumerate(args, report: Report) -> None:
     records = syll.enumerate_moods(with_import=args.existential_import)
     valid = [r for r in records if r.valid]
     direct = [r for r in records if r.valid_direct]
@@ -207,23 +216,22 @@ def cmd_enumerate(args, report: Report) -> int:
             continue
         note = "" if r.valid_direct else f"   (import on {', '.join(r.import_terms)})"
         report.say(f"  {r.mood}{note}")
-    return OK
 
 
-def cmd_model_check(args, report: Report) -> int:
+def cmd_model_check(args, report: Report) -> None:
     doc = _load_ologism(args.ologism, report)
     if doc is None:
-        return PARSE_ERROR if report.status == "parse_error" else IO_ERROR
+        return
     source = _read_file(args.model, report)
     if source is None:
-        return IO_ERROR
+        return
     parsed = dsl.parse_model(source)
     if parsed.value is None:
         report.status = "parse_error"
         for d in parsed.diagnostics:
             report.say(str(d))
         report.sections["diagnostics"] = [str(d) for d in parsed.diagnostics]
-        return PARSE_ERROR
+        return
     model = parsed.value
     if model.for_ologism and model.for_ologism != doc.name:
         report.say(f"note: model is declared for {model.for_ologism!r}, checking against {doc.name!r}")
@@ -232,19 +240,18 @@ def cmd_model_check(args, report: Report) -> int:
     report.sections["alarms"] = list(outcome.alarms)
     if outcome.ok:
         report.say(f"model {model.name!r} satisfies {doc.name!r} against {args.against}")
-        return OK
+        return
     report.status = "violation"
     for v in outcome.violations:
         report.say(str(v))
     for a in outcome.alarms:
         report.say(f"ALARM: {a}")
-    return FINDING
 
 
-def cmd_oracle(args, report: Report) -> int:
+def cmd_oracle(args, report: Report) -> None:
     doc = _load_ologism(args.path, report)
     if doc is None:
-        return PARSE_ERROR if report.status == "parse_error" else IO_ERROR
+        return
     config = OracleConfig(universe_size=args.universe, seed=args.seed,
                           sample_count=args.samples)
     try:
@@ -252,7 +259,7 @@ def cmd_oracle(args, report: Report) -> int:
             count = oracle.count_models(doc, config)
             report.sections["models"] = count
             report.say(f"{count} model(s) on a {args.universe}-element universe")
-            return OK
+            return
         if args.mode == "soundness":
             verdict = oracle.check_soundness(doc, config)
             report.sections["soundness"] = {
@@ -262,7 +269,9 @@ def cmd_oracle(args, report: Report) -> int:
                 "inconclusive": verdict.inconclusive,
             }
             report.say(str(verdict))
-            return OK if verdict.passed else FINDING
+            if not verdict.passed:
+                report.status = "fail"
+            return
         verdict = oracle.check_completeness(doc, config)
         report.sections["completeness"] = {
             "passed": verdict.passed,
@@ -278,30 +287,25 @@ def cmd_oracle(args, report: Report) -> int:
             report.say(f"gap re-checked at universe size {verdict.universe_size + 1}: "
                        f"{len(verdict.gap_at_next)} proposition(s) remain")
             report.status = "fail"
-            return FINDING
-        return OK
     except (oracle.FragmentError, oracle.ScaleError) as exc:
         report.status = "fail"
         report.sections["error"] = str(exc)
         report.say(str(exc))
-        return FINDING
 
 
-def cmd_export_dot(args, report: Report) -> int:
+def cmd_export_dot(args, report: Report) -> None:
     doc = _load_ologism(args.path, report)
     if doc is None:
-        return PARSE_ERROR if report.status == "parse_error" else IO_ERROR
+        return
     theory = deduce.close(doc) if args.derived else None
     text = dot.export_dot(doc, theory)
     report.sections["dot"] = text
     report.lines = [text.rstrip("\n")]
-    return OK
 
 
-def cmd_repl(args, report: Report) -> int:
+def cmd_repl(args, report: Report) -> None:
     repl = Repl(sys.stdout)
     repl.run(sys.stdin)
-    return OK
 
 
 # --- wiring ---------------------------------------------------------------------
@@ -324,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prove", help="run the diagrammatic validity algorithm")
     p.add_argument("--premiss", action="append", required=True, type=_parse_literal,
                    metavar="FORM:S,P", help="premiss literal, e.g. E:M,P (repeatable)")
-    p.add_argument("--import", dest="existential_import", metavar="X",
+    p.add_argument("--import", dest="existential_import", type=_term, metavar="X",
                    help="add the existential import premiss I(X,X)")
     p.add_argument("--conclusion", required=True, type=_parse_literal, metavar="FORM:S,P")
     p.add_argument("--dot", action="store_true", help="emit the proof tree as Graphviz DOT")
@@ -369,11 +373,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     report = Report(command=args.command)
-    code = args.run(args, report)
+    args.run(args, report)
     if args.command != "repl":
         color = (not args.no_color) and args.format == "text" and sys.stdout.isatty()
         report.emit(args.format, sys.stdout, color)
-    return code
+    return EXIT_CODES[report.status]
 
 
 if __name__ == "__main__":

@@ -13,8 +13,9 @@ closure is four starred sets:
               R6 (I_xy, E_yz |- O_xz), R7 (A_yx, O_yz |- O_xz)
               and R8 (O_xy, A_zy |- O_xz)
 
-Every proposition in the theory carries one minimal-depth derivation;
-ties break on the rule tag, then on operand order, so output is stable.
+The theory is a table from each proposition, in canonical orientation, to
+one minimal-depth derivation; the starred sets are read from its keys.  Ties
+break on the rule tag, then on operand order, so output is stable.
 A derivable O(X,X) reads "Some X is not X" and marks the document as
 contradictory.
 
@@ -41,6 +42,7 @@ calculus="complete")`` adds the rules that close those gaps:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional
 
 from .core import (
@@ -97,19 +99,21 @@ class Derivation:
 
 @dataclass(frozen=True)
 class Theory:
-    """The four starred sets plus one minimal derivation per proposition."""
+    """The closure as its derivation table: one minimal derivation per
+    canonical proposition.  The propositions are the table's keys, and each
+    starred set is a read-only view of the keys of one form."""
 
     name: str
     types: tuple[str, ...]
     premisses: frozenset[CategoricalProposition]
-    alpha_star: frozenset[CategoricalProposition]
-    epsilon_star: frozenset[CategoricalProposition]
-    iota_star: frozenset[CategoricalProposition]
-    o_star: frozenset[CategoricalProposition]
     derivations: Mapping[CategoricalProposition, Derivation]
 
+    @cached_property
+    def _propositions(self) -> frozenset[CategoricalProposition]:
+        return frozenset(self.derivations)
+
     def propositions(self) -> frozenset[CategoricalProposition]:
-        return self.alpha_star | self.epsilon_star | self.iota_star | self.o_star
+        return self._propositions
 
     def identities(self) -> frozenset[CategoricalProposition]:
         return frozenset(proposition("A", t, t) for t in self.types)
@@ -118,12 +122,12 @@ class Theory:
         return self.propositions() - self.premisses - self.identities()
 
     def star(self, form: str) -> frozenset[CategoricalProposition]:
-        return {
-            "A": self.alpha_star,
-            "E": self.epsilon_star,
-            "I": self.iota_star,
-            "O": self.o_star,
-        }[form]
+        return frozenset(p for p in self._propositions if p.form == form)
+
+    alpha_star = property(lambda self: self.star("A"))
+    epsilon_star = property(lambda self: self.star("E"))
+    iota_star = property(lambda self: self.star("I"))
+    o_star = property(lambda self: self.star("O"))
 
 
 # --- the closure engine -----------------------------------------------------
@@ -238,33 +242,19 @@ def close(ologism: Ologism, calculus: str = "default") -> Theory:
         info.setdefault((p.form, p.subject, p.predicate), (1, PREMISS, ()))
     _saturate(info, _CALCULI[calculus], types)
 
-    stars: dict[str, set[CategoricalProposition]] = {f: set() for f in "AEIO"}
-    derivations: dict[CategoricalProposition, Derivation] = {}
-    for (form, s, p), tree in _build_trees(info).items():
-        if form in "EI" and p < s:
-            continue  # symmetry derives the canonical orientation too
-        stars[form].add(tree.conclusion)
-        derivations[tree.conclusion] = tree
-
-    return Theory(
-        name=ologism.name,
-        types=types,
-        premisses=frozenset(ologism.premisses),
-        alpha_star=frozenset(stars["A"]),
-        epsilon_star=frozenset(stars["E"]),
-        iota_star=frozenset(stars["I"]),
-        o_star=frozenset(stars["O"]),
-        derivations=derivations,
-    )
+    # Symmetry derives the canonical orientation of every E and I fact too.
+    derivations = {tree.conclusion: tree for (form, s, p), tree in _build_trees(info).items()
+                   if not (form in "EI" and p < s)}
+    return Theory(ologism.name, types, frozenset(ologism.premisses), derivations)
 
 
 def contradictions(theory: Theory) -> list[tuple[str, Derivation]]:
     """Every type X with a derivable O(X,X), with its derivation."""
     out = []
     for t in theory.types:
-        marker = proposition("O", t, t)
-        if marker in theory.o_star:
-            out.append((t, theory.derivations[marker]))
+        derivation = theory.derivations.get(proposition("O", t, t))
+        if derivation is not None:
+            out.append((t, derivation))
     return out
 
 

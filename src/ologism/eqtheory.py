@@ -5,21 +5,19 @@ when one rewrites to the other using fact equations at any position, in
 either direction.  The word problem here is undecidable in general, so the
 engine is a bounded semidecision: it answers ``Equal`` with a replayable
 rewrite trace, or ``NotEqualWithinBound`` - never an unqualified "not
-equal".  The bound caps the length of intermediate words and a state cap
-stops runaway searches.
+equal".  The bound caps the length of intermediate words, and ``STATE_CAP``
+caps how many words one search or enumeration may hold.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .core import Fact, Ologism, PathWord
 
-DEFAULT_STATE_CAP = 100_000
-BOUND_ENV_VAR = "OLOGISM_PATH_BOUND"
+STATE_CAP = 100_000
 
 
 class ParallelismError(ValueError):
@@ -70,16 +68,7 @@ class PathEquality:
 
 
 def default_bound(ologism: Ologism) -> int:
-    """Twice the longest equation side plus two, with a floor of eight.
-
-    The environment variable ``OLOGISM_PATH_BOUND`` overrides this.
-    """
-    override = os.environ.get(BOUND_ENV_VAR)
-    if override:
-        try:
-            return int(override)
-        except ValueError:
-            raise ValueError(f"{BOUND_ENV_VAR} must be an integer, got {override!r}") from None
+    """Twice the longest equation side plus two, with a floor of eight."""
     longest = max((max(len(f.lhs), len(f.rhs)) for f in ologism.facts), default=0)
     return max(8, 2 * longest + 2)
 
@@ -109,11 +98,7 @@ def _rewrites(word: PathWord, facts: tuple[Fact, ...]) -> Iterator[tuple[Fact, b
 
 
 def equal_paths(
-    ologism: Ologism,
-    p: PathWord,
-    q: PathWord,
-    bound: Optional[int] = None,
-    state_cap: int = DEFAULT_STATE_CAP,
+    ologism: Ologism, p: PathWord, q: PathWord, bound: Optional[int] = None
 ) -> PathEquality:
     """Breadth-first search from ``p`` through fact rewrites, looking for ``q``.
 
@@ -149,7 +134,7 @@ def equal_paths(
                     cursor = prev
                 trace.reverse()
                 return PathEquality(True, p, tuple(trace), bound)
-            if len(parents) > state_cap:
+            if len(parents) > STATE_CAP:
                 cap_reached = True
                 queue.clear()
                 break
@@ -157,9 +142,7 @@ def equal_paths(
     return PathEquality(False, p, (), bound, cap_reached)
 
 
-def enumerate_words(
-    ologism: Ologism, source: str, target: str, bound: int, state_cap: int = DEFAULT_STATE_CAP
-) -> list[PathWord]:
+def enumerate_words(ologism: Ologism, source: str, target: str, bound: int) -> list[PathWord]:
     """Every path word from ``source`` to ``target`` of length at most ``bound``."""
     by_source: dict[str, list] = {}
     for a in sorted(ologism.aspects, key=lambda a: (a.name, a.source, a.target)):
@@ -170,8 +153,8 @@ def enumerate_words(
         node, arcs = stack.pop()
         if node == target:
             out.append(PathWord(source, target, arcs))
-        if len(out) > state_cap:
-            raise StateCapExceeded(f"more than {state_cap} words of length <= {bound}")
+        if len(out) > STATE_CAP:
+            raise StateCapExceeded(f"more than {STATE_CAP} words of length <= {bound}")
         if len(arcs) < bound:
             for a in reversed(by_source.get(node, [])):
                 stack.append((a.target, arcs + (a,)))
@@ -180,11 +163,7 @@ def enumerate_words(
 
 
 def congruent_closure_classes(
-    ologism: Ologism,
-    source: str,
-    target: str,
-    bound: Optional[int] = None,
-    state_cap: int = DEFAULT_STATE_CAP,
+    ologism: Ologism, source: str, target: str, bound: Optional[int] = None
 ) -> list[frozenset[PathWord]]:
     """Partition the bounded word set into fact-congruence classes.
 
@@ -198,7 +177,7 @@ def congruent_closure_classes(
             raise KeyError(end)
     if bound is None:
         bound = default_bound(ologism)
-    words = enumerate_words(ologism, source, target, bound, state_cap)
+    words = enumerate_words(ologism, source, target, bound)
     index = {w: i for i, w in enumerate(words)}
     parent = list(range(len(words)))
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from ologism.cli import main
+from ologism.cli import EXIT_CODES, main
 from ologism.dsl import serialize
 from ologism.repl import Repl
 from .oracles import check_dot
@@ -97,6 +97,10 @@ class TestProve:
         code, out = run(capsys, "prove", "--premiss", "A:S,P", "--import", "S",
                         "--conclusion", "I:S,P")
         assert code == 0 and "Axiom-ExistentialImport" in out
+
+    def test_import_term_is_stripped(self, capsys):
+        argv = ["prove", "--premiss", "A:S,P", "--conclusion", "I:S,P", "--import"]
+        assert run(capsys, *argv, " S ") == run(capsys, *argv, "S")
 
     def test_rejected_without_import(self, capsys):
         code, _ = run(capsys, "prove", "--premiss", "A:S,P", "--conclusion", "I:S,P")
@@ -225,6 +229,80 @@ class TestOracle:
             main(["oracle", str(DATA / "has_mother.olgm"), "--samples", count])
         assert exit_.value.code == 2
         assert "positive integer" in capsys.readouterr().err
+
+
+INCONCLUSIVE = (
+    'ologism "incon" {\n  type X "an x"\n  type Y "a y"\n  aspect f : X -> Y\n'
+    "  E Y Y\n  I X X\n}\n"
+)
+
+# (subcommand arguments, status) for every subcommand and outcome; DOC names a
+# bundled document, and the other upper-case words files written by ``inputs``.
+OUTCOMES = [
+    (["check", "DOC/animals.olgm"], "ok"),
+    (["check", "SQUARE"], "contradiction"),
+    (["check", "BAD"], "parse_error"),
+    (["check", "ABSENT"], "io_error"),
+    (["prove", "--premiss", "E:M,P", "--premiss", "A:S,M", "--conclusion", "E:S,P"], "ok"),
+    (["prove", "--premiss", "E:M,P", "--premiss", "A:S,M", "--conclusion", "E:S,P", "--dot"],
+     "ok"),
+    (["prove", "--premiss", "A:S,P", "--conclusion", "I:S,P"], "rejection"),
+    (["prove", "--premiss", "A:S,P", "--conclusion", "A:Q,R"], "parse_error"),
+    (["enumerate"], "ok"),
+    (["enumerate", "--import"], "ok"),
+    (["model-check", "DOC/has_mother.olgm", "DOC/has_mother.olgmodel"], "ok"),
+    (["model-check", "DOC/has_mother.olgm", "BROKEN_MODEL"], "violation"),
+    (["model-check", "DOC/has_mother.olgm", "BAD"], "parse_error"),
+    (["model-check", "BAD", "DOC/has_mother.olgmodel"], "parse_error"),
+    (["model-check", "DOC/has_mother.olgm", "ABSENT"], "io_error"),
+    (["model-check", "ABSENT", "DOC/has_mother.olgmodel"], "io_error"),
+    (["oracle", "DOC/animals.olgm", "--mode", "models"], "ok"),
+    (["oracle", "DOC/animals.olgm", "--mode", "soundness"], "ok"),
+    (["oracle", "DOC/has_mother.olgm", "--mode", "soundness", "--samples", "20"], "ok"),
+    (["oracle", "INCONCLUSIVE", "--mode", "soundness", "--samples", "5"], "fail"),
+    (["oracle", "DOC/square.olgm", "--mode", "completeness"], "ok"),
+    (["oracle", "DOC/animals.olgm", "--mode", "completeness"], "fail"),
+    (["oracle", "DOC/has_mother.olgm", "--mode", "completeness"], "fail"),
+    (["oracle", "DOC/animals.olgm", "--mode", "models", "--universe", "100000"], "fail"),
+    (["oracle", "BAD"], "parse_error"),
+    (["oracle", "ABSENT"], "io_error"),
+    (["export-dot", "DOC/animals.olgm", "--derived"], "ok"),
+    (["export-dot", "BAD"], "parse_error"),
+    (["export-dot", "ABSENT"], "io_error"),
+]
+
+
+@pytest.fixture
+def inputs(tmp_path, contradictory) -> dict[str, str]:
+    (tmp_path / "bad.olgm").write_text('ologism "x" {\n  E A B\n}\n')
+    (tmp_path / "incon.olgm").write_text(INCONCLUSIVE)
+    model = (DATA / "has_mother.olgmodel").read_text()
+    (tmp_path / "broken.olgmodel").write_text(model.replace("Susan -> Elen2", "Susan -> Elen1"))
+    return {"SQUARE": contradictory, "BAD": str(tmp_path / "bad.olgm"),
+            "ABSENT": str(tmp_path / "absent.olgm"), "INCONCLUSIVE": str(tmp_path / "incon.olgm"),
+            "BROKEN_MODEL": str(tmp_path / "broken.olgmodel")}
+
+
+class TestExitCodes:
+    def test_one_code_per_schema_status(self):
+        assert set(EXIT_CODES) == set(SCHEMA["properties"]["status"]["enum"])
+        assert sorted(set(EXIT_CODES.values())) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("argv, status", OUTCOMES, ids=[" ".join(a) for a, _ in OUTCOMES])
+    def test_exit_code_is_the_status_code(self, capsys, inputs, argv, status):
+        argv = [inputs.get(a, a.replace("DOC/", f"{DATA}/")) for a in argv]
+        code, payload = run_json(capsys, *argv)
+        assert (payload["status"], code) == (status, EXIT_CODES[status])
+        assert run(capsys, *argv)[0] == code
+
+    def test_inconclusive_soundness_fails(self, capsys, inputs):
+        argv = ["oracle", inputs["INCONCLUSIVE"], "--mode", "soundness", "--samples", "5"]
+        assert run(capsys, *argv) == (1, "soundness inconclusive after 0 sampled models\n")
+        code, payload = run_json(capsys, *argv)
+        assert code == 1 and payload["status"] == "fail"
+        assert payload["sections"]["soundness"] == {
+            "passed": False, "mode": "sampled", "models_checked": 0, "inconclusive": True,
+        }
 
 
 class TestExportDot:

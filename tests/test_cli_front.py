@@ -29,6 +29,8 @@ USAGE_CASES = {
     "unknown-subcommand": ["frobnicate"],
     "oracle-universe-0": ["oracle", "DOC.olgm", "--universe", "0"],
     "prove-malformed-premiss": ["prove", "--premiss", "E:M", "--conclusion", "E:S,P"],
+    "prove-empty-import": ["prove", "--premiss", "A:S,P", "--import", "", "--conclusion", "I:S,P"],
+    "prove-empty-term": ["prove", "--premiss", "A:,P", "--premiss", "A:P,Q", "--conclusion", "A:,Q"],
 }
 
 

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from ologism import eqtheory
 from ologism.core import Aspect, Fact, Ologism, PathWord, empty_path
 from ologism.eqtheory import (
     ParallelismError,
+    StateCapExceeded,
     congruent_closure_classes,
     default_bound,
     enumerate_words,
@@ -52,7 +54,7 @@ class TestEqualPaths:
         result = equal_paths(doc, PathWord("X", "Y", (f,)), PathWord("X", "Y", (g,)))
         assert not result.equal and not result.cap_reached
 
-    def test_state_cap_annotated(self):
+    def test_state_cap_annotated(self, monkeypatch):
         # Two fattening rules blow the word space past a tiny cap while the
         # target stays unreachable (h is produced by no rewrite).
         f = Aspect("f", "X", "X")
@@ -66,7 +68,8 @@ class TestEqualPaths:
             ],
         )
         target = PathWord("X", "X", (h,))
-        result = equal_paths(doc, PathWord("X", "X", (f,)), target, bound=20, state_cap=50)
+        monkeypatch.setattr(eqtheory, "STATE_CAP", 50)
+        result = equal_paths(doc, PathWord("X", "X", (f,)), target, bound=20)
         assert not result.equal and result.cap_reached
 
 
@@ -115,6 +118,17 @@ class TestClasses:
         ours = {frozenset(c) for c in congruent_closure_classes(doc, "X", "Q", 4)}
         reference = {frozenset(c) for c in brute_classes(words, list(doc.facts))}
         assert ours == reference
+
+    def test_word_space_past_the_cap_raises(self, monkeypatch):
+        # One loop gives bound + 1 words from X to X: 11 at bound 10.
+        f = Aspect("f", "X", "X")
+        doc = Ologism.build("loop", ["X"], aspects=[f])
+        assert len(enumerate_words(doc, "X", "X", 10)) == 11
+        monkeypatch.setattr(eqtheory, "STATE_CAP", 3)
+        with pytest.raises(StateCapExceeded, match="more than 3 words of length <= 10"):
+            enumerate_words(doc, "X", "X", 10)
+        with pytest.raises(StateCapExceeded):
+            congruent_closure_classes(doc, "X", "X", bound=10)
 
     def test_undeclared_endpoint(self, has_mother):
         with pytest.raises(KeyError):
@@ -191,12 +205,3 @@ class TestDefaults:
             facts=[Fact(PathWord("X", "X", (f,) * 5), PathWord("X", "X", (f,)))],
         )
         assert default_bound(doc) == 12
-
-    def test_env_override(self, monkeypatch, animals):
-        monkeypatch.setenv("OLOGISM_PATH_BOUND", "17")
-        assert default_bound(animals) == 17
-
-    def test_env_override_must_be_an_integer(self, monkeypatch, animals):
-        monkeypatch.setenv("OLOGISM_PATH_BOUND", "abc")
-        with pytest.raises(ValueError, match="OLOGISM_PATH_BOUND"):
-            default_bound(animals)

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from ologism.core import A, E, I, O, Aspect, Ologism, proposition
-from ologism.deduce import close, contradictions
+from ologism.deduce import PREMISS, Derivation, close, contradictions
 from ologism.model import satisfies
 from ologism import oracle
 from ologism.oracle import (
@@ -171,7 +171,10 @@ class TestSoundness:
 
         def close_with_e_m_v(doc, *args, **kwargs):
             theory = real_close(doc, *args, **kwargs)
-            return dataclasses.replace(theory, epsilon_star=theory.epsilon_star | {E("M", "V")})
+            smuggled = Derivation(E("M", "V"), PREMISS)
+            return dataclasses.replace(
+                theory, derivations={**theory.derivations, smuggled.conclusion: smuggled}
+            )
 
         monkeypatch.setattr(oracle.deduce, "close", close_with_e_m_v)
         config = OracleConfig()

@@ -105,9 +105,9 @@ def _positive_int(text: str) -> int:
 
 
 def _term(text: str) -> str:
-    """A term name as written on the command line: stripped, not empty."""
+    """A term name as written on the command line: stripped, a document identifier."""
     term = text.strip()
-    if not term:
+    if not dsl._is_ident(term):
         raise argparse.ArgumentTypeError(f"{text!r} is not a term name")
     return term
 
@@ -132,33 +132,33 @@ def cmd_check(args, report: Report) -> None:
     if doc is None:
         return
     theory = deduce.close(doc)
-    derived = sorted(theory.derived_beyond_premisses(), key=lambda p: p.sort_key())
-    clashes = deduce.contradictions(theory)
+    derived = [(p, reading(p, doc))
+               for p in sorted(theory.derived_beyond_premisses(), key=lambda p: p.sort_key())]
+    clashes = [(x, reading(proposition("O", x, x), doc), d.render())
+               for x, d in deduce.contradictions(theory)]
 
     report.say(f"ologism {doc.name!r}: {len(doc.types)} types, "
                f"{len(doc.aspects)} aspects, {len(doc.facts)} facts, "
                f"{len(doc.premisses)} premisses")
     report.sections["ologism"] = doc.name
     report.sections["derived"] = [
-        {"proposition": str(p.canonical()), "reading": reading(p, doc)} for p in derived
+        {"proposition": str(p.canonical()), "reading": said} for p, said in derived
     ]
     if derived:
         report.say("derived beyond the premisses:")
-        for p in derived:
-            report.say(f"  {p}   \"{reading(p, doc)}\"")
+        for p, said in derived:
+            report.say(f"  {p}   \"{said}\"")
     else:
         report.say("nothing derivable beyond the premisses")
 
     report.sections["contradictions"] = [
-        {"type": x, "reading": reading(proposition("O", x, x), doc), "derivation": d.render()}
-        for x, d in clashes
+        {"type": x, "reading": said, "derivation": tree} for x, said, tree in clashes
     ]
     if clashes:
         report.status = "contradiction"
-        for x, derivation in clashes:
-            said = reading(proposition("O", x, x), doc)
+        for x, said, tree in clashes:
             report.say(f"CONTRADICTION O({x},{x}), read \"{said}\":")
-            report.say(derivation.render(indent=1))
+            report.say("  " + tree.replace("\n", "\n  "))  # as render(indent=1)
         return
     report.say("consistent: no O(X,X) is derivable")
 

@@ -100,10 +100,10 @@ _PUNCT = {
     ")": "RPAREN",
 }
 
-# The identifier rule, for the lexer and the serializer alike: a run of
-# characters that are str.isalnum() or "_" (exactly regex \w), whose first
-# character is str.isalpha() or "_".  So 9, ² and ½ cannot lead one.
-_WORD = r"\w+"
+# The identifier rule, for the lexer, the serializer and command-line terms
+# alike: a run of characters that are str.isalnum() or "_" (exactly regex
+# \w), whose first character is str.isalpha() or "_", so never 9, ² or ½.
+_WORD = re.compile(r"\w+")
 
 
 def _ident_start(char: str) -> bool:
@@ -111,7 +111,7 @@ def _ident_start(char: str) -> bool:
 
 
 def _is_ident(text: str) -> bool:
-    return re.fullmatch(_WORD, text) is not None and _ident_start(text[0])
+    return _WORD.fullmatch(text) is not None and _ident_start(text[0])
 
 
 # One alternative per token class, tried in order at each position.  A string
@@ -121,7 +121,7 @@ _TOKEN = re.compile(
     rf"""(?P<SKIP>(?:\s|\#[^\n]*)+)
        | (?P<PUNCT>->|[{{}}:;=,()])
        | (?P<STRING>"(?P<body>(?:[^"\\\n]|\\["\\]?)*)(?P<closed>")?)
-       | (?P<WORD>{_WORD})
+       | (?P<WORD>{_WORD.pattern})
        | (?P<OTHER>.)""",
     re.VERBOSE | re.DOTALL,
 )

@@ -47,7 +47,7 @@ class Model:
 
 # Form -> predicate on the subject's and the predicate's carrier.  Written
 # with ``&`` and ``==`` only, so a carrier may be a frozenset of elements or
-# an int bitmask over the universe (the oracle's enumeration uses those).
+# an int bitmask (the oracle's region search passes one membership bit).
 HOLDS: dict[str, Callable[[Any, Any], bool]] = {
     "A": lambda s, p: s & p == s,
     "E": lambda s, p: not s & p,

@@ -18,14 +18,14 @@ over the unions U of witness sets; the coefficients are built once per
 document, so every n is one sum.  Whether any n-element model exists is a
 search for at most n elements that witness every set, and a proposition is
 a consequence iff the document plus its negation has no model (the
-negations A->O and E->I add a witness set, I->E and O->A shrink R).
+negations A->O and E->I add a witness set, I->E and O->A shrink R).  A
+failing soundness check takes its counterexample from the same search,
+placing the witnesses of the document plus the negation element by element.
 
 A document may have at most ``DEFAULT_TYPE_CAP`` types, and 2**(types*n),
 the number of assignments and so a bound on every count, may have at most
 ``MAX_COUNT_DIGITS`` decimal digits; beyond either the oracle raises
-``ScaleError``.  ``enumerate_models`` still lists the models one by one;
-soundness sweeps use it, and so does a failing soundness check to find its
-counterexample.  The full fragment falls back to seeded rejection sampling;
+``ScaleError``.  The full fragment falls back to seeded rejection sampling;
 running out of attempts yields an inconclusive verdict, never a silent pass.
 Every model's carriers meet the premisses, and a named aspect's target is
 nonempty wherever its source is; for a document of at most
@@ -99,34 +99,6 @@ def _universe(n: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(n))
 
 
-# -- enumeration: carriers as bitmasks over the n-element universe -----------
-
-
-def _model_masks(ologism: Ologism, n: int) -> Iterator[tuple[int, ...]]:
-    """All premiss-satisfying subset assignments, lexicographically."""
-    order = {t: i for i, t in enumerate(sorted(ologism.type_ids()))}
-    checks = [
-        (HOLDS[p.form], order[p.subject], order[p.predicate])
-        for p in sorted(ologism.premisses, key=lambda p: p.sort_key())
-    ]
-    for masks in itertools.product(range(1 << n), repeat=len(ologism.types)):
-        for holds, s, t in checks:
-            if not holds(masks[s], masks[t]):
-                break
-        else:
-            yield masks
-
-
-def _mask_to_model(ologism: Ologism, masks: Sequence[int], n: int, name: str) -> Model:
-    types = sorted(ologism.type_ids())
-    universe = _universe(n)
-    carriers = {
-        t: frozenset(universe[i] for i in range(n) if masks[k] >> i & 1)
-        for k, t in enumerate(types)
-    }
-    return Model(name, carriers, {}, ologism.name)
-
-
 def _guard(ologism: Ologism, config: OracleConfig) -> None:
     if not is_only(ologism):
         raise FragmentError(
@@ -143,14 +115,6 @@ def _guard(ologism: Ologism, config: OracleConfig) -> None:
             f"{len(ologism.types)} types on a {config.universe_size}-element universe "
             f"give 2^{bits} assignments, more than {MAX_COUNT_DIGITS} digits"
         )
-
-
-def enumerate_models(ologism: Ologism, config: OracleConfig = OracleConfig()) -> Iterator[Model]:
-    """Stream every model on the n-element universe, each exactly once."""
-    _guard(ologism, config)
-    n = config.universe_size
-    for i, masks in enumerate(_model_masks(ologism, n)):
-        yield _mask_to_model(ologism, masks, n, f"enum-{i}")
 
 
 def count_models(ologism: Ologism, config: OracleConfig = OracleConfig()) -> int:
@@ -223,6 +187,7 @@ class _Venn:
     """
 
     def __init__(self, ologism: Ologism) -> None:
+        self.name = ologism.name
         self.order = {t: i for i, t in enumerate(sorted(ologism.type_ids()))}
         self.allowed = (1 << (1 << len(self.order))) - 1
         witnesses = set()
@@ -274,6 +239,37 @@ class _Venn:
             if not refutable:
                 out.add(prop)
         return frozenset(out)
+
+    def countermodel(self, prop: CategoricalProposition, n: int) -> Optional[Model]:
+        """An n-element model in which ``prop`` fails, or None if none does.
+
+        With the negation added as in ``entailed``, each element in turn
+        takes the first region, in bit order, that witnesses a set still
+        unwitnessed and leaves the rest coverable by the elements after it.
+        The elements left over go to region 0, where every A and E holds.
+        """
+        negation = _NEGATION[prop.form]
+        regions = self.regions(negation, prop.subject, prop.predicate)
+        within, extra = (regions, ()) if negation in "AE" else (-1, (regions,))
+        allowed = self.allowed & within
+        sets = [w & allowed for w in (*self.witnesses, *extra)]
+        hits = {r: sum(1 << j for j, w in enumerate(sets) if w & r) for r in _bits(allowed)}
+        unhit, memo, picked = (1 << len(sets)) - 1, {}, []
+        if not all(sets) or not _coverable(sets, hits, unhit, n, memo):
+            return None
+        for after in reversed(range(n)):
+            region = next(
+                (r for r in hits  # in bit order, as _bits yields them
+                 if hits[r] & unhit and _coverable(sets, hits, unhit & ~hits[r], after, memo)),
+                1,  # region 0, once every set has its witness
+            )
+            unhit &= ~hits[region]
+            picked.append(region.bit_length() - 1)
+        carriers = {
+            t: frozenset(str(e) for e, r in enumerate(picked) if r >> i & 1)
+            for t, i in self.order.items()
+        }
+        return Model("counterexample", carriers, {}, self.name)
 
     @functools.cached_property
     def _coefficients(self) -> Counter:
@@ -405,7 +401,7 @@ class SoundnessVerdict:
 
 
 def _verify_theory(
-    props: Sequence[CategoricalProposition], models: Iterator[Model]
+    props: Sequence[CategoricalProposition], models: Sequence[Model]
 ) -> tuple[int, Optional[tuple[CategoricalProposition, Model]]]:
     count = 0
     for model in models:
@@ -419,20 +415,22 @@ def _verify_theory(
 def check_soundness(ologism: Ologism, config: OracleConfig = OracleConfig()) -> SoundnessVerdict:
     """Verify that every closure proposition holds in every available model.
 
-    On the is-only fragment this is exact and counts the models; only a
-    failing check enumerates them, to report the first that refutes one.
+    On the is-only fragment this is exact and counts the models; a failing
+    check reports the first proposition, in sort order, that some model
+    refutes, with a model the region search builds for it.
     """
     theory = deduce.close(ologism)
     props = sorted(theory.propositions(), key=lambda p: p.sort_key())
     if is_only(ologism) and len(ologism.types) <= DEFAULT_TYPE_CAP:
         _guard(ologism, config)
         venn, n = _Venn(ologism), config.universe_size
-        if len(venn.entailed(props, n)) == len(props):
+        entailed = venn.entailed(props, n)
+        if len(entailed) == len(props):
             return SoundnessVerdict(True, "exhaustive", venn.count(n))
-        checked, bad = _verify_theory(props, enumerate_models(ologism, config))
-        return SoundnessVerdict(False, "exhaustive", checked, bad)
+        bad = next(p for p in props if p not in entailed)
+        return SoundnessVerdict(False, "exhaustive", venn.count(n), (bad, venn.countermodel(bad, n)))
     models, complete = sample_models(ologism, config)
-    checked, bad = _verify_theory(props, iter(models))
+    checked, bad = _verify_theory(props, models)
     if bad is not None:
         return SoundnessVerdict(False, "sampled", checked, bad)
     return SoundnessVerdict(complete, "sampled", checked, None, inconclusive=not complete)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
-from ologism import data
+from ologism import data, deduce
+from ologism.core import E
 from .oracles import random_ologism
 
 SAMPLE_SEED = 7
@@ -52,3 +54,19 @@ def custodian_model():
 @pytest.fixture(scope="session")
 def animals_model():
     return data.load_model("animals")
+
+
+@pytest.fixture
+def unsound_close(monkeypatch):
+    """``deduce.close`` made unsound: every closure also claims E(M,V),
+    which some model of the animals document refutes."""
+    real_close = deduce.close
+
+    def close_with_e_m_v(doc, *args, **kwargs):
+        theory = real_close(doc, *args, **kwargs)
+        smuggled = deduce.Derivation(E("M", "V"), deduce.PREMISS)
+        return dataclasses.replace(
+            theory, derivations={**theory.derivations, smuggled.conclusion: smuggled}
+        )
+
+    monkeypatch.setattr(deduce, "close", close_with_e_m_v)

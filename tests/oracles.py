@@ -4,11 +4,12 @@ Everything here is deliberately written as flat brute force, sharing no code
 with the engines under test: a simultaneous (unstratified) deduction
 fixpoint, a nested-loop relaxation for minimal derivations, exact set
 semantics for premiss-only documents over Venn regions, the same semantics
-on one universe size by enumerating subset assignments, a search of every
-carrier assignment for one that meets a full document's premisses and
-aspects, subset-semantics for syllogistic moods, a union-find over rewrite
-edges, random document generators, the character-stepping lexer that the
-document lexer replaced, and a small structural checker for DOT output.
+on one universe size by enumerating subset assignments (and the models they
+give, listed one by one), a search of every carrier assignment for one that
+meets a full document's premisses and aspects, subset-semantics for
+syllogistic moods, a union-find over rewrite edges, random document
+generators, the character-stepping lexer that the document lexer replaced,
+and a small structural checker for DOT output.
 The one exception is the spliced re-parse that REPL ``add`` used before it
 parsed items alone: it is the whole-document parser run on a document with
 the item spliced in, a reference for the item parser.
@@ -32,6 +33,7 @@ from ologism.core import (
     proposition,
 )
 from ologism.dsl import ParseResult, SourceDiagnostic, Token, parse_ologism, serialize
+from ologism.model import Model
 
 Triple = tuple[str, str, str]
 
@@ -269,6 +271,27 @@ def enumerated_semantics(
     return count, frozenset(a[0] for a in alive)
 
 
+def enumerated_models(doc: Ologism, universe: int) -> list[Model]:
+    """The models of a premiss-only document on the elements "0", "1", ...
+    of a universe of the given size: one per subset assignment that meets
+    the premisses, in lexicographic order of the assignments."""
+    types = sorted(doc.type_ids())
+    index = {t: i for i, t in enumerate(types)}
+    checks = [(p.form, index[p.subject], index[p.predicate]) for p in set(doc.premisses)]
+    subsets = [
+        frozenset(str(x) for x in range(universe) if mask >> x & 1) for mask in range(1 << universe)
+    ]
+    out = []
+    for masks in itertools.product(range(1 << universe), repeat=len(types)):
+        for f, i, j in checks:
+            if not _holds(f, masks[i], masks[j]):
+                break
+        else:
+            carriers = {t: subsets[m] for t, m in zip(types, masks)}
+            out.append(Model(f"enum-{len(out)}", carriers, {}, doc.name))
+    return out
+
+
 def carrier_assignment_exists(doc: Ologism, universe: int) -> bool:
     """Whether some subset assignment on a universe of the given size meets
     the premisses and gives every named aspect with a nonempty source a
@@ -405,9 +428,7 @@ def _random_path(
     return None
 
 
-def random_model(rng: random.Random, doc: Ologism, universe: int = 3) -> "object":
-    from ologism.model import Model
-
+def random_model(rng: random.Random, doc: Ologism, universe: int = 3) -> Model:
     pool = [string.ascii_lowercase[k] for k in range(universe)]
     carriers = {t: frozenset(x for x in pool if rng.random() < 0.6) for t in doc.type_ids()}
     maps = {}

@@ -29,6 +29,7 @@ from ologism.oracle import OracleConfig
 from .conftest import SAMPLE_SEED
 from .oracles import (
     brute_classes,
+    enumerated_models,
     exact_consequences,
     exact_satisfiable,
     naive_theory,
@@ -163,7 +164,9 @@ def test_criterion_7_soundness_suite(sample, animals, custodian):
         config = OracleConfig(universe_size=3)
         for doc in sample:
             props = sorted(deduce.close(doc).propositions(), key=lambda p: p.sort_key())
-            for model in oracle.enumerate_models(doc, config):
+            models = enumerated_models(doc, config.universe_size)
+            assert len(models) == oracle.count_models(doc, config), doc
+            for model in models:
                 for prop in props:
                     assert satisfies(model, prop), (doc, prop, model)
         for doc in (animals, custodian):

@@ -304,6 +304,18 @@ class TestExitCodes:
             "passed": False, "mode": "sampled", "models_checked": 0, "inconclusive": True,
         }
 
+    def test_failing_soundness_reports_the_searched_counterexample(self, capsys, unsound_close):
+        argv = ["oracle", str(DATA / "animals.olgm"), "--mode", "soundness"]
+        assert run(capsys, *argv) == (1, (
+            "soundness FAILS: E(M,V) does not hold in model counterexample: "
+            "A={2}, B={0}, M={1, 2}, V={0, 1, 2}\n"
+        ))
+        code, payload = run_json(capsys, *argv)
+        assert code == 1 and payload["status"] == "fail"
+        assert payload["sections"]["soundness"] == {
+            "passed": False, "mode": "exhaustive", "models_checked": 42, "inconclusive": False,
+        }
+
 
 class TestExportDot:
     def test_animals_parses(self, capsys):

@@ -31,6 +31,9 @@ USAGE_CASES = {
     "prove-malformed-premiss": ["prove", "--premiss", "E:M", "--conclusion", "E:S,P"],
     "prove-empty-import": ["prove", "--premiss", "A:S,P", "--import", "", "--conclusion", "I:S,P"],
     "prove-empty-term": ["prove", "--premiss", "A:,P", "--premiss", "A:P,Q", "--conclusion", "A:,Q"],
+    "prove-spaced-import": ["prove", "--premiss", "A:S,P", "--import", "X Y", "--conclusion", "I:S,P"],
+    "prove-spaced-term": ["prove", "--premiss", "A:S P,M", "--premiss", "A:M,P",
+                          "--conclusion", "A:S P,P"],
 }
 
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import functools
 import random
 from collections import Counter
@@ -8,8 +7,8 @@ from collections import Counter
 import pytest
 
 from ologism.core import A, E, I, O, Aspect, Ologism, proposition
-from ologism.deduce import PREMISS, Derivation, close, contradictions
-from ologism.model import satisfies
+from ologism.deduce import close, contradictions
+from ologism.model import check_model, satisfies
 from ologism import oracle
 from ologism.oracle import (
     MAX_COUNT_DIGITS,
@@ -22,13 +21,13 @@ from ologism.oracle import (
     check_completeness,
     check_soundness,
     count_models,
-    enumerate_models,
     is_only,
     sample_models,
     semantic_consequences,
 )
 from .oracles import (
     carrier_assignment_exists,
+    enumerated_models,
     enumerated_semantics,
     exact_consequences,
     exact_satisfiable,
@@ -60,15 +59,11 @@ class TestEnumeration:
                 assert count_models(doc, OracleConfig(universe_size=n)) == 0
 
     def test_models_satisfy_premisses(self, animals):
-        for model in enumerate_models(animals, OracleConfig(universe_size=2)):
+        models = enumerated_models(animals, 2)
+        assert len(models) == count_models(animals, OracleConfig(universe_size=2))
+        for model in models:
             for p in animals.premisses:
                 assert satisfies(model, p)
-
-    def test_deterministic_order(self, animals):
-        config = OracleConfig(universe_size=2)
-        first = [m.carriers for m in enumerate_models(animals, config)]
-        second = [m.carriers for m in enumerate_models(animals, config)]
-        assert first == second
 
     def test_count_invariant_under_type_renaming(self, animals):
         renamed = Ologism.build(
@@ -105,8 +100,6 @@ class TestEnumeration:
         for check in (count_models, semantic_consequences, check_soundness, check_completeness):
             with pytest.raises(ScaleError, match="4300 digits"):
                 check(animals, beyond)
-        with pytest.raises(ScaleError):
-            next(enumerate_models(animals, beyond))
 
     def test_fragment_guard(self, has_mother):
         assert not is_only(has_mother)
@@ -158,33 +151,24 @@ class TestSoundness:
 
         theory = close(animals)
         props = sorted(theory.propositions() | {E("M", "V")}, key=lambda p: p.sort_key())
-        _, offence = _verify_theory(props, enumerate_models(animals, OracleConfig()))
+        _, offence = _verify_theory(props, enumerated_models(animals, 3))
         assert offence is not None
         prop, model = offence
         assert prop == E("M", "V")
         assert not satisfies(model, prop)
 
-    def test_unsound_closure_gets_the_enumerated_counterexample(self, animals, monkeypatch):
-        from ologism.oracle import _verify_theory
-
-        real_close = oracle.deduce.close
-
-        def close_with_e_m_v(doc, *args, **kwargs):
-            theory = real_close(doc, *args, **kwargs)
-            smuggled = Derivation(E("M", "V"), PREMISS)
-            return dataclasses.replace(
-                theory, derivations={**theory.derivations, smuggled.conclusion: smuggled}
-            )
-
-        monkeypatch.setattr(oracle.deduce, "close", close_with_e_m_v)
+    def test_unsound_closure_gets_the_searched_counterexample(self, animals, unsound_close):
         config = OracleConfig()
-        props = sorted(close_with_e_m_v(animals).propositions(), key=lambda p: p.sort_key())
-        assert E("M", "V") in props
-        checked, offence = _verify_theory(props, enumerate_models(animals, config))
         verdict = check_soundness(animals, config)
         assert not verdict.passed and verdict.mode == "exhaustive"
-        assert (verdict.models_checked, verdict.counterexample) == (checked, offence)
-        assert offence[0] == E("M", "V")
+        prop, model = verdict.counterexample
+        assert prop == E("M", "V")
+        assert check_model(animals, model).ok and not satisfies(model, prop)
+        assert verdict.models_checked == count_models(animals, config) == 42
+        assert str(verdict) == (
+            "soundness FAILS: E(M,V) does not hold in model counterexample: "
+            "A={2}, B={0}, M={1, 2}, V={0, 1, 2}"
+        )
 
     def test_inconclusive_when_models_cannot_be_sampled(self):
         # A full-fragment document with unsatisfiable premisses: every
@@ -370,6 +354,27 @@ class TestAgainstEnumeration:
         rng = random.Random(16)
         for _ in range(60):
             self.check(random_ologism(rng, max_types=5), range(1, 4))
+
+
+class TestCountermodel:
+    """``_Venn.countermodel`` returns a model of the premisses that refutes
+    each proposition outside ``semantic_consequences``, and None for each
+    inside."""
+
+    def test_sample(self, sample):
+        for doc in sample:
+            venn, props = oracle._Venn(doc), all_propositions(doc.type_ids())
+            for n in (1, 2, 3):
+                consequences = semantic_consequences(doc, OracleConfig(universe_size=n))
+                universe = {str(x) for x in range(n)}
+                for prop in props:
+                    model = venn.countermodel(prop, n)
+                    if prop in consequences:
+                        assert model is None, (doc, prop, n)
+                        continue
+                    assert check_model(doc, model).ok, (doc, prop, n, model)
+                    assert not satisfies(model, prop), (doc, prop, n, model)
+                    assert set().union(*model.carriers.values()) <= universe, (doc, n, model)
 
 
 class TestCarrierPrecheck:

@@ -14,6 +14,7 @@ from ologism.repl import Repl
 from .oracles import check_dot
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "ologism" / "data"
+GOLDEN_DOT = Path(__file__).resolve().parent / "golden" / "dot"
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src" / "ologism" / "schemas" / "report.schema.json").read_text()
 )
@@ -317,7 +318,24 @@ class TestExitCodes:
         }
 
 
+# (golden file under tests/golden/dot, CLI arguments); DOC names a bundled document.
+DOT_GOLDENS = [
+    ("animals", ["export-dot", "DOC/animals.olgm"]),
+    ("animals-derived", ["export-dot", "DOC/animals.olgm", "--derived"]),
+    ("has_mother", ["export-dot", "DOC/has_mother.olgm"]),
+    ("custodian", ["export-dot", "DOC/custodian.olgm"]),
+    ("prove-celarent",
+     ["prove", "--premiss", "E:M,P", "--premiss", "A:S,M", "--conclusion", "E:S,P", "--dot"]),
+]
+
+
 class TestExportDot:
+    @pytest.mark.parametrize("name, argv", DOT_GOLDENS, ids=[n for n, _ in DOT_GOLDENS])
+    def test_golden(self, capsys, name, argv):
+        code, out = run(capsys, *(a.replace("DOC/", f"{DATA}/") for a in argv))
+        assert code == 0
+        assert out == (GOLDEN_DOT / f"{name}.dot").read_text(encoding="utf-8")
+
     def test_animals_parses(self, capsys):
         code, out = run(capsys, "export-dot", str(DATA / "animals.olgm"))
         assert code == 0

@@ -15,6 +15,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 FORMS = ("A", "E", "I", "O")
+_CONTRADICTORY = {"A": "O", "E": "I", "I": "E", "O": "A"}
 
 # The aspect label that carries universal-affirmative force ("a woman IS a
 # person").  It is reserved: declaring it is the same as declaring the
@@ -177,6 +178,12 @@ class CategoricalProposition:
 
     def swapped(self) -> "CategoricalProposition":
         return CategoricalProposition(self.form, self.predicate, self.subject)
+
+    def contradictory(self) -> "CategoricalProposition":
+        """The diagonal opposite on the square of opposition, over the same
+        terms: A(S,P) and O(S,P), E(S,P) and I(S,P).  In every model exactly
+        one of the two holds."""
+        return CategoricalProposition(_CONTRADICTORY[self.form], self.subject, self.predicate)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CategoricalProposition):

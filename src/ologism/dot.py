@@ -1,20 +1,22 @@
 """Graphviz DOT rendering of ologism documents.
 
-Types are boxes; aspects are solid labelled edges.  Each E/I/O premiss adds
-its anonymous bullet nodes (drawn as points, unlabelled, exactly as the
-notation prescribes) wired with the orientation of its diagram.  Facts
-annotate the graph with a checkmark edge between their endpoints, and with
-``--derived`` every proposition deduced beyond the premisses comes in as a
-dashed edge from subject to predicate.
+Types are boxes; aspects are solid labelled edges.  Each E/I/O premiss is
+drawn from its diagram, ``syll.diagram_of``: its anonymous bullets become
+unlabelled points, exactly as the notation prescribes (named ``bulletN``,
+skipping any name a type already has), and each arrow one edge pointing the
+same way.  Facts annotate the graph with a checkmark edge between their
+endpoints, and with ``--derived`` every proposition deduced beyond the
+premisses comes in as a dashed edge from subject to predicate.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 from .core import Ologism
 from .deduce import Theory
-from .syll import SyllProofTree
+from .syll import RIGHT, SyllProofTree, diagram_of
 
 
 def _q(text: str) -> str:
@@ -55,30 +57,19 @@ def export_dot(ologism: Ologism, theory: Optional[Theory] = None) -> str:
     for p in o.premisses:
         if p.form == "A":
             lines.append(f"  {_q(p.subject)} -> {_q(p.predicate)} [label={_q('is')}];")
-    bullet = 0
-
-    def fresh() -> str:
-        nonlocal bullet
-        name = f"bullet{bullet}"
-        bullet += 1
-        lines.append(f"  {_q(name)} [shape=point, label={_q('')}];")
-        return name
-
-    for p in (q.canonical() for q in o.premisses):
-        tag = str(p)
-        if p.form == "E":
-            b = fresh()
-            lines.append(f"  {_q(p.subject)} -> {_q(b)} [label={_q(tag)}];")
-            lines.append(f"  {_q(p.predicate)} -> {_q(b)};")
-        elif p.form == "I":
-            b = fresh()
-            lines.append(f"  {_q(b)} -> {_q(p.subject)} [label={_q(tag)}];")
-            lines.append(f"  {_q(b)} -> {_q(p.predicate)};")
-        elif p.form == "O":
-            b1, b2 = fresh(), fresh()
-            lines.append(f"  {_q(b1)} -> {_q(p.subject)} [label={_q(tag)}];")
-            lines.append(f"  {_q(b1)} -> {_q(b2)};")
-            lines.append(f"  {_q(p.predicate)} -> {_q(b2)};")
+    types = set(o.type_ids())
+    bullets = (b for b in (f"bullet{n}" for n in itertools.count()) if b not in types)
+    for p in (q.canonical() for q in o.premisses if q.form != "A"):
+        d = diagram_of(p)
+        names = [n if isinstance(n, str) else next(bullets) for n in d.nodes]
+        lines += [f"  {_q(b)} [shape=point, label={_q('')}];"
+                  for n, b in zip(d.nodes, names) if not isinstance(n, str)]
+        label = f" [label={_q(str(p))}]"
+        for k, arrow in enumerate(d.arrows):
+            ends = (names[k], names[k + 1])
+            tail, head = ends if arrow == RIGHT else ends[::-1]
+            lines.append(f"  {_q(tail)} -> {_q(head)}{label};")
+            label = ""
     for f in o.facts:
         tag = f.name or "fact"
         lines.append(

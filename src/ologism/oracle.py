@@ -151,8 +151,6 @@ def semantic_consequences(
 
 # -- exact semantics over Venn regions ------------------------------------------
 
-_NEGATION = {"A": "O", "E": "I", "I": "E", "O": "A"}
-
 
 def _bits(mask: int) -> Iterator[int]:
     """The set bits of a mask, each as an int with that one bit."""
@@ -192,7 +190,7 @@ class _Venn:
         self.allowed = (1 << (1 << len(self.order))) - 1
         witnesses = set()
         for p in set(ologism.premisses):
-            regions = self.regions(p.form, p.subject, p.predicate)
+            regions = self.regions(p)
             if p.form in "AE":
                 self.allowed &= regions
             else:
@@ -203,9 +201,9 @@ class _Venn:
             {w & self.allowed for w in witnesses}, key=lambda w: (w.bit_count(), w)
         )
 
-    def regions(self, form: str, subject: str, predicate: str) -> int:
+    def regions(self, prop: CategoricalProposition) -> int:
         """The regions at whose elements the proposition holds."""
-        holds, s, p = HOLDS[form], self.order[subject], self.order[predicate]
+        holds, s, p = HOLDS[prop.form], self.order[prop.subject], self.order[prop.predicate]
         return sum(
             1 << r for r in range(1 << len(self.order)) if holds(r >> s & 1, r >> p & 1)
         )
@@ -230,9 +228,9 @@ class _Venn:
             return frozenset(props)
         out = set()
         for prop in props:
-            negation = _NEGATION[prop.form]
-            regions = self.regions(negation, prop.subject, prop.predicate)
-            if negation in "AE":  # every element satisfies the negation
+            negation = prop.contradictory()
+            regions = self.regions(negation)
+            if negation.form in "AE":  # every element satisfies the negation
                 refutable = self.satisfiable(n, within=regions)
             else:  # some element does
                 refutable = self.satisfiable(n, witnesses=[regions])
@@ -248,9 +246,9 @@ class _Venn:
         unwitnessed and leaves the rest coverable by the elements after it.
         The elements left over go to region 0, where every A and E holds.
         """
-        negation = _NEGATION[prop.form]
-        regions = self.regions(negation, prop.subject, prop.predicate)
-        within, extra = (regions, ()) if negation in "AE" else (-1, (regions,))
+        negation = prop.contradictory()
+        regions = self.regions(negation)
+        within, extra = (regions, ()) if negation.form in "AE" else (-1, (regions,))
         allowed = self.allowed & within
         sets = [w & allowed for w in (*self.witnesses, *extra)]
         hits = {r: sum(1 << j for j, w in enumerate(sets) if w & r) for r in _bits(allowed)}

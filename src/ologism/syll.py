@@ -118,6 +118,8 @@ _SHAPES = {
     "I": ((BULLET,), (LEFT, RIGHT)),
     "O": ((BULLET, BULLET), (LEFT, RIGHT, LEFT)),
 }
+# Each shape's arrows alone determine its form.
+_FORM_OF_ARROWS = {arrows: form for form, (_, arrows) in _SHAPES.items()}
 
 
 def diagram_of(prop: CategoricalProposition) -> SyllDiagram:
@@ -178,30 +180,23 @@ def delete_middle(d: SyllDiagram, m: str) -> Union[SyllDiagram, Rejection]:
 def classify(d: SyllDiagram) -> Optional[CategoricalProposition]:
     """The proposition whose diagram is ``d`` or its reversal, if any."""
     for cand in (d, reverse(d)):
-        terms = (cand.first, cand.last)
-        for form, (inner, arrows) in _SHAPES.items():
-            if cand.arrows != arrows:
-                continue
-            if all(isinstance(n, _Bullet) for n in cand.nodes[1:-1]) and len(cand.nodes) == len(inner) + 2:
-                return proposition(form, *terms)
+        form = _FORM_OF_ARROWS.get(cand.arrows)
+        if form and all(isinstance(n, _Bullet) for n in cand.nodes[1:-1]):
+            return proposition(form, cand.first, cand.last)
     return None
 
 
 def is_well_formed(d: SyllDiagram) -> bool:
     """True when the diagram decomposes into superposed syllogistic diagrams.
 
-    Walk term to term; every stretch between consecutive terms must be one of
-    the four shapes or a mirror of one.
+    Walk term to term; every stretch between consecutive terms must classify
+    as one of the four forms, drawn either way round.
     """
     term_idx = [i for i, n in enumerate(d.nodes) if isinstance(n, str)]
-    if not term_idx or term_idx[0] != 0 or term_idx[-1] != len(d.nodes) - 1:
-        return False
-    segments = {arrows for _, arrows in _SHAPES.values()}
-    segments |= {tuple(LEFT if a == RIGHT else RIGHT for a in reversed(s)) for s in segments}
-    for a, b in zip(term_idx, term_idx[1:]):
-        if d.arrows[a:b] not in segments:
-            return False
-    return True
+    return all(
+        classify(SyllDiagram(d.nodes[a:b + 1], d.arrows[a:b])) is not None
+        for a, b in zip(term_idx, term_idx[1:])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +285,12 @@ def prove(
     """Run the validity algorithm: search chains of superpositions and
     middle-term deletions from the premiss diagrams to the conclusion.
 
-    The search is over premiss orders and per-diagram reversals, premisses
-    left to right and unreversed before reversed, so the returned proof tree
-    is deterministic.  Conclusion matching is up to reversal, since a mirrored
-    diagram denotes the same proposition.  Before searching at all: bullets
-    are conserved by every move, so unequal bullet counts reject immediately.
+    The search tries each premiss order with each per-premiss reversal mask,
+    fewest reversals first and otherwise in ``itertools`` order, so the
+    returned proof tree is deterministic.  Conclusion matching is up to
+    reversal, since a mirrored diagram denotes the same proposition.  Before
+    searching at all: bullets are conserved by every move, so unequal bullet
+    counts reject immediately.
     """
     if not 1 <= len(premisses) <= 3:
         raise PatternError(f"expected 1 to 3 premisses, got {len(premisses)}")
@@ -303,7 +299,8 @@ def prove(
     if missing:
         raise PatternError(f"conclusion term(s) {missing} appear in no premiss")
 
-    want = bullet_count(diagram_of(conclusion))
+    goal = diagram_of(conclusion)
+    want = bullet_count(goal)
     have = sum(bullet_count(diagram_of(p)) for p in premisses)
     if have != want:
         return Rejection(
@@ -311,26 +308,15 @@ def prove(
             f"premisses carry {have} bullet(s) but the conclusion carries {want}",
         )
 
-    goal = diagram_of(conclusion)
-    best: Optional[Rejection] = None
-    rank = {"DiscordantArrows": 0, "ResultNotWellFormed": 1, "ConclusionMismatch": 2}
-
-    def note(r: Rejection) -> None:
-        nonlocal best
-        if best is None or rank[r.reason] > rank[best.reason]:
-            best = r
-
     k = len(premisses)
-    masks_by_count: dict[int, list[tuple[bool, ...]]] = {}
-    for mask in itertools.product((False, True), repeat=k):
-        masks_by_count.setdefault(sum(mask), []).append(mask)
-    candidates = [
-        (order, mask)
-        for count in range(k + 1)
-        for order in itertools.permutations(range(k))
-        for mask in masks_by_count[count]
-    ]
-
+    # (premiss order, reversal mask indexed by premiss), fewest reversals first.
+    candidates = sorted(
+        itertools.product(
+            itertools.permutations(range(k)), itertools.product((False, True), repeat=k)
+        ),
+        key=lambda c: sum(c[1]),
+    )
+    rejections: list[Rejection] = []
     mirrored: Optional[SyllProofTree] = None
     for order, mask in candidates:
         trees: list[SyllProofTree] = []
@@ -339,36 +325,32 @@ def prove(
             if mask[idx]:
                 t = SyllProofTree(reverse(t.root), REVERSAL, (t,))
             trees.append(t)
-        chain = trees[0]
-        ok = True
-        for t in trees[1:]:
-            if chain.root.last != t.root.first:
-                ok = False
-                break
-            chain = SyllProofTree(superpose(chain.root, t.root), SUPERPOSITION, (chain, t))
-        if not ok:
+        if any(a.root.last != b.root.first for a, b in zip(trees, trees[1:])):
             continue
+        chain = trees[0]
+        for t in trees[1:]:
+            chain = SyllProofTree(superpose(chain.root, t.root), SUPERPOSITION, (chain, t))
         reduced = _reduce(chain)
         if isinstance(reduced, Rejection):
-            note(reduced)
-            continue
-        got = classify(reduced.root)
-        if got is None:
-            note(Rejection("ResultNotWellFormed", f"{reduced.root} is not a syllogistic diagram"))
-            continue
-        if got != conclusion:
-            note(Rejection("ConclusionMismatch", f"calculation yields {got}, wanted {conclusion}"))
-            continue
-        if reduced.root == goal:
+            rejections.append(reduced)
+        elif (got := classify(reduced.root)) is None:
+            rejections.append(Rejection("ResultNotWellFormed", f"{reduced.root} is not a syllogistic diagram"))
+        elif got != conclusion:
+            rejections.append(Rejection("ConclusionMismatch", f"calculation yields {got}, wanted {conclusion}"))
+        elif reduced.root == goal:
             return reduced
-        if mirrored is None:
+        elif mirrored is None:
             # Right proposition, mirrored drawing; keep looking for a chain
             # that lands on the conclusion diagram itself.
             mirrored = SyllProofTree(goal, REVERSAL, (reduced,))
     if mirrored is not None:
         return mirrored
-    return best or Rejection(
-        "ResultNotWellFormed", "the premiss diagrams share no term to superpose on"
+    # The first rejection of the highest rank: the one that got furthest.
+    rank = ("DiscordantArrows", "ResultNotWellFormed", "ConclusionMismatch")
+    return max(
+        rejections,
+        key=lambda r: rank.index(r.reason),
+        default=Rejection("ResultNotWellFormed", "the premiss diagrams share no term to superpose on"),
     )
 
 
@@ -444,16 +426,9 @@ def derive_contradiction(
     """For a diagonally opposed pair, derive the unreadable diagram O(X,X).
 
     The diagonals of the square of opposition are {A(S,P), O(S,P)} and
-    {I(S,P), E(S,P)}; any other pair returns None.
+    {I(S,P), E(S,P)}; any pair but ``p`` and its contradictory returns None.
     """
-    forms = {p.form, q.form}
-    if forms == {"A", "O"}:
-        if (p.subject, p.predicate) != (q.subject, q.predicate):
-            return None
-    elif forms == {"I", "E"}:
-        if {p.subject, p.predicate} != {q.subject, q.predicate}:
-            return None
-    else:
+    if q != p.contradictory():
         return None
     for x in (p.subject, p.predicate):
         result = prove([p, q], proposition("O", x, x))

@@ -353,6 +353,19 @@ class TestExportDot:
         assert "✓ has-mother" in out
         check_dot(out)
 
+    def test_bullet_names_skip_type_ids(self, capsys, tmp_path):
+        doc = tmp_path / "clash.olgm"
+        doc.write_text('ologism "clash" {\n  type bullet0 "a bullet"\n  type X "an x"\n  E X bullet0\n}\n')
+        code, out = run(capsys, "export-dot", str(doc))
+        assert code == 0
+        check_dot(out)
+        assert '"bullet0" [label="a bullet"];' in out
+        assert '"bullet0" [shape=point' not in out
+        assert '"bullet1" [shape=point, label=""];' in out
+        assert '"X" -> "bullet1" [label="E(X,bullet0)"];' in out
+        assert '"bullet0" -> "bullet1";' in out
+        assert '"bullet0" -> "bullet0"' not in out
+
     def test_empty_document(self, capsys, tmp_path):
         empty = tmp_path / "empty.olgm"
         empty.write_text('ologism "void" {\n}\n')

@@ -23,6 +23,7 @@ from ologism.core import (
     structurally_equal,
     validate,
 )
+from .oracles import _holds
 
 f = Aspect("f", "X", "Y")
 g = Aspect("g", "Y", "Z")
@@ -88,6 +89,20 @@ class TestCanonicalization:
     def test_bad_form(self):
         with pytest.raises(ValueError):
             proposition("B", "X", "Y")
+
+
+class TestContradictory:
+    @given(props)
+    def test_involution_on_the_same_terms(self, p):
+        q = p.contradictory()
+        assert q.contradictory() == p
+        assert q.terms == p.terms and q.form != p.form
+
+    @pytest.mark.parametrize("form", "AEIO")
+    def test_opposite_truth_on_every_pair_of_carriers(self, form):
+        q = proposition(form, "S", "P").contradictory()
+        for s, t in itertools.product(range(1 << 3), repeat=2):  # subsets of a 3-element universe
+            assert _holds(form, s, t) != _holds(q.form, s, t)
 
 
 class TestReading(object):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -27,7 +28,7 @@ from ologism.syll import (
     reverse,
     superpose,
 )
-from .oracles import semantically_valid_mood
+from .oracles import _holds, semantically_valid_mood
 
 
 class TestDiagrams:
@@ -143,11 +144,25 @@ class TestClassify:
     def test_not_a_shape(self):
         assert classify(diagram("S <- * -> * <- * -> P")) is None
 
+    @pytest.mark.parametrize("text", ["S -> M -> P", "S -> * -> P"])
+    def test_neither_a_shape_nor_its_mirror(self, text):
+        assert classify(diagram(text)) is None
+
     @given(st.sampled_from("AEIO"), st.sampled_from(["S", "P"]), st.sampled_from(["S", "P"]))
     def test_roundtrip_with_reversal(self, form, x, y):
         p = proposition(form, x, y)
         assert classify(diagram_of(p)) == p
         assert classify(reverse(diagram_of(p))) == p
+
+
+class TestWellFormed:
+    @pytest.mark.parametrize("text", ["S -> M <- P", "S <- * -> M -> * <- P"])
+    def test_superposed_shapes(self, text):
+        assert is_well_formed(diagram(text))
+
+    @pytest.mark.parametrize("text", ["S <- * -> * <- * -> P", "S -> * -> P"])
+    def test_stretch_that_is_no_shape(self, text):
+        assert not is_well_formed(diagram(text))
 
 
 class TestProve:
@@ -282,3 +297,26 @@ class TestContradiction:
         assert derive_contradiction(A("S", "P"), I("S", "P")) is None
         assert derive_contradiction(E("S", "P"), O("S", "P")) is None
         assert derive_contradiction(A("S", "P"), O("P", "S")) is None
+
+    def test_exactly_the_contradictory_pairs(self):
+        # Derivable for the 48 pairs q == p.contradictory() among all 1,296
+        # pairs of literals over S, M, P, and for each of them exactly one of
+        # p and q holds under every assignment on a 2-element universe.  Some
+        # other pairs, such as A(S,S) with O(M,M), are never both true either,
+        # so this is not "derivable iff semantically exclusive".
+        terms = ("S", "M", "P")
+        literals = [proposition(f, s, t) for f in "AEIO" for s in terms for t in terms]
+        derived = []
+        for p, q in itertools.product(literals, repeat=2):
+            tree = derive_contradiction(p, q)
+            assert (tree is not None) == (q == p.contradictory())
+            if tree is not None:
+                assert tree.replay() == tree.root and classify(tree.root).form == "O"
+                derived.append((p, q))
+        assert len(derived) == 48
+        for values in itertools.product(range(1 << 2), repeat=3):
+            assign = dict(zip(terms, values))
+            for p, q in derived:
+                assert _holds(p.form, assign[p.subject], assign[p.predicate]) != _holds(
+                    q.form, assign[q.subject], assign[q.predicate]
+                )

@@ -95,7 +95,7 @@ def _aspect_function(model: Model, aspect: Aspect) -> Optional[Mapping[str, str]
     return model.maps.get(aspect.name)
 
 
-def _evaluate(model: Model, ologism: Ologism, path: PathWord, element: str) -> Optional[str]:
+def _evaluate(model: Model, path: PathWord, element: str) -> Optional[str]:
     """Chase one element through a path word; None when any map is partial."""
     cur = element
     for arc in path.arcs:
@@ -162,8 +162,8 @@ def _fact_violations(ologism: Ologism, model: Model) -> list[Violation]:
         if not fact.parallel:
             continue
         for element in sorted(model.carriers.get(fact.lhs.source, frozenset())):
-            left = _evaluate(model, ologism, fact.lhs, element)
-            right = _evaluate(model, ologism, fact.rhs, element)
+            left = _evaluate(model, fact.lhs, element)
+            right = _evaluate(model, fact.rhs, element)
             if left is None or right is None:
                 continue  # partiality already reported as MapNotTotal
             if left != right:

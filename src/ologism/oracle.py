@@ -10,17 +10,17 @@ For the is-only fragment (no facts, no general aspects) a model is a subset
 assignment, and the oracle answers exactly without listing the assignments.
 A region is the set of types one element belongs to.  Membership in each
 carrier is one bit, so ``model.HOLDS`` applied to those bits reads a
-proposition at one element: A and E premisses must hold at every element,
-which leaves a set R of allowed regions, and each distinct I or O premiss
-needs one element in its witness regions.  By inclusion-exclusion over the
-witness sets, the number of n-element models is ``sum c[U] * |R - U|**n``
-over the unions U of witness sets; the coefficients are built once per
-document, so every n is one sum.  Whether any n-element model exists is a
-search for at most n elements that witness every set, and a proposition is
-a consequence iff the document plus its negation has no model (the
-negations A->O and E->I add a witness set, I->E and O->A shrink R).  A
-failing soundness check takes its counterexample from the same search,
-placing the witnesses of the document plus the negation element by element.
+proposition at one element.  Each A or E shrinks the set R of allowed
+regions, as it holds at every element, and each distinct I or O adds a set
+of witness regions, one of which some element takes, whether it comes from
+a premiss, a negation or a set of empty types.  By inclusion-exclusion over
+the premisses' witness sets, the number of n-element models is ``sum c[U] *
+|R - U|**n`` over the unions U of witness sets; the coefficients are built
+once per document, so every n is one sum.  Every exact judgement asks
+whether the document plus some propositions has an n-element model: a
+search for at most n elements that witness every set.  A proposition is a
+consequence iff the document plus its negation has none, and a failing
+soundness check places the witnesses of that search element by element.
 
 A document may have at most ``DEFAULT_TYPE_CAP`` types, and 2**(types*n),
 the number of assignments and so a bound on every count, may have at most
@@ -52,9 +52,9 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import CategoricalProposition, Ologism, proposition
+from .core import E, I, CategoricalProposition, Ologism, proposition
 from .model import HOLDS, Model, check_model, satisfies
 from . import deduce
 
@@ -187,14 +187,8 @@ class _Venn:
     def __init__(self, ologism: Ologism) -> None:
         self.name = ologism.name
         self.order = {t: i for i, t in enumerate(sorted(ologism.type_ids()))}
-        self.allowed = (1 << (1 << len(self.order))) - 1
-        witnesses = set()
-        for p in set(ologism.premisses):
-            regions = self.regions(p)
-            if p.form in "AE":
-                self.allowed &= regions
-            else:
-                witnesses.add(regions)
+        everywhere = (1 << (1 << len(self.order))) - 1
+        self.allowed, witnesses = self._constrain(set(ologism.premisses), everywhere)
         # Smallest first: the search branches on the first set left
         # unwitnessed, and the coefficients grow least in this order.
         self.witnesses = sorted(
@@ -208,16 +202,31 @@ class _Venn:
             1 << r for r in range(1 << len(self.order)) if holds(r >> s & 1, r >> p & 1)
         )
 
-    def satisfiable(self, n: int, within: int = -1, witnesses: Sequence[int] = ()) -> bool:
-        """Whether some n-element model exists with every element inside
-        ``within`` and one inside each of ``witnesses``: whether n elements
-        in the allowed regions can witness every witness set."""
-        allowed = self.allowed & within
+    def _constrain(self, props: Iterable[CategoricalProposition], allowed: int) -> tuple[int, list]:
+        """``allowed`` narrowed to where each A and E holds, as it must at
+        every element, and the regions of each I and O, which need one."""
+        witnesses = []
+        for p in props:
+            if p.form in "AE":
+                allowed &= self.regions(p)
+            else:
+                witnesses.append(self.regions(p))
+        return allowed, witnesses
+
+    def _search(self, extra: Iterable[CategoricalProposition]) -> Optional[tuple[list, dict]]:
+        """The witness sets of the document plus ``extra``, cut to the allowed
+        regions, and the sets each allowed region witnesses, in bit order;
+        None when some set has no allowed region left."""
+        allowed, witnesses = self._constrain(extra, self.allowed)
         sets = [w & allowed for w in (*self.witnesses, *witnesses)]
         if not all(sets):
-            return False
-        hits = {r: sum(1 << j for j, w in enumerate(sets) if w & r) for r in _bits(allowed)}
-        return _coverable(sets, hits, (1 << len(sets)) - 1, n, {})
+            return None
+        return sets, {r: sum(1 << j for j, w in enumerate(sets) if w & r) for r in _bits(allowed)}
+
+    def satisfiable(self, n: int, extra: Iterable[CategoricalProposition] = ()) -> bool:
+        """Whether the document plus ``extra`` has an n-element model."""
+        search = self._search(extra)
+        return search is not None and _coverable(*search, (1 << len(search[0])) - 1, n, {})
 
     def entailed(
         self, props: Sequence[CategoricalProposition], n: int
@@ -226,17 +235,7 @@ class _Venn:
         leaves the document without one.  All of them when it has none."""
         if not self.satisfiable(n):
             return frozenset(props)
-        out = set()
-        for prop in props:
-            negation = prop.contradictory()
-            regions = self.regions(negation)
-            if negation.form in "AE":  # every element satisfies the negation
-                refutable = self.satisfiable(n, within=regions)
-            else:  # some element does
-                refutable = self.satisfiable(n, witnesses=[regions])
-            if not refutable:
-                out.add(prop)
-        return frozenset(out)
+        return frozenset(p for p in props if not self.satisfiable(n, [p.contradictory()]))
 
     def countermodel(self, prop: CategoricalProposition, n: int) -> Optional[Model]:
         """An n-element model in which ``prop`` fails, or None if none does.
@@ -246,14 +245,12 @@ class _Venn:
         unwitnessed and leaves the rest coverable by the elements after it.
         The elements left over go to region 0, where every A and E holds.
         """
-        negation = prop.contradictory()
-        regions = self.regions(negation)
-        within, extra = (regions, ()) if negation.form in "AE" else (-1, (regions,))
-        allowed = self.allowed & within
-        sets = [w & allowed for w in (*self.witnesses, *extra)]
-        hits = {r: sum(1 << j for j, w in enumerate(sets) if w & r) for r in _bits(allowed)}
+        search = self._search([prop.contradictory()])
+        if search is None:
+            return None
+        sets, hits = search
         unhit, memo, picked = (1 << len(sets)) - 1, {}, []
-        if not all(sets) or not _coverable(sets, hits, unhit, n, memo):
+        if not _coverable(sets, hits, unhit, n, memo):
             return None
         for after in reversed(range(n)):
             region = next(
@@ -328,21 +325,18 @@ def _carriers_possible(ologism: Ologism, n: int) -> bool:
     every model must.
 
     Each set Z of empty types that holds a named aspect's source whenever
-    it holds its target is one search: the elements avoid the regions of
-    the types in Z, and each other type needs an element in its regions.
+    it holds its target is one search: the document plus E(T,T) for each
+    type T in Z and I(T,T) for each other type.
     """
     venn = _Venn(ologism)
-    regions = range(1 << len(venn.order))
-    inside = [sum(1 << r for r in regions if r >> t & 1) for t in range(len(venn.order))]
-    arrows = [
-        (venn.order[a.source], venn.order[a.target]) for a in ologism.aspects if not a.is_flag
-    ]
-    for empty in regions:  # a set of types, numbered as a region is
+    empty_or_not = [(E(t, t), I(t, t)) for t in venn.order]
+    arrows = [(venn.order[a.source], venn.order[a.target])
+              for a in ologism.aspects if not a.is_flag]
+    for empty in range(1 << len(venn.order)):  # a set of types, numbered as a region is
         if any(empty >> t & 1 and not empty >> s & 1 for s, t in arrows):
             continue
-        within = sum(1 << r for r in regions if not r & empty)
-        nonempty = [w for t, w in enumerate(inside) if not empty >> t & 1]
-        if venn.satisfiable(n, within, nonempty):
+        extra = [pair[not empty >> t & 1] for t, pair in enumerate(empty_or_not)]
+        if venn.satisfiable(n, extra):
             return True
     return False
 
@@ -441,7 +435,6 @@ class CompletenessVerdict:
     gap: frozenset[CategoricalProposition]
     gap_at_next: frozenset[CategoricalProposition]
     gap_closed_by_import: bool
-    models_exist: bool
 
     def __str__(self) -> str:
         if self.passed:
@@ -486,9 +479,9 @@ def check_completeness(
     props = all_propositions(ologism.type_ids())
     consequences = venn.entailed(props, n)
     gap = consequences - closure
-    models_exist = venn.satisfiable(n)
     if not gap:
-        return CompletenessVerdict(True, n, gap, frozenset(), False, models_exist)
+        return CompletenessVerdict(True, n, gap, frozenset(), False)
     gap_next = venn.entailed(props, n + 1) - closure
+    models_exist = venn.satisfiable(n)
     explained = models_exist and gap <= _import_closure(ologism, consequences)
-    return CompletenessVerdict(False, n, gap, gap_next, explained, models_exist)
+    return CompletenessVerdict(False, n, gap, gap_next, explained)

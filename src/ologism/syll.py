@@ -316,15 +316,12 @@ def prove(
         ),
         key=lambda c: sum(c[1]),
     )
+    # Each premiss's leaf and its reversal, drawn once: trees are values.
+    drawn = [(t, SyllProofTree(reverse(t.root), REVERSAL, (t,))) for t in map(_leaf, premisses)]
     rejections: list[Rejection] = []
     mirrored: Optional[SyllProofTree] = None
     for order, mask in candidates:
-        trees: list[SyllProofTree] = []
-        for idx in order:
-            t = _leaf(premisses[idx])
-            if mask[idx]:
-                t = SyllProofTree(reverse(t.root), REVERSAL, (t,))
-            trees.append(t)
+        trees = [drawn[idx][mask[idx]] for idx in order]
         if any(a.root.last != b.root.first for a, b in zip(trees, trees[1:])):
             continue
         chain = trees[0]

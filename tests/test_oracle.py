@@ -377,6 +377,32 @@ class TestCountermodel:
                     assert set().union(*model.carriers.values()) <= universe, (doc, n, model)
 
 
+class TestSatisfiable:
+    """``_Venn.satisfiable`` with extra propositions against
+    ``enumerated_models`` on the document with the extras declared as
+    premisses."""
+
+    def test_random_extras(self):
+        rng = random.Random(41)
+        forms, answers = Counter(), Counter()
+        for _ in range(150):
+            doc = random_ologism(rng)
+            types, size = sorted(doc.type_ids()), rng.randint(1, 3)
+            venn, extra = oracle._Venn(doc), []
+            while len(extra) < size:
+                form, x, y = rng.choice("AEIO"), rng.choice(types), rng.choice(types)
+                if form != "A" or x != y:  # identities are implicit, never premissed
+                    extra.append(proposition(form, x, y))
+            declared = doc.replace_premisses(dict.fromkeys([*doc.premisses, *extra]))
+            for n in (1, 2, 3):
+                expected = bool(enumerated_models(declared, n))
+                assert venn.satisfiable(n, extra) == expected, (doc, extra, n)
+                answers[expected] += 1
+            forms.update(p.form for p in extra)
+        assert set(forms) == set("AEIO")
+        assert min(answers.values()) > 50  # both answers are exercised
+
+
 class TestCarrierPrecheck:
     """``_carriers_possible`` against ``carrier_assignment_exists``, which
     tests every subset assignment."""

@@ -23,10 +23,11 @@ The closure is one semi-naive saturation over every rule at once, level by
 level in derivation height.  Identities and premisses have height 1 (an
 identity wins over an A(X,X) premiss).  Facts are indexed by (form,
 position, term) as their level is reached; level h joins only the facts of
-height h with the indexed facts, so every conclusion not yet known gets
-height h + 1, and among that level's candidates for it the least (rule tag,
-child triples) wins.  That is the least (height, rule, operands) over all
-derivations, found without re-running old joins.
+height h, each through the rule rows of its form, with the indexed facts, so
+every conclusion not yet known gets height h + 1, and among that level's
+candidates for it the least (rule tag, child triples) wins.  That is the
+least (height, rule, operands) over all derivations, found without
+re-running old joins.
 
 The default calculus is sound but not complete for the set semantics: it
 cannot derive implied existential import (I(A,B) forces A nonempty, yet
@@ -41,6 +42,7 @@ calculus="complete")`` adds the rules that close those gaps:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
@@ -185,10 +187,25 @@ def _yields(rule: str, kids: list[Triple], types: tuple[str, ...]) -> list[Tripl
     return []
 
 
+def _by_form(rows: tuple, at: int) -> dict[str, list[tuple]]:
+    """``rows`` grouped by the form at position ``at``, each group in table
+    order."""
+    groups: dict[str, list[tuple]] = {}
+    for row in rows:
+        groups.setdefault(row[at], []).append(row)
+    return groups
+
+
+# The ``_JOINS`` rows that take a fact of each form as left, and as right,
+# premiss; ``_saturate`` loops only over these.
+_AS_LEFT, _AS_RIGHT = _by_form(_JOINS, 1), _by_form(_JOINS, 3)
+
+
 def _saturate(info: Info, unaries: tuple, types: tuple[str, ...]) -> None:
     """Close ``info``, whose facts all have height 1, under ``_JOINS`` and
     ``unaries``, level by level in derivation height (see the module
     docstring)."""
+    by_form = _by_form(unaries, 1)
     index: dict[tuple[str, int, str], list[Triple]] = {}
     level, h = list(info), 1
     while level:
@@ -197,14 +214,16 @@ def _saturate(info: Info, unaries: tuple, types: tuple[str, ...]) -> None:
             index.setdefault((t[0], 2, t[2]), []).append(t)
         best: dict[Triple, tuple[str, tuple[Triple, ...]]] = {}
         for t in level:
-            found = [((out, t[3 - lj], r[3 - rj]), tag, (t, r))
-                     for tag, lf, lj, rf, rj, out in _JOINS if t[0] == lf
-                     for r in index.get((rf, rj, t[lj]), ())]
-            found += [((out, left[3 - lj], t[3 - rj]), tag, (left, t))
-                      for tag, lf, lj, rf, rj, out in _JOINS if t[0] == rf
-                      for left in index.get((lf, lj, t[rj]), ())]
-            found += [(c, tag, (t,)) for tag, form, conclude in unaries if t[0] == form
-                      for c in conclude(t, types)]
+            found = []
+            for tag, _, lj, rf, rj, out in _AS_LEFT.get(t[0], ()):
+                for r in index.get((rf, rj, t[lj]), ()):
+                    found.append(((out, t[3 - lj], r[3 - rj]), tag, (t, r)))
+            for tag, lf, lj, _, rj, out in _AS_RIGHT.get(t[0], ()):
+                for left in index.get((lf, lj, t[rj]), ()):
+                    found.append(((out, left[3 - lj], t[3 - rj]), tag, (left, t)))
+            for tag, _, conclude in by_form.get(t[0], ()):
+                for c in conclude(t, types):
+                    found.append((c, tag, (t,)))
             for concl, tag, children in found:
                 if concl not in info and (concl not in best or (tag, children) < best[concl]):
                     best[concl] = (tag, children)
@@ -213,22 +232,39 @@ def _saturate(info: Info, unaries: tuple, types: tuple[str, ...]) -> None:
         level, h = list(best), h + 1
 
 
-def _build_trees(info: Info) -> dict[Triple, Derivation]:
-    """One tree per triple; ``info`` lists every fact after its children."""
+def _build_trees(info: Info, previous: Optional[Theory]) -> dict[Triple, Derivation]:
+    """One tree per triple; ``info`` lists every fact after its children.
+
+    A tree of ``previous`` is kept where it states the same triple by the
+    same rule from the very trees built here for its children, so it is
+    the tree that would be built."""
+    old: dict[Triple, Derivation] = {}
+    stack = [*previous.derivations.values()] if previous else []
+    while stack:
+        tree = stack.pop()
+        triple = _triple(tree.conclusion)
+        if triple not in old:
+            old[triple] = tree
+            stack += tree.children
     trees: dict[Triple, Derivation] = {}
     for triple, (_, tag, children) in info.items():
-        trees[triple] = Derivation(
-            proposition(*triple), tag, tuple(trees[c] for c in children)
-        )
+        kids = tuple([trees[c] for c in children])
+        tree = old.get(triple)
+        if tree is None or tree.rule != tag or not all(map(operator.is_, tree.children, kids)):
+            tree = Derivation(proposition(*triple), tag, kids)
+        trees[triple] = tree
     return trees
 
 
-def close(ologism: Ologism, calculus: str = "default") -> Theory:
+def close(ologism: Ologism, calculus: str = "default",
+          previous: Optional[Theory] = None) -> Theory:
     """Compute the least fixpoint of the deductive equipment.
 
     ``calculus`` is ``"default"`` (R1-R8 plus symmetry) or ``"complete"``
     (those plus existence, emptiness and explosion); either is one
     saturation pass over its rules.  Any other name raises ``ValueError``.
+    With ``previous``, any earlier theory, each derivation that comes out
+    the same as one of its trees is that tree, not a copy.
     """
     if calculus not in _CALCULI:
         raise ValueError(f"calculus must be one of {', '.join(_CALCULI)}, got {calculus!r}")
@@ -243,19 +279,17 @@ def close(ologism: Ologism, calculus: str = "default") -> Theory:
     _saturate(info, _CALCULI[calculus], types)
 
     # Symmetry derives the canonical orientation of every E and I fact too.
-    derivations = {tree.conclusion: tree for (form, s, p), tree in _build_trees(info).items()
+    trees = _build_trees(info, previous)
+    derivations = {tree.conclusion: tree for (form, s, p), tree in trees.items()
                    if not (form in "EI" and p < s)}
     return Theory(ologism.name, types, frozenset(ologism.premisses), derivations)
 
 
 def contradictions(theory: Theory) -> list[tuple[str, Derivation]]:
-    """Every type X with a derivable O(X,X), with its derivation."""
-    out = []
-    for t in theory.types:
-        derivation = theory.derivations.get(proposition("O", t, t))
-        if derivation is not None:
-            out.append((t, derivation))
-    return out
+    """Every type X with a derivable O(X,X), with its derivation, in type
+    order."""
+    return sorted(((p.subject, d) for p, d in theory.derivations.items()
+                   if p.form == "O" and p.subject == p.predicate), key=operator.itemgetter(0))
 
 
 def explain(theory: Theory, prop: CategoricalProposition) -> Optional[Derivation]:

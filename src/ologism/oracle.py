@@ -187,6 +187,7 @@ class _Venn:
     def __init__(self, ologism: Ologism) -> None:
         self.name = ologism.name
         self.order = {t: i for i, t in enumerate(sorted(ologism.type_ids()))}
+        self._regions: dict[CategoricalProposition, int] = {}
         everywhere = (1 << (1 << len(self.order))) - 1
         self.allowed, witnesses = self._constrain(set(ologism.premisses), everywhere)
         # Smallest first: the search branches on the first set left
@@ -196,11 +197,16 @@ class _Venn:
         )
 
     def regions(self, prop: CategoricalProposition) -> int:
-        """The regions at whose elements the proposition holds."""
-        holds, s, p = HOLDS[prop.form], self.order[prop.subject], self.order[prop.predicate]
-        return sum(
-            1 << r for r in range(1 << len(self.order)) if holds(r >> s & 1, r >> p & 1)
-        )
+        """The regions at whose elements the proposition holds, built once
+        per proposition.  E and I hold at the same regions in either
+        orientation, which the memo's keys, equal across it, rely on."""
+        mask = self._regions.get(prop)
+        if mask is None:
+            holds, s, p = HOLDS[prop.form], self.order[prop.subject], self.order[prop.predicate]
+            mask = self._regions[prop] = sum(
+                1 << r for r in range(1 << len(self.order)) if holds(r >> s & 1, r >> p & 1)
+            )
+        return mask
 
     def _constrain(self, props: Iterable[CategoricalProposition], allowed: int) -> tuple[int, list]:
         """``allowed`` narrowed to where each A and E holds, as it must at

@@ -2,9 +2,11 @@
 
 ``add`` parses only the typed item, against the current document's
 declarations, and reports diagnostics at positions in the item.  Every write
-then closes the new document from scratch and prints the newly derived
-propositions and any fresh contradiction, which is the whole point of
-assisting an author while they impose constraints.
+then closes the new document, passing the current theory as ``previous``:
+the saturation runs in full, but each derivation tree that comes out the
+same as before is the earlier object, not a rebuilt copy.  It prints the
+newly derived propositions and any fresh contradiction, which is the whole
+point of assisting an author while they impose constraints.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ class Repl:
             for d in result.errors:
                 self.say(str(d))
             return
-        self.adopt(result.value, deduce.close(result.value))
+        self.adopt(result.value, deduce.close(result.value, previous=self.theory))
 
     def retract_item(self, item: str) -> None:
         doc = self.require_doc()
@@ -155,7 +157,7 @@ class Repl:
             if target not in doc.premisses:
                 raise ValueError(f"premiss {target} is not declared")
             doc = doc.replace_premisses(tuple(p for p in doc.premisses if p != target))
-            self.adopt(doc, deduce.close(doc))
+            self.adopt(doc, deduce.close(doc, previous=self.theory))
             self.say(f"retracted {target}")
             return
         raise ValueError("retract handles premisses, e.g.: retract E B M")

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import io
 import random
 
 import pytest
 
 from ologism import data
+from ologism.dsl import serialize
+from ologism.repl import Repl
 from ologism.core import A, E, I, InvalidOlogismError, O, Ologism, TypeDecl, proposition
 from ologism.deduce import _JOINS, Derivation, Theory, close, contradictions, explain
 from ologism.syll import Rejection, enumerate_moods, mood_premisses, prove
@@ -327,10 +330,11 @@ def _triple(p) -> tuple[str, str, str]:
     return (p.form, p.subject, p.predicate)
 
 
-def assert_minimal_derivations(doc: Ologism, calculus: str) -> None:
-    """Every step of every stored derivation has the reference's height, rule
-    and child conclusions, and the theory holds exactly the reference's."""
-    theory = close(doc, calculus=calculus)
+def assert_minimal_derivations(doc: Ologism, calculus: str, theory: Theory | None = None) -> None:
+    """Every step of every stored derivation (of ``theory``, or of ``doc``
+    closed here) has the reference's height, rule and child conclusions, and
+    the theory holds exactly the reference's."""
+    theory = theory or close(doc, calculus=calculus)
     reference = minimal_derivations(doc.type_ids(), doc.premisses, calculus)
     assert theory.propositions() == {proposition(*t).canonical() for t in reference}, doc
     heights: dict[int, int] = {}
@@ -391,3 +395,100 @@ class TestRulesAgainstDiagrams:
             premisses, conclusion = mood_premisses(record.figure, record.major, record.minor, record.conclusion)
             theory = close(Ologism.build("mood", ["S", "M", "P"], premisses=premisses), calculus=calculus)
             assert (conclusion in theory.propositions()) == record.valid_direct, record.mood
+
+
+def _rendered(theory: Theory) -> list[tuple[str, str]]:
+    return [(str(p), d.render()) for p, d in theory.derivations.items()]
+
+
+def _subtrees(theory: Theory) -> list[Derivation]:
+    out, stack = [], list(theory.derivations.values())
+    while stack:
+        out.append(stack.pop())
+        stack.extend(out[-1].children)
+    return out
+
+
+class TestReuseAcrossCloses:
+    """``close(doc, previous=...)`` keeps earlier trees without changing a byte."""
+
+    def test_same_document_keeps_every_tree(self, sample):
+        for doc in sample[:60] + [data.load(name) for name in data.NAMES]:
+            for calculus in ("default", "complete"):
+                before = close(doc, calculus=calculus)
+                after = close(doc, calculus=calculus, previous=before)
+                assert list(after.derivations) == list(before.derivations)
+                assert all(after.derivations[p] is d for p, d in before.derivations.items()), doc
+
+    def test_unrelated_previous_changes_nothing(self):
+        rng = random.Random(31)
+        for _ in range(80):
+            first, second = random_ologism(rng), random_ologism(rng)
+            previous = close(first, calculus=rng.choice(["default", "complete"]))
+            for calculus in ("default", "complete"):
+                theory = close(second, calculus=calculus, previous=previous)
+                assert _rendered(theory) == _rendered(close(second, calculus=calculus))
+                for d in theory.derivations.values():
+                    assert d.replay() == d.conclusion
+
+    @pytest.mark.parametrize("before, after", [("complete", "default"), ("default", "complete")])
+    def test_other_calculus_changes_nothing(self, sample, before, after):
+        kept = 0
+        for doc in sample:
+            old = close(doc, calculus=before)
+            theory = close(doc, calculus=after, previous=old)
+            assert _rendered(theory) == _rendered(close(doc, calculus=after)), doc
+            old_trees = {id(d) for d in _subtrees(old)}
+            for d in _subtrees(theory):
+                if id(d) in old_trees:
+                    kept += 1
+                    assert d.replay() == d.conclusion
+        assert kept > 0
+
+    def test_repl_writes_match_a_fresh_load(self, tmp_path):
+        # Random add/retract scripts: after every write, what the session
+        # shows equals what a session loading the saved document shows, and
+        # every stored derivation is the reference's minimal one.
+        rng = random.Random(2026)
+        shared = 0
+        for n in range(40):
+            doc = random_ologism(rng, max_types=4, max_premisses=6)
+            path = tmp_path / f"doc{n}.olgm"
+            path.write_text(serialize(doc))
+            session = Repl(io.StringIO())
+            session.dispatch(f"load {path}")
+            names = sorted(doc.type_ids())
+            for _ in range(6):
+                premisses = session.doc.premisses
+                # Canonical orientation, as ``serialize`` writes it.
+                new = [(f, x, y) for f in "AEIO" for x in names for y in names
+                       if (x <= y or f in "AO") and (f, x) != ("A", y)
+                       and proposition(f, x, y) not in premisses]
+                if premisses and (not new or rng.random() < 0.4):
+                    p = rng.choice(premisses)
+                    command = f"retract {p.form} {p.subject} {p.predicate}"
+                else:
+                    p = proposition(*rng.choice(new))
+                    command = f"add {p.form} {p.subject} {p.predicate}"
+                previous = session.theory  # alive, so no id below is reused
+                session.dispatch(command)
+                assert (p in session.doc.premisses) == command.startswith("add")
+                before = {id(d) for d in _subtrees(previous)}
+                shared += sum(id(d) in before for d in _subtrees(session.theory))
+
+                saved = tmp_path / "saved.olgm"
+                saved.write_text(serialize(session.doc))
+                fresh = Repl(io.StringIO())
+                fresh.dispatch(f"load {saved}")
+                closure = sorted(session.theory.propositions(), key=lambda q: q.sort_key())
+                queries = [f"why {q.form} {q.subject} {q.predicate}" for q in closure]
+                for query in queries + ["derived", "contradictions"]:
+                    assert self.shown(session, query) == self.shown(fresh, query), (command, query)
+                assert_minimal_derivations(session.doc, "default", session.theory)
+        assert shared > 0
+
+    @staticmethod
+    def shown(repl: Repl, line: str) -> str:
+        repl.out = io.StringIO()
+        repl.dispatch(line)
+        return repl.out.getvalue()

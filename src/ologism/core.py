@@ -164,11 +164,15 @@ class CategoricalProposition:
     def __post_init__(self) -> None:
         if self.form not in FORMS:
             raise ValueError(f"form must be one of {FORMS}, got {self.form!r}")
+        # The canonical key, kept on the instance: every hash reads it.
+        if self.form in ("E", "I") and self.predicate < self.subject:
+            key = (self.form, self.predicate, self.subject)
+        else:
+            key = (self.form, self.subject, self.predicate)
+        object.__setattr__(self, "_key", key)
 
     def sort_key(self) -> tuple[str, str, str]:
-        if self.form in ("E", "I") and self.predicate < self.subject:
-            return (self.form, self.predicate, self.subject)
-        return (self.form, self.subject, self.predicate)
+        return self._key
 
     def canonical(self) -> "CategoricalProposition":
         key = self.sort_key()
@@ -188,10 +192,10 @@ class CategoricalProposition:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CategoricalProposition):
             return NotImplemented
-        return self.sort_key() == other.sort_key()
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self.sort_key())
+        return hash(self._key)
 
     def __str__(self) -> str:
         return f"{self.form}({self.subject},{self.predicate})"

@@ -10,17 +10,22 @@ For the is-only fragment (no facts, no general aspects) a model is a subset
 assignment, and the oracle answers exactly without listing the assignments.
 A region is the set of types one element belongs to.  Membership in each
 carrier is one bit, so ``model.HOLDS`` applied to those bits reads a
-proposition at one element.  Each A or E shrinks the set R of allowed
-regions, as it holds at every element, and each distinct I or O adds a set
-of witness regions, one of which some element takes, whether it comes from
-a premiss, a negation or a set of empty types.  By inclusion-exclusion over
-the premisses' witness sets, the number of n-element models is ``sum c[U] *
-|R - U|**n`` over the unions U of witness sets; the coefficients are built
-once per document, so every n is one sum.  Every exact judgement asks
-whether the document plus some propositions has an n-element model: a
-search for at most n elements that witness every set.  A proposition is a
-consequence iff the document plus its negation has none, and a failing
-soundness check places the witnesses of that search element by element.
+proposition at one element, and the rows of its truth table that hold give
+the regions where the proposition holds.  Each A or E shrinks the set R of
+allowed regions, as it holds at every element, and each distinct I or O
+adds a set of witness regions, one of which some element takes, whether it
+comes from a premiss, a negation or a set of empty types.  By
+inclusion-exclusion over the premisses' witness sets, the number of
+n-element models is ``sum c[U] * |R - U|**n`` over the unions U of witness
+sets; the coefficients are built once per document, so every n is one sum.
+Every exact judgement asks whether the document plus some propositions has
+an n-element model: a search for at most n elements that witness every set.
+A proposition is a consequence iff the document plus its negation has none.
+The witnesses of a successful search are placed element by element: a
+failing soundness check reports that model, and ``entailed`` keeps every
+model it finds, as the set of regions its elements take, and searches only
+for a proposition whose negation holds in none of them, since one model in
+which the negation holds already refutes the proposition.
 
 A document may have at most ``DEFAULT_TYPE_CAP`` types, and 2**(types*n),
 the number of assignments and so a bound on every count, may have at most
@@ -40,7 +45,10 @@ which ``check_completeness`` judges, does not: nonemptiness can be implied
 without being derivable (I(A,B) forces both carriers nonempty, yet no rule
 of R1-R8 concludes I(A,A) from it), so ``check_completeness`` reports the
 gap and also says whether adding explicit existential-import premisses for
-the nonempty-forced types would close it.  ``deduce.close(doc,
+the nonempty-forced types would close it.  It re-checks one universe size
+up only the gap itself: consequences only shrink as the universe grows,
+since copying an element of an is-only model gives a model one larger in
+which every proposition keeps its truth value.  ``deduce.close(doc,
 calculus="complete")`` closes that gap.
 """
 
@@ -152,6 +160,13 @@ def semantic_consequences(
 # -- exact semantics over Venn regions ------------------------------------------
 
 
+# The rows of each form's truth table in ``HOLDS`` that hold: the (subject,
+# predicate) membership bits of one element at which the form holds there.
+_ROWS = {
+    form: [(s, p) for s in (0, 1) for p in (0, 1) if holds(s, p)] for form, holds in HOLDS.items()
+}
+
+
 def _bits(mask: int) -> Iterator[int]:
     """The set bits of a mask, each as an int with that one bit."""
     while mask:
@@ -188,7 +203,15 @@ class _Venn:
         self.name = ologism.name
         self.order = {t: i for i, t in enumerate(sorted(ologism.type_ids()))}
         self._regions: dict[CategoricalProposition, int] = {}
-        everywhere = (1 << (1 << len(self.order))) - 1
+        self.everywhere = everywhere = (1 << (1 << len(self.order))) - 1
+        # Each type's regions without it and with it.  Bit i of the region
+        # numbers runs in periods of 2**(i+1): 2**i regions without type i,
+        # then 2**i with it; everywhere // (2**(2**(i+1)) - 1) has a 1 at the
+        # start of each period.
+        self._sides = []
+        for i in range(len(self.order)):
+            inside = everywhere // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+            self._sides.append((everywhere & ~inside, inside))
         self.allowed, witnesses = self._constrain(set(ologism.premisses), everywhere)
         # Smallest first: the search branches on the first set left
         # unwitnessed, and the coefficients grow least in this order.
@@ -198,14 +221,18 @@ class _Venn:
 
     def regions(self, prop: CategoricalProposition) -> int:
         """The regions at whose elements the proposition holds, built once
-        per proposition.  E and I hold at the same regions in either
-        orientation, which the memo's keys, equal across it, rely on."""
+        per proposition: the union, over the form's ``_ROWS``, of the
+        regions whose membership in the two types is that row.  E and I hold
+        at the same regions in either orientation, which the memo's keys,
+        equal across it, rely on."""
         mask = self._regions.get(prop)
         if mask is None:
-            holds, s, p = HOLDS[prop.form], self.order[prop.subject], self.order[prop.predicate]
-            mask = self._regions[prop] = sum(
-                1 << r for r in range(1 << len(self.order)) if holds(r >> s & 1, r >> p & 1)
-            )
+            subject = self._sides[self.order[prop.subject]]
+            predicate = self._sides[self.order[prop.predicate]]
+            mask = 0
+            for s, p in _ROWS[prop.form]:
+                mask |= subject[s] & predicate[p]
+            self._regions[prop] = mask
         return mask
 
     def _constrain(self, props: Iterable[CategoricalProposition], allowed: int) -> tuple[int, list]:
@@ -234,24 +261,16 @@ class _Venn:
         search = self._search(extra)
         return search is not None and _coverable(*search, (1 << len(search[0])) - 1, n, {})
 
-    def entailed(
-        self, props: Sequence[CategoricalProposition], n: int
-    ) -> frozenset[CategoricalProposition]:
-        """The props true in every n-element model: those whose negation
-        leaves the document without one.  All of them when it has none."""
-        if not self.satisfiable(n):
-            return frozenset(props)
-        return frozenset(p for p in props if not self.satisfiable(n, [p.contradictory()]))
+    def _place(self, n: int, extra: Iterable[CategoricalProposition] = ()) -> Optional[list[int]]:
+        """The regions, one bit each, of the n elements of a model of the
+        document plus ``extra``, or None if it has no n-element model.
 
-    def countermodel(self, prop: CategoricalProposition, n: int) -> Optional[Model]:
-        """An n-element model in which ``prop`` fails, or None if none does.
-
-        With the negation added as in ``entailed``, each element in turn
-        takes the first region, in bit order, that witnesses a set still
-        unwitnessed and leaves the rest coverable by the elements after it.
-        The elements left over go to region 0, where every A and E holds.
+        Each element in turn takes the first region, in bit order, that
+        witnesses a set still unwitnessed and leaves the rest coverable by
+        the elements after it.  The elements left over go to region 0, where
+        every A and E holds.
         """
-        search = self._search([prop.contradictory()])
+        search = self._search(extra)
         if search is None:
             return None
         sets, hits = search
@@ -265,9 +284,45 @@ class _Venn:
                 1,  # region 0, once every set has its witness
             )
             unhit &= ~hits[region]
-            picked.append(region.bit_length() - 1)
+            picked.append(region)
+        return picked
+
+    def entailed(
+        self, props: Sequence[CategoricalProposition], n: int
+    ) -> frozenset[CategoricalProposition]:
+        """The props true in every n-element model: those whose negation
+        leaves the document without one.  All of them when it has none.
+
+        Every model a search finds is kept as the set of regions its
+        elements take, and a prop whose negation holds in a kept model, A
+        or E at all of its regions, I or O at one, is refuted by it without
+        a search of its own.
+        """
+        picked = self._place(n)
+        if picked is None:
+            return frozenset(props)
+        models, out = [sum(set(picked))], []  # one bit per region: the union
+        for p in props:
+            negation = [p.contradictory()]
+            allowed, witnesses = self._constrain(negation, self.everywhere)
+            if any(not m & ~allowed and all(w & m for w in witnesses) for m in models):
+                continue
+            picked = self._place(n, negation)
+            if picked is None:
+                out.append(p)
+            else:
+                models.append(sum(set(picked)))
+        return frozenset(out)
+
+    def countermodel(self, prop: CategoricalProposition, n: int) -> Optional[Model]:
+        """An n-element model in which ``prop`` fails, or None if none does:
+        the elements placed as in ``entailed``, with the negation added."""
+        picked = self._place(n, [prop.contradictory()])
+        if picked is None:
+            return None
+        numbers = [r.bit_length() - 1 for r in picked]
         carriers = {
-            t: frozenset(str(e) for e, r in enumerate(picked) if r >> i & 1)
+            t: frozenset(str(e) for e, r in enumerate(numbers) if r >> i & 1)
             for t, i in self.order.items()
         }
         return Model("counterexample", carriers, {}, self.name)
@@ -474,10 +529,11 @@ def check_completeness(
 ) -> CompletenessVerdict:
     """Compare semantic consequences with the closure and report any gap.
 
-    A persistent gap is re-checked one universe size up (consequences only
-    shrink as the universe grows) and classified: if adding explicit
-    existential-import premisses for the nonempty-forced types derives every
-    gap member, the gap is the import phenomenon rather than an engine bug.
+    A persistent gap is re-checked one universe size up, asking only about
+    its own members (consequences only shrink as the universe grows), and
+    classified: if adding explicit existential-import premisses for the
+    nonempty-forced types derives every gap member, the gap is the import
+    phenomenon rather than an engine bug.
     """
     closure = frozenset(deduce.close(ologism).propositions())
     _guard(ologism, config)
@@ -487,7 +543,7 @@ def check_completeness(
     gap = consequences - closure
     if not gap:
         return CompletenessVerdict(True, n, gap, frozenset(), False)
-    gap_next = venn.entailed(props, n + 1) - closure
+    gap_next = venn.entailed(sorted(gap, key=lambda p: p.sort_key()), n + 1)
     models_exist = venn.satisfiable(n)
     explained = models_exist and gap <= _import_closure(ologism, consequences)
     return CompletenessVerdict(False, n, gap, gap_next, explained)

@@ -10,9 +10,11 @@ meets a full document's premisses and aspects, subset-semantics for
 syllogistic moods, a union-find over rewrite edges, random document
 generators, the character-stepping lexer that the document lexer replaced,
 and a small structural checker for DOT output.
-The one exception is the spliced re-parse that REPL ``add`` used before it
-parsed items alone: it is the whole-document parser run on a document with
-the item spliced in, a reference for the item parser.
+Two exceptions.  The spliced re-parse that REPL ``add`` used before it
+parsed items alone is the whole-document parser run on a document with the
+item spliced in, a reference for the item parser.  ``region_mask`` reads
+``model.HOLDS``, the one definition of A/E/I/O, at each Venn region in turn:
+it checks how the oracle builds its region masks, not that definition.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from ologism.core import (
     proposition,
 )
 from ologism.dsl import ParseResult, SourceDiagnostic, Token, parse_ologism, serialize
-from ologism.model import Model
+from ologism.model import HOLDS, Model
 
 Triple = tuple[str, str, str]
 
@@ -167,6 +169,15 @@ def _region_holds(form: str, s: str, t: str, region: frozenset) -> bool:
     if form == "I":
         return s in region and t in region
     return s in region and t not in region
+
+
+def region_mask(type_ids: Sequence[str], prop: CategoricalProposition) -> int:
+    """The Venn regions over the sorted types, as a bitmask over region
+    numbers, at whose elements ``prop`` holds: ``model.HOLDS`` read on the
+    element's membership bits at each region in turn."""
+    index = {t: i for i, t in enumerate(sorted(type_ids))}
+    holds, s, p = HOLDS[prop.form], index[prop.subject], index[prop.predicate]
+    return sum(1 << r for r in range(1 << len(index)) if holds(r >> s & 1, r >> p & 1))
 
 
 def exact_satisfiable(type_ids: Sequence[str], premisses: Iterable[CategoricalProposition]) -> bool:
@@ -346,9 +357,11 @@ def brute_classes(words: Sequence[PathWord], facts: Sequence[Fact]) -> list[froz
 # --- random generators ------------------------------------------------------------
 
 
-def random_ologism(rng: random.Random, max_types: int = 5, max_premisses: int = 8) -> Ologism:
+def random_ologism(
+    rng: random.Random, max_types: int = 5, max_premisses: int = 8, min_types: int = 1
+) -> Ologism:
     """A random is-only document: types plus A/E/I/O premisses."""
-    n = rng.randint(1, max_types)
+    n = rng.randint(min_types, max_types)
     names = [f"T{k}" for k in range(n)]
     premisses: list[CategoricalProposition] = []
     for _ in range(rng.randint(0, max_premisses)):

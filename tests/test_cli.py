@@ -15,6 +15,7 @@ from .oracles import check_dot
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "ologism" / "data"
 GOLDEN_DOT = Path(__file__).resolve().parent / "golden" / "dot"
+GOLDEN_ORACLE = Path(__file__).resolve().parent / "golden" / "oracle"
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src" / "ologism" / "schemas" / "report.schema.json").read_text()
 )
@@ -377,6 +378,22 @@ class TestExportDot:
         code, payload = run_json(capsys, "export-dot", str(DATA / "animals.olgm"), "--derived")
         assert code == 0
         check_dot(payload["sections"]["dot"])
+
+
+class TestOracleGoldens:
+    """``oracle DOC --mode MODE`` pinned byte for byte, in text and in JSON:
+    tests/golden/oracle/DOC-MODE.txt and DOC-MODE-json.txt each hold the exit
+    code, then stdout, then stderr."""
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("mode", ["models", "soundness", "completeness"])
+    @pytest.mark.parametrize("doc", ["animals", "square", "has_mother"])
+    def test_golden(self, capsys, doc, mode, fmt):
+        code = main([*fmt, "oracle", str(DATA / f"{doc}.olgm"), "--mode", mode])
+        out, err = capsys.readouterr()
+        name = f"{doc}-{mode}" + ("-json" if fmt else "")
+        expected = (GOLDEN_ORACLE / f"{name}.txt").read_text(encoding="utf-8")
+        assert f"exit {code}\n--- stdout\n{out}--- stderr\n{err}" == expected
 
 
 class TestRepl:

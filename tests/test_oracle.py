@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from collections import Counter
 
@@ -33,6 +34,7 @@ from .oracles import (
     exact_satisfiable,
     random_document,
     random_ologism,
+    region_mask,
 )
 
 # The premisses alone have models (X nonempty, Y empty), but f sends each
@@ -354,6 +356,62 @@ class TestAgainstEnumeration:
         rng = random.Random(16)
         for _ in range(60):
             self.check(random_ologism(rng, max_types=5), range(1, 4))
+
+
+def entailed_one_search_each(venn, props, n):
+    """``_Venn.entailed`` by its definition: one search per proposition for
+    a model of the document plus its negation."""
+    if not venn.satisfiable(n):
+        return frozenset(props)
+    return frozenset(p for p in props if not venn.satisfiable(n, [p.contradictory()]))
+
+
+class TestBeyondEnumeration:
+    """The exact oracle on documents of 5 or 6 types, beyond the reach of
+    ``TestAgainstEnumeration``, against the plain definitions of what it
+    computes faster: ``entailed`` searches only for propositions no model
+    found so far refutes, region masks are built from per-type membership
+    masks, and the re-check one universe size up asks only about the gap."""
+
+    @staticmethod
+    def documents(seed, count):
+        rng = random.Random(seed)
+        return [
+            random_ologism(rng, max_types=6, max_premisses=10, min_types=5) for _ in range(count)
+        ]
+
+    def test_entailed_equals_one_search_per_proposition(self):
+        models = Counter()
+        for doc in self.documents(51, 40):
+            venn, props = oracle._Venn(doc), all_propositions(doc.type_ids())
+            for n in (1, 2, 3, 4):
+                assert venn.entailed(props, n) == entailed_one_search_each(venn, props, n), (doc, n)
+                models[venn.satisfiable(n)] += 1
+        assert min(models.values()) > 20  # documents with and without a model
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_regions_equal_the_per_region_loop(self, k):
+        types = [f"T{i}" for i in range(k)]
+        venn = oracle._Venn(Ologism.build(f"{k} types", types))
+        for form in "AEIO":
+            for s, t in itertools.product(types, repeat=2):
+                prop = proposition(form, s, t)
+                assert venn.regions(prop) == region_mask(types, prop), prop
+
+    def test_gap_at_next_is_the_gap_left_one_size_up(self):
+        rechecks = Counter()
+        for doc in self.documents(53, 30):
+            venn, props = oracle._Venn(doc), all_propositions(doc.type_ids())
+            closure = frozenset(close(doc).propositions())
+            for n in (1, 2, 3, 4):
+                verdict = check_completeness(doc, OracleConfig(universe_size=n))
+                if verdict.gap:
+                    expected = venn.entailed(props, n + 1) - closure
+                    assert verdict.gap_at_next == expected, (doc, n)
+                    rechecks[expected == verdict.gap] += 1
+                else:
+                    assert verdict.gap_at_next == frozenset(), (doc, n)
+        assert min(rechecks.values()) > 5  # gaps that persist and gaps that shrink
 
 
 class TestCountermodel:

@@ -13,21 +13,23 @@ closure is four starred sets:
               R6 (I_xy, E_yz |- O_xz), R7 (A_yx, O_yz |- O_xz)
               and R8 (O_xy, A_zy |- O_xz)
 
-The theory is a table from each proposition, in canonical orientation, to
-one minimal-depth derivation; the starred sets are read from its keys.  Ties
-break on the rule tag, then on operand order, so output is stable.
-A derivable O(X,X) reads "Some X is not X" and marks the document as
-contradictory.
+The theory is a table from each fact, an oriented (form, subject, predicate)
+triple, to one minimal-depth derivation; it holds E and I facts both ways.
+Its canonical entries are the propositions, and the starred sets are read
+from them.  Ties break on the rule tag, then on operand order, so output is
+stable.  A derivable O(X,X) reads "Some X is not X" and marks the document
+as contradictory.
 
-The closure is one semi-naive saturation over every rule at once, level by
-level in derivation height.  Identities and premisses have height 1 (an
-identity wins over an A(X,X) premiss).  Facts are indexed by (form,
+The table is filled by one semi-naive saturation over every rule at once,
+level by level in derivation height.  Identities and premisses have height 1
+(an identity wins over an A(X,X) premiss).  Facts are indexed by (form,
 position, term) as their level is reached; level h joins only the facts of
 height h, each through the rule rows of its form, with the indexed facts, so
 every conclusion not yet known gets height h + 1, and among that level's
 candidates for it the least (rule tag, child triples) wins.  That is the
 least (height, rule, operands) over all derivations, found without
-re-running old joins.
+re-running old joins.  Each winner's tree is made as its level is admitted,
+from its children's trees already in the table.
 
 The default calculus is sound but not complete for the set semantics: it
 cannot derive implied existential import (I(A,B) forces A nonempty, yet
@@ -45,7 +47,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional
 
 from .core import (
     CategoricalProposition,
@@ -65,7 +68,7 @@ EXPLOSION = "Explosion"
 Triple = tuple[str, str, str]  # (form, subject, predicate), orientation significant
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # a theory keeps one per oriented fact
 class Derivation:
     """One step of a derivation tree; ``conclusion`` keeps the orientation
     this step states it in, so printed trees mirror diagram reversals."""
@@ -102,17 +105,26 @@ class Derivation:
 @dataclass(frozen=True)
 class Theory:
     """The closure as its derivation table: one minimal derivation per
-    canonical proposition.  The propositions are the table's keys, and each
-    starred set is a read-only view of the keys of one form."""
+    oriented fact.  The propositions are the canonical entries, and each
+    starred set is a read-only view of the propositions of one form."""
 
     name: str
     types: tuple[str, ...]
     premisses: frozenset[CategoricalProposition]
-    derivations: Mapping[CategoricalProposition, Derivation]
+    trees: Mapping[Triple, Derivation]
+
+    def _canonical(self) -> Iterator[Derivation]:
+        """The trees of the canonical entries, in table order."""
+        return (tree for (form, s, p), tree in self.trees.items() if not (form in "EI" and p < s))
+
+    @cached_property
+    def derivations(self) -> Mapping[CategoricalProposition, Derivation]:
+        """The canonical entries of ``trees``, keyed by proposition."""
+        return MappingProxyType({tree.conclusion: tree for tree in self._canonical()})
 
     @cached_property
     def _propositions(self) -> frozenset[CategoricalProposition]:
-        return frozenset(self.derivations)
+        return frozenset([tree.conclusion for tree in self._canonical()])
 
     def propositions(self) -> frozenset[CategoricalProposition]:
         return self._propositions
@@ -134,16 +146,12 @@ class Theory:
 
 # --- the closure engine -----------------------------------------------------
 #
-# Facts are oriented (form, subject, predicate) triples; ``info`` maps each
-# known one to (height, rule tag, child triples), children in the order the
-# rule states its premisses.  A join rule (tag, left form, left position,
-# right form, right position, conclusion form) matches two facts that agree
-# on the term at those positions (1 subject, 2 predicate) and concludes from
-# the left fact's other term to the right fact's other term.  A unary rule
-# (tag, form, conclusions) maps one fact of that form, and the types, to
-# what it concludes.
-
-Info = dict[Triple, tuple[int, str, tuple[Triple, ...]]]
+# Facts are oriented (form, subject, predicate) triples.  A join rule (tag,
+# left form, left position, right form, right position, conclusion form)
+# matches two facts that agree on the term at those positions (1 subject, 2
+# predicate) and concludes from the left fact's other term to the right
+# fact's other term.  A unary rule (tag, form, conclusions) maps one fact of
+# that form, and the types, to what it concludes.
 
 _JOINS = (
     ("R1", "A", 2, "A", 1, "A"),  # A_xy, A_yz |- A_xz
@@ -201,18 +209,29 @@ def _by_form(rows: tuple, at: int) -> dict[str, list[tuple]]:
 _AS_LEFT, _AS_RIGHT = _by_form(_JOINS, 1), _by_form(_JOINS, 3)
 
 
-def _saturate(info: Info, unaries: tuple, types: tuple[str, ...]) -> None:
-    """Close ``info``, whose facts all have height 1, under ``_JOINS`` and
-    ``unaries``, level by level in derivation height (see the module
-    docstring)."""
+def _saturate(seeds: dict[Triple, tuple[str, tuple[Triple, ...]]], unaries: tuple,
+              types: tuple[str, ...], old: Mapping[Triple, Derivation]) -> dict[Triple, Derivation]:
+    """The table closing ``seeds``, the (rule, no children) steps of height
+    1, under ``_JOINS`` and ``unaries``, level by level in derivation height
+    (see the module docstring).
+
+    A tree of ``old`` is kept where it states the same triple by the same
+    rule from the very trees admitted here for its children, so it is the
+    tree that would be built."""
     by_form = _by_form(unaries, 1)
+    trees: dict[Triple, Derivation] = {}
     index: dict[tuple[str, int, str], list[Triple]] = {}
-    level, h = list(info), 1
-    while level:
-        for t in level:
-            index.setdefault((t[0], 1, t[1]), []).append(t)
-            index.setdefault((t[0], 2, t[2]), []).append(t)
-        best: dict[Triple, tuple[str, tuple[Triple, ...]]] = {}
+    best = seeds
+    while best:
+        for concl, (tag, children) in best.items():
+            kids = tuple([trees[c] for c in children])
+            tree = old.get(concl)
+            if tree is None or tree.rule != tag or not all(map(operator.is_, tree.children, kids)):
+                tree = Derivation(proposition(*concl), tag, kids)
+            trees[concl] = tree
+            index.setdefault((concl[0], 1, concl[1]), []).append(concl)
+            index.setdefault((concl[0], 2, concl[2]), []).append(concl)
+        level, best = list(best), {}
         for t in level:
             found = []
             for tag, _, lj, rf, rj, out in _AS_LEFT.get(t[0], ()):
@@ -225,34 +244,8 @@ def _saturate(info: Info, unaries: tuple, types: tuple[str, ...]) -> None:
                 for c in conclude(t, types):
                     found.append((c, tag, (t,)))
             for concl, tag, children in found:
-                if concl not in info and (concl not in best or (tag, children) < best[concl]):
+                if concl not in trees and (concl not in best or (tag, children) < best[concl]):
                     best[concl] = (tag, children)
-        for concl, (tag, children) in best.items():
-            info[concl] = (h + 1, tag, children)
-        level, h = list(best), h + 1
-
-
-def _build_trees(info: Info, previous: Optional[Theory]) -> dict[Triple, Derivation]:
-    """One tree per triple; ``info`` lists every fact after its children.
-
-    A tree of ``previous`` is kept where it states the same triple by the
-    same rule from the very trees built here for its children, so it is
-    the tree that would be built."""
-    old: dict[Triple, Derivation] = {}
-    stack = [*previous.derivations.values()] if previous else []
-    while stack:
-        tree = stack.pop()
-        triple = _triple(tree.conclusion)
-        if triple not in old:
-            old[triple] = tree
-            stack += tree.children
-    trees: dict[Triple, Derivation] = {}
-    for triple, (_, tag, children) in info.items():
-        kids = tuple([trees[c] for c in children])
-        tree = old.get(triple)
-        if tree is None or tree.rule != tag or not all(map(operator.is_, tree.children, kids)):
-            tree = Derivation(proposition(*triple), tag, kids)
-        trees[triple] = tree
     return trees
 
 
@@ -273,25 +266,20 @@ def close(ologism: Ologism, calculus: str = "default",
         raise InvalidOlogismError(problems)
 
     types = tuple(sorted(ologism.type_ids()))
-    info: Info = {("A", t, t): (1, IDENTITY, ()) for t in types}
+    seeds = {("A", t, t): (IDENTITY, ()) for t in types}
     for p in ologism.premisses:
-        info.setdefault((p.form, p.subject, p.predicate), (1, PREMISS, ()))
-    _saturate(info, _CALCULI[calculus], types)
-
-    # Symmetry derives the canonical orientation of every E and I fact too.
-    trees = _build_trees(info, previous)
-    derivations = {tree.conclusion: tree for (form, s, p), tree in trees.items()
-                   if not (form in "EI" and p < s)}
-    return Theory(ologism.name, types, frozenset(ologism.premisses), derivations)
+        seeds.setdefault(_triple(p), (PREMISS, ()))
+    trees = _saturate(seeds, _CALCULI[calculus], types, previous.trees if previous else {})
+    return Theory(ologism.name, types, frozenset(ologism.premisses), trees)
 
 
 def contradictions(theory: Theory) -> list[tuple[str, Derivation]]:
     """Every type X with a derivable O(X,X), with its derivation, in type
     order."""
-    return sorted(((p.subject, d) for p, d in theory.derivations.items()
-                   if p.form == "O" and p.subject == p.predicate), key=operator.itemgetter(0))
+    return sorted(((s, d) for (form, s, p), d in theory.trees.items()
+                   if form == "O" and s == p), key=operator.itemgetter(0))
 
 
 def explain(theory: Theory, prop: CategoricalProposition) -> Optional[Derivation]:
     """The stored minimal derivation, or None when not derivable."""
-    return theory.derivations.get(prop)
+    return theory.trees.get(prop.sort_key())

@@ -28,7 +28,7 @@ escapes and end on their line; ``#`` starts a line comment.  The closing
 is an error.  The parser never raises on bad input: it reports positioned
 diagnostics (line and column count characters from 1; only ``\\n`` starts a
 line) and returns whatever it could build.  ``serialize`` writes canonical
-form and round-trips.
+form, each premiss in its declared orientation, and round-trips.
 
 One syntactic wrinkle: fact paths name arrows by label, and the label
 ``is`` may legitimately mark several inclusions.  Resolution keeps every
@@ -250,12 +250,12 @@ class _Declarations:
     @classmethod
     def of(cls, doc: Ologism) -> "_Declarations":
         """``doc``'s declarations as the parser meets them in ``serialize(doc)``:
-        in canonical order and orientation."""
+        in canonical order, each premiss in its declared orientation."""
         d = cls()
         d.types = sorted(doc.types, key=lambda t: t.id)
         d.declared = {t.id for t in d.types}
         d.aspects = sorted(doc.aspects, key=lambda a: (a.is_flag, a.name, a.source, a.target))
-        d.premisses = [q.canonical() for q in sorted(doc.premisses, key=lambda q: q.sort_key())]
+        d.premisses = sorted(doc.premisses, key=lambda q: q.sort_key())
         d.positions = dict.fromkeys(d.aspects + d.premisses, _HELD)
         facts = sorted(doc.facts, key=lambda f: (f.name or "", str(f.lhs), str(f.rhs)))
         d.facts = dict.fromkeys(facts)
@@ -639,8 +639,7 @@ def _serialize_ologism(o: Ologism) -> str:
     for form in ("A", "E", "I", "O"):
         for q in canon.premisses:
             if q.form == form:
-                key = q.sort_key()
-                lines.append(f"  {form} {key[1]} {key[2]}")
+                lines.append(f"  {form} {q.subject} {q.predicate}")
     for f in canon.facts:
         label = f"{_quote(f.name)} " if f.name else ""
         lines.append(f"  fact {label}: {f.lhs} = {f.rhs}")

@@ -254,7 +254,11 @@ class _Venn:
         sets = [w & allowed for w in (*self.witnesses, *witnesses)]
         if not all(sets):
             return None
-        return sets, {r: sum(1 << j for j, w in enumerate(sets) if w & r) for r in _bits(allowed)}
+        hits = dict.fromkeys(_bits(allowed), 0)  # bit order, which _place relies on
+        for j, w in enumerate(sets):
+            for r in _bits(w):
+                hits[r] |= 1 << j
+        return sets, hits
 
     def satisfiable(self, n: int, extra: Iterable[CategoricalProposition] = ()) -> bool:
         """Whether the document plus ``extra`` has an n-element model."""

@@ -1,12 +1,15 @@
 """Interactive authoring loop: edit a document, see consequences at once.
 
 ``add`` parses only the typed item, against the current document's
-declarations, and reports diagnostics at positions in the item.  Every write
-then closes the new document, passing the current theory as ``previous``:
-the saturation runs in full, but each derivation tree that comes out the
-same as before is the earlier object, not a rebuilt copy.  It prints the
-newly derived propositions and any fresh contradiction, which is the whole
-point of assisting an author while they impose constraints.
+declarations, and reports diagnostics at positions in the item; premisses
+keep the orientation they were written in, through writes and ``save``.
+Every write then closes the new document, passing the current theory as
+``previous``: the saturation runs in full, and where it derives a fact by
+the same rule from the same child trees as before, it takes the tree from
+the current theory's table instead of building a copy.  ``why`` reads one
+entry of that table.  A write prints the newly derived propositions and any
+fresh contradiction, which is the whole point of assisting an author while
+they impose constraints.
 """
 
 from __future__ import annotations

@@ -65,8 +65,6 @@ def unsound_close(monkeypatch):
     def close_with_e_m_v(doc, *args, **kwargs):
         theory = real_close(doc, *args, **kwargs)
         smuggled = deduce.Derivation(E("M", "V"), deduce.PREMISS)
-        return dataclasses.replace(
-            theory, derivations={**theory.derivations, smuggled.conclusion: smuggled}
-        )
+        return dataclasses.replace(theory, trees={**theory.trees, ("E", "M", "V"): smuggled})
 
     monkeypatch.setattr(deduce, "close", close_with_e_m_v)

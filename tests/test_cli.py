@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 from ologism.cli import EXIT_CODES, main
+from ologism.core import Ologism
 from ologism.dsl import serialize
 from ologism.repl import Repl
 from .oracles import check_dot
@@ -490,6 +491,20 @@ class TestRepl:
             assert replayed.star(form) == fresh.star(form)
         assert I("S", "R") in replayed.iota_star
         assert A("S", "Q") not in replayed.alpha_star
+
+    def test_a_premiss_keeps_its_orientation_across_writes_and_save(self, tmp_path):
+        # ``why`` shows the premiss as written, then the symmetry step, after
+        # a later write and after saving and loading again.
+        source, target = tmp_path / "three.olgm", tmp_path / "saved.olgm"
+        source.write_text(serialize(Ologism.build("three", ["T0", "T1", "T2"])))
+        shown = "I(T0,T1)   (Symmetry)\n  I(T1,T0)   (Premiss)\n"
+        out = self.run_session([
+            f"load {source}", "add I T1 T0", "why I T0 T1",
+            "add A T2 T2", "why I T0 T1",
+            f"save {target}", f"load {target}", "why I T0 T1", "quit",
+        ])
+        assert out.count(shown) == 3
+        assert "  I T1 T0\n" in target.read_text()
 
     def test_rejected_add_keeps_the_document(self, tmp_path, animals):
         target = tmp_path / "after.olgm"

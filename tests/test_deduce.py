@@ -397,6 +397,36 @@ class TestRulesAgainstDiagrams:
             assert (conclusion in theory.propositions()) == record.valid_direct, record.mood
 
 
+class TestDerivationTable:
+    """``Theory.trees`` holds every oriented fact; the rest reads it."""
+
+    @pytest.mark.parametrize("calculus", ["default", "complete"])
+    def test_table_and_its_views(self, sample, calculus):
+        for doc in sample + [data.load(name) for name in data.NAMES]:
+            theory = close(doc, calculus=calculus)
+            for (form, s, p), tree in theory.trees.items():
+                c = tree.conclusion
+                assert (c.form, c.subject, c.predicate) == (form, s, p)
+                if form in "EI":
+                    assert (form, p, s) in theory.trees
+            canonical = {t: d for t, d in theory.trees.items() if t[0] in "AO" or t[1] <= t[2]}
+            assert [(p.sort_key(), d) for p, d in theory.derivations.items()] == list(canonical.items())
+            assert all(str(p) == str(p.canonical()) for p in theory.derivations)
+            for p, d in theory.derivations.items():
+                assert explain(theory, p) is d
+                if p.form in "EI":
+                    assert explain(theory, p.swapped()) is d
+            assert contradictions(theory) == sorted(
+                (p.subject, d) for p, d in theory.derivations.items()
+                if p.form == "O" and p.subject == p.predicate)
+            for x, d in contradictions(theory):
+                assert d is theory.derivations[O(x, x)]
+
+    def test_derivations_are_read_only(self, animals):
+        with pytest.raises(TypeError):
+            close(animals).derivations[A("B", "B")] = None
+
+
 def _rendered(theory: Theory) -> list[tuple[str, str]]:
     return [(str(p), d.render()) for p, d in theory.derivations.items()]
 
@@ -418,7 +448,8 @@ class TestReuseAcrossCloses:
                 before = close(doc, calculus=calculus)
                 after = close(doc, calculus=calculus, previous=before)
                 assert list(after.derivations) == list(before.derivations)
-                assert all(after.derivations[p] is d for p, d in before.derivations.items()), doc
+                assert list(after.trees) == list(before.trees)
+                assert all(after.trees[t] is d for t, d in before.trees.items()), doc
 
     def test_unrelated_previous_changes_nothing(self):
         rng = random.Random(31)
@@ -460,10 +491,8 @@ class TestReuseAcrossCloses:
             names = sorted(doc.type_ids())
             for _ in range(6):
                 premisses = session.doc.premisses
-                # Canonical orientation, as ``serialize`` writes it.
                 new = [(f, x, y) for f in "AEIO" for x in names for y in names
-                       if (x <= y or f in "AO") and (f, x) != ("A", y)
-                       and proposition(f, x, y) not in premisses]
+                       if (f, x) != ("A", y) and proposition(f, x, y) not in premisses]
                 if premisses and (not new or rng.random() < 0.4):
                     p = rng.choice(premisses)
                     command = f"retract {p.form} {p.subject} {p.predicate}"

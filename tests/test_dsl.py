@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from ologism.core import SerializeError, TypeDecl, Ologism, structurally_equal
+from ologism.core import E, I, SerializeError, TypeDecl, Ologism, structurally_equal
 from ologism.dsl import _tokenize, parse_item, parse_model, parse_ologism, serialize
 from .oracles import random_document, reference_tokens, spliced_item
 
@@ -177,6 +177,12 @@ class TestSerialize:
         doc = Ologism.build("q", [TypeDecl("X", 'a "quoted" \\ thing')])
         again = parse_ologism(serialize(doc)).value
         assert again.label("X") == 'a "quoted" \\ thing'
+
+    def test_premisses_keep_their_orientation(self):
+        doc = Ologism.build("q", ["X", "Y"], premisses=[I("Y", "X"), E("X", "Y")])
+        assert serialize(doc).splitlines()[3:5] == ["  E X Y", "  I Y X"]
+        again = parse_ologism(serialize(doc)).value
+        assert [str(q) for q in again.premisses] == ["E(X,Y)", "I(Y,X)"]
 
     def test_random_documents_roundtrip(self):
         rng = random.Random(42)

@@ -7,8 +7,9 @@ The pieces, bottom up:
 - ``syll``      the diagrammatic syllogistic calculus: proof search over
                 superposition and middle-term deletion, mood enumeration
 - ``eqtheory``  bounded congruence of aspect paths modulo declared facts
-- ``deduce``    the closure of a document's premisses, with
-                derivations and contradiction detection
+- ``deduce``    the closure of a document's premisses: ``close`` with
+                derivations and contradiction detection, ``derivable``
+                for the set alone
 - ``model``     finite set models and the satisfaction checker
 - ``oracle``    exhaustive/randomized semantics for soundness and
                 completeness checking

@@ -131,11 +131,13 @@ def cmd_check(args, report: Report) -> None:
     doc = _load_ologism(args.path, report)
     if doc is None:
         return
-    theory = deduce.close(doc)
-    derived = [(p, reading(p, doc))
-               for p in sorted(theory.derived_beyond_premisses(), key=lambda p: p.sort_key())]
-    clashes = [(x, reading(proposition("O", x, x), doc), d.render())
-               for x, d in deduce.contradictions(theory)]
+    props = deduce.derivable(doc)
+    beyond = props.difference(doc.premisses, [proposition("A", t, t) for t in doc.type_ids()])
+    derived = [(p, reading(p, doc)) for p in sorted(beyond, key=lambda p: p.sort_key())]
+    clashes = []
+    if any(p.form == "O" and p.subject == p.predicate for p in props):  # close for the trees
+        clashes = [(x, reading(proposition("O", x, x), doc), d.render())
+                   for x, d in deduce.contradictions(deduce.close(doc))]
 
     report.say(f"ologism {doc.name!r}: {len(doc.types)} types, "
                f"{len(doc.aspects)} aspects, {len(doc.facts)} facts, "

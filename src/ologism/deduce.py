@@ -40,6 +40,22 @@ calculus="complete")`` adds the rules that close those gaps:
     existence   I(X,Y) |- I(X,X)  and  O(X,Y) |- I(X,X)
     emptiness   E(X,X) |- A(X,Y)  and  E(X,X) |- E(X,Y), for every type Y
     explosion   O(X,X) |- O(T,T), for every type T
+
+There are two entry points.  ``close`` builds the table, for the REPL,
+``explain`` and the contradictions ``check`` renders.  ``derivable`` returns
+the same propositions without trees, for callers that read only the set:
+``check``'s derived list, the oracle, and a model checked against the
+closure.  Consequence is reachability over the A-order, so it composes
+bitset rows.  With A* the reflexive-transitive closure of the A-premisses,
+``up`` relating each type to its supertypes and ``down`` to its subtypes,
+and the E and I premisses taken both ways:
+
+    E* = up ; E ; down
+    I* = down ; I ; up
+    O* = down ; (O | I* ; E*) ; down
+
+The complete calculus adds what its unary rules conclude from these sets to
+the premiss rows, and recomputes them until nothing is added.
 """
 
 from __future__ import annotations
@@ -249,6 +265,17 @@ def _saturate(seeds: dict[Triple, tuple[str, tuple[Triple, ...]]], unaries: tupl
     return trees
 
 
+def _types(ologism: Ologism, calculus: str) -> tuple[str, ...]:
+    """The document's type ids in sorted order, once ``calculus`` is known
+    and the document valid."""
+    if calculus not in _CALCULI:
+        raise ValueError(f"calculus must be one of {', '.join(_CALCULI)}, got {calculus!r}")
+    problems = validate(ologism)
+    if problems:
+        raise InvalidOlogismError(problems)
+    return tuple(sorted(ologism.type_ids()))
+
+
 def close(ologism: Ologism, calculus: str = "default",
           previous: Optional[Theory] = None) -> Theory:
     """Compute the least fixpoint of the deductive equipment.
@@ -259,18 +286,107 @@ def close(ologism: Ologism, calculus: str = "default",
     With ``previous``, any earlier theory, each derivation that comes out
     the same as one of its trees is that tree, not a copy.
     """
-    if calculus not in _CALCULI:
-        raise ValueError(f"calculus must be one of {', '.join(_CALCULI)}, got {calculus!r}")
-    problems = validate(ologism)
-    if problems:
-        raise InvalidOlogismError(problems)
-
-    types = tuple(sorted(ologism.type_ids()))
+    types = _types(ologism, calculus)
     seeds = {("A", t, t): (IDENTITY, ()) for t in types}
     for p in ologism.premisses:
         seeds.setdefault(_triple(p), (PREMISS, ()))
     trees = _saturate(seeds, _CALCULI[calculus], types, previous.trees if previous else {})
     return Theory(ologism.name, types, frozenset(ologism.premisses), trees)
+
+
+# --- the derivable set by reachability ----------------------------------------
+#
+# A relation over the types is a list of int rows: bit y of row x is set iff
+# the relation holds from x to y.  ``R ; S`` relates x to z iff R relates x
+# to some y that S relates to z.
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _compose(left: list[int], right: list[int]) -> list[int]:
+    """``left ; right``, at one OR per pair that ``left`` holds."""
+    out = []
+    for row in left:
+        joined = 0
+        while row:
+            low = row & -row
+            joined |= right[low.bit_length() - 1]
+            row ^= low
+        out.append(joined)
+    return out
+
+
+def _converse(rows: list[int]) -> list[int]:
+    out = [0] * len(rows)
+    for x, row in enumerate(rows):
+        for y in _bits(row):
+            out[y] |= 1 << x
+    return out
+
+
+def _both_ways(rows: list[int]) -> list[int]:
+    return [row | back for row, back in zip(rows, _converse(rows))]
+
+
+def _reach(rows: list[int]) -> list[int]:
+    """The reflexive-transitive closure of ``rows``, one breadth-first
+    search per type."""
+    out = []
+    for x in range(len(rows)):
+        seen = frontier = 1 << x
+        while frontier:
+            step = 0
+            for y in _bits(frontier):
+                step |= rows[y]
+            frontier = step & ~seen
+            seen |= step
+        out.append(seen)
+    return out
+
+
+def derivable(ologism: Ologism, calculus: str = "default") -> frozenset[CategoricalProposition]:
+    """The propositions of ``close(ologism, calculus)``, found by composing
+    bitset rows (see the module docstring) without building trees.  Raises
+    as ``close`` raises."""
+    types = _types(ologism, calculus)
+    n, at = len(types), {t: k for k, t in enumerate(types)}
+    rows = {form: [0] * n for form in "AEIO"}
+    for p in ologism.premisses:
+        rows[p.form][at[p.subject]] |= 1 << at[p.predicate]
+    a, e, i, o = rows["A"], rows["E"], rows["I"], rows["O"]
+    everyone = (1 << n) - 1
+    while True:
+        up = _reach(a)
+        down = _converse(up)
+        e_star = _compose(_compose(up, _both_ways(e)), down)
+        i_star = _compose(_compose(down, _both_ways(i)), up)
+        o_star = _compose(_compose(down, [r | c for r, c in zip(o, _compose(i_star, e_star))]), down)
+        if calculus == "default":
+            break
+        empty = [x for x in range(n) if e_star[x] >> x & 1]
+        exploded = any(o_star[x] >> x & 1 for x in range(n))
+        steps = [(a, up, x, everyone) for x in empty] + [(e, e_star, x, everyone) for x in empty]
+        steps += [(i, i_star, x, 1 << x) for x in range(n) if i_star[x] or o_star[x]]
+        steps += [(o, o_star, x, 1 << x) for x in range(n) if exploded]
+        steps = [(seed, x, bits) for seed, star, x, bits in steps if bits & ~star[x]]
+        if not steps:
+            break
+        for seed, x, bits in steps:
+            seed[x] |= bits
+
+    props = []
+    for form, star in (("A", up), ("E", e_star), ("I", i_star), ("O", o_star)):
+        for x, row in enumerate(star):
+            if form in "EI":
+                row &= ~((1 << x) - 1)  # the canonical orientation: subject <= predicate
+            props += [proposition(form, types[x], types[y]) for y in _bits(row)]
+    return frozenset(props)
 
 
 def contradictions(theory: Theory) -> list[tuple[str, Derivation]]:

@@ -215,8 +215,7 @@ def check_model(ologism: Ologism, model: Model, against: str = "premisses") -> V
     if against == "premisses":
         return ViolationReport(tuple(premiss_bad))
 
-    theory = deduce.close(ologism)
-    closure_props = sorted(theory.propositions(), key=lambda p: p.sort_key())
+    closure_props = sorted(deduce.derivable(ologism), key=lambda p: p.sort_key())
     closure_bad = base + _prescription_violations(model, closure_props)
     alarms = ()
     if bool(premiss_bad) != bool(closure_bad):

@@ -476,8 +476,7 @@ def check_soundness(ologism: Ologism, config: OracleConfig = OracleConfig()) -> 
     check reports the first proposition, in sort order, that some model
     refutes, with a model the region search builds for it.
     """
-    theory = deduce.close(ologism)
-    props = sorted(theory.propositions(), key=lambda p: p.sort_key())
+    props = sorted(deduce.derivable(ologism), key=lambda p: p.sort_key())
     if is_only(ologism) and len(ologism.types) <= DEFAULT_TYPE_CAP:
         _guard(ologism, config)
         venn, n = _Venn(ologism), config.universe_size
@@ -525,7 +524,7 @@ def _import_closure(
         key=lambda p: p.sort_key(),
     )
     enriched = ologism.replace_premisses(tuple(ologism.premisses) + tuple(extra))
-    return frozenset(deduce.close(enriched).propositions())
+    return deduce.derivable(enriched)
 
 
 def check_completeness(
@@ -539,7 +538,7 @@ def check_completeness(
     nonempty-forced types derives every gap member, the gap is the import
     phenomenon rather than an engine bug.
     """
-    closure = frozenset(deduce.close(ologism).propositions())
+    closure = deduce.derivable(ologism)
     _guard(ologism, config)
     venn, n = _Venn(ologism), config.universe_size
     props = all_propositions(ologism.type_ids())

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -58,13 +57,12 @@ def animals_model():
 
 @pytest.fixture
 def unsound_close(monkeypatch):
-    """``deduce.close`` made unsound: every closure also claims E(M,V),
-    which some model of the animals document refutes."""
-    real_close = deduce.close
+    """``deduce.derivable``, the set the oracle and ``check`` read, made
+    unsound: every closure also claims E(M,V), which some model of the
+    animals document refutes."""
+    real_derivable = deduce.derivable
 
-    def close_with_e_m_v(doc, *args, **kwargs):
-        theory = real_close(doc, *args, **kwargs)
-        smuggled = deduce.Derivation(E("M", "V"), deduce.PREMISS)
-        return dataclasses.replace(theory, trees={**theory.trees, ("E", "M", "V"): smuggled})
+    def derivable_with_e_m_v(doc, *args, **kwargs):
+        return real_derivable(doc, *args, **kwargs) | {E("M", "V")}
 
-    monkeypatch.setattr(deduce, "close", close_with_e_m_v)
+    monkeypatch.setattr(deduce, "derivable", derivable_with_e_m_v)

@@ -17,6 +17,7 @@ from .oracles import check_dot
 DATA = Path(__file__).resolve().parents[1] / "src" / "ologism" / "data"
 GOLDEN_DOT = Path(__file__).resolve().parent / "golden" / "dot"
 GOLDEN_ORACLE = Path(__file__).resolve().parent / "golden" / "oracle"
+GOLDEN_CHECK = Path(__file__).resolve().parent / "golden" / "check"
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src" / "ologism" / "schemas" / "report.schema.json").read_text()
 )
@@ -395,6 +396,25 @@ class TestOracleGoldens:
         name = f"{doc}-{mode}" + ("-json" if fmt else "")
         expected = (GOLDEN_ORACLE / f"{name}.txt").read_text(encoding="utf-8")
         assert f"exit {code}\n--- stdout\n{out}--- stderr\n{err}" == expected
+
+
+CHECK_DOCS = ["animals", "custodian", "has_mother", "mother_ologism", "square", "contradictory"]
+
+
+class TestCheckGoldens:
+    """``check DOC`` pinned byte for byte, in text and in JSON:
+    tests/golden/check/DOC.txt and DOC-json.txt each hold the exit code, then
+    stdout.  DOC is a bundled document, or ``contradictory``, the fixture's
+    document, which alone renders derivation trees."""
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("doc", CHECK_DOCS)
+    def test_golden(self, capsys, contradictory, doc, fmt):
+        path = contradictory if doc == "contradictory" else str(DATA / f"{doc}.olgm")
+        code, out = run(capsys, *fmt, "check", path)
+        name = doc + ("-json" if fmt else "")
+        expected = (GOLDEN_CHECK / f"{name}.txt").read_text(encoding="utf-8")
+        assert f"exit {code}\n--- stdout\n{out}" == expected
 
 
 class TestRepl:

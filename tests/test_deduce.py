@@ -9,13 +9,14 @@ from ologism import data
 from ologism.dsl import serialize
 from ologism.repl import Repl
 from ologism.core import A, E, I, InvalidOlogismError, O, Ologism, TypeDecl, proposition
-from ologism.deduce import _JOINS, Derivation, Theory, close, contradictions, explain
+from ologism.deduce import _JOINS, Derivation, Theory, close, contradictions, derivable, explain
 from ologism.syll import Rejection, enumerate_moods, mood_premisses, prove
 from .oracles import (
     exact_consequences,
     exact_satisfiable,
     minimal_derivations,
     naive_theory,
+    random_document,
     random_ologism,
 )
 
@@ -425,6 +426,47 @@ class TestDerivationTable:
     def test_derivations_are_read_only(self, animals):
         with pytest.raises(TypeError):
             close(animals).derivations[A("B", "B")] = None
+
+
+
+def _derivable_documents() -> list[Ologism]:
+    rng = random.Random(17)
+    return ([random_ologism(rng) for _ in range(150)]
+            + [random_ologism(rng, max_types=8, max_premisses=16) for _ in range(150)]
+            + [random_document(rng) for _ in range(300)])
+
+
+class TestDerivable:
+    """``derivable`` is the set ``close`` finds, written the same way."""
+
+    @pytest.mark.parametrize("calculus", ["default", "complete"])
+    def test_equals_the_closure(self, calculus):
+        for doc in _derivable_documents() + [data.load(name) for name in data.NAMES]:
+            props, theory = derivable(doc, calculus), close(doc, calculus)
+            assert props == theory.propositions(), doc
+            assert sorted(map(str, props)) == sorted(map(str, theory.propositions())), doc
+
+    @pytest.mark.parametrize("calculus", ["default", "complete"])
+    def test_equals_the_closure_on_large_documents(self, calculus):
+        rng = random.Random(18)
+        for _ in range(20):
+            doc = random_ologism(rng, max_types=120, max_premisses=160, min_types=40)
+            assert derivable(doc, calculus) == close(doc, calculus).propositions(), doc.name
+
+    def test_default_equals_naive_fixpoint(self):
+        for doc in _derivable_documents():
+            naive = naive_theory(doc.type_ids(), doc.premisses)
+            assert derivable(doc) == frozenset().union(*naive.values()), doc
+
+    def test_raises_as_close_raises(self, animals):
+        broken = Ologism("bad", (TypeDecl("X", "an x"),), premisses=(A("X", "Y"),))
+        for doc, calculus, error in [(animals, "classical", ValueError),
+                                     (broken, "default", InvalidOlogismError)]:
+            with pytest.raises(error) as by_close:
+                close(doc, calculus)
+            with pytest.raises(error) as by_derivable:
+                derivable(doc, calculus)
+            assert str(by_derivable.value) == str(by_close.value)
 
 
 def _rendered(theory: Theory) -> list[tuple[str, str]]:

@@ -127,12 +127,17 @@ def _parse_literal(text: str):
 # --- subcommands ---------------------------------------------------------------
 
 
+def _beyond_premisses(doc, props):
+    """``props``, the derivable set, less the premisses and the identities."""
+    return props.difference(doc.premisses, [proposition("A", t, t) for t in doc.type_ids()])
+
+
 def cmd_check(args, report: Report) -> None:
     doc = _load_ologism(args.path, report)
     if doc is None:
         return
     props = deduce.derivable(doc)
-    beyond = props.difference(doc.premisses, [proposition("A", t, t) for t in doc.type_ids()])
+    beyond = _beyond_premisses(doc, props)
     derived = [(p, reading(p, doc)) for p in sorted(beyond, key=lambda p: p.sort_key())]
     clashes = []
     if any(p.form == "O" and p.subject == p.predicate for p in props):  # close for the trees
@@ -299,8 +304,8 @@ def cmd_export_dot(args, report: Report) -> None:
     doc = _load_ologism(args.path, report)
     if doc is None:
         return
-    theory = deduce.close(doc) if args.derived else None
-    text = dot.export_dot(doc, theory)
+    derived = _beyond_premisses(doc, deduce.derivable(doc)) if args.derived else ()
+    text = dot.export_dot(doc, derived)
     report.sections["dot"] = text
     report.lines = [text.rstrip("\n")]
 

@@ -12,10 +12,9 @@ premisses comes in as a dashed edge from subject to predicate.
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import Iterable
 
-from .core import Ologism
-from .deduce import Theory
+from .core import CategoricalProposition, Ologism
 from .syll import RIGHT, SyllProofTree, diagram_of
 
 
@@ -43,8 +42,9 @@ def proof_tree_dot(tree: SyllProofTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_dot(ologism: Ologism, theory: Optional[Theory] = None) -> str:
-    """DOT text for the document; pass a closed theory to draw derived edges."""
+def export_dot(ologism: Ologism, derived: Iterable[CategoricalProposition] = ()) -> str:
+    """DOT text for the document, with each proposition in ``derived`` (those
+    derivable beyond the premisses, say) drawn as a dashed edge."""
     o = ologism.sorted()
     lines = [f"digraph {_q(o.name)} {{"]
     lines.append("  rankdir=LR;")
@@ -76,12 +76,9 @@ def export_dot(ologism: Ologism, theory: Optional[Theory] = None) -> str:
             f"  {_q(f.lhs.source)} -> {_q(f.lhs.target)} "
             f"[label={_q(chr(0x2713) + ' ' + tag)}, style=dotted, constraint=false];"
         )
-    if theory is not None:
-        derived = sorted((p.canonical() for p in theory.derived_beyond_premisses()),
-                         key=lambda p: p.sort_key())
-        for p in derived:
-            lines.append(
-                f"  {_q(p.subject)} -> {_q(p.predicate)} [label={_q(str(p))}, style=dashed, constraint=false];"
-            )
+    for p in sorted((p.canonical() for p in derived), key=lambda p: p.sort_key()):
+        lines.append(
+            f"  {_q(p.subject)} -> {_q(p.predicate)} [label={_q(str(p))}, style=dashed, constraint=false];"
+        )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -28,7 +28,8 @@ escapes and end on their line; ``#`` starts a line comment.  The closing
 is an error.  The parser never raises on bad input: it reports positioned
 diagnostics (line and column count characters from 1; only ``\\n`` starts a
 line) and returns whatever it could build.  ``serialize`` writes canonical
-form, each premiss in its declared orientation, and round-trips.
+form, each premiss in its declared orientation, and round-trips; the map of
+an empty carrier is written with no pairs, as ``map f :``.
 
 One syntactic wrinkle: fact paths name arrows by label, and the label
 ``is`` may legitimately mark several inclusions.  Resolution keeps every
@@ -114,15 +115,19 @@ def _is_ident(text: str) -> bool:
     return _WORD.fullmatch(text) is not None and _ident_start(text[0])
 
 
-# One alternative per token class, tried in order at each position.  A string
-# stops before a newline; inside it a backslash escapes '"' or '\\', and any
-# other backslash is a BadEscape that drops out of the value.
+# One match per token: the blanks before it (whitespace other than a newline),
+# then one alternative per token class, tried in order.  NL is a newline and
+# the comment before it; END is the end of input and a comment just before it.
+# A string stops before a newline; inside it a backslash escapes '"' or '\\',
+# and any other backslash is a BadEscape that drops out of the value.
 _TOKEN = re.compile(
-    rf"""(?P<SKIP>(?:\s|\#[^\n]*)+)
-       | (?P<PUNCT>->|[{{}}:;=,()])
-       | (?P<STRING>"(?P<body>(?:[^"\\\n]|\\["\\]?)*)(?P<closed>")?)
-       | (?P<WORD>{_WORD.pattern})
-       | (?P<OTHER>.)""",
+    rf"""[^\S\n]*
+       (?: (?P<WORD>{_WORD.pattern})
+         | (?P<NL>(?:\#[^\n]*)?\n)
+         | (?P<STRING>"(?P<body>(?:[^"\\\n]|\\["\\]?)*)(?P<closed>")?)
+         | (?P<PUNCT>->|[{{}}:;=,()])
+         | (?P<END>(?:\#[^\n]*)?\Z)
+         | (?P<OTHER>.))""",
     re.VERBOSE | re.DOTALL,
 )
 _ESCAPE = re.compile(r'\\(["\\]?)')
@@ -139,23 +144,28 @@ def _tokenize(source: str) -> tuple[list[Token], list[SourceDiagnostic]]:
     """Tokens ending in EOF, and the lexer's diagnostics in source order."""
     tokens: list[Token] = []
     diagnostics: list[SourceDiagnostic] = []
+    token, add = tuple.__new__, tokens.append  # token(Token, ...) skips Token's keyword handling
     line, line_start = 1, 0
     for m in _TOKEN.finditer(source):
-        kind, text, pos = m.lastgroup, m.group(), m.start()
-        if kind == "SKIP":
-            if "\n" in text:
-                line += text.count("\n")
-                line_start = source.rindex("\n", pos, m.end()) + 1
+        kind = m.lastgroup
+        if kind == "NL":
+            line += 1
+            line_start = m.end()
             continue
-        column = pos - line_start + 1
+        text = m.group(kind)
+        column = m.start(kind) - line_start + 1
         if kind == "WORD":
+            first = text[0]
+            if first.isalpha() or first == "_":  # _ident_start(first), inline
+                add(token(Token, ("IDENT", text, line, column)))
+                continue
             lead = 0
             while lead < len(text) and not _ident_start(text[lead]):
                 diagnostics.append(SourceDiagnostic(
                     "error", "UnexpectedCharacter", f"unexpected character {text[lead]!r}", line, column + lead))
                 lead += 1
             if lead < len(text):
-                tokens.append(Token("IDENT", text[lead:], line, column + lead))
+                add(token(Token, ("IDENT", text[lead:], line, column + lead)))
         elif kind == "STRING":
             value = m.group("body")
             if "\\" in value:
@@ -165,16 +175,18 @@ def _tokenize(source: str) -> tuple[list[Token], list[SourceDiagnostic]]:
                             "error", "BadEscape", "only \\\" and \\\\ escapes are recognized",
                             line, column + 1 + e.start()))
                 value = _ESCAPE.sub(r"\1", value)
-            tokens.append(Token("STRING", value, line, column))
+            add(token(Token, ("STRING", value, line, column)))
             if m.group("closed") is None:
                 diagnostics.append(SourceDiagnostic(
                     "error", "UnterminatedString", "string literal is not closed", line, column))
         elif kind == "PUNCT":
-            tokens.append(Token(_PUNCT[text], text, line, column))
+            add(token(Token, (_PUNCT[text], text, line, column)))
+        elif kind == "END":
+            add(token(Token, ("EOF", "", line, m.end() - line_start + 1)))
+            break  # after a comment, finditer would match the empty end again
         else:
             diagnostics.append(SourceDiagnostic(
                 "error", "UnexpectedCharacter", f"unexpected character {text!r}", line, column))
-    tokens.append(Token("EOF", "", line, len(source) - line_start + 1))
     return tokens, diagnostics
 
 
@@ -182,20 +194,22 @@ def _tokenize(source: str) -> tuple[list[Token], list[SourceDiagnostic]]:
 
 
 class _Parser:
-    def __init__(self, source: str):
+    def __init__(self, source: str, closing_brace: bool = False):
+        """With ``closing_brace``, a '}' is read just past the end of ``source``."""
         self.tokens, self.diagnostics = _tokenize(source)
+        if closing_brace:
+            end = self.tokens[-1]
+            self.tokens.insert(-1, Token("RBRACE", "}", end.line, end.column))
         self.index = 0
+        self.here = self.tokens[0]
 
     # token plumbing
-
-    @property
-    def here(self) -> Token:
-        return self.tokens[self.index]
 
     def advance(self) -> Token:
         tok = self.here
         if tok.kind != "EOF":
             self.index += 1
+            self.here = self.tokens[self.index]
         return tok
 
     def error(self, code: str, message: str, tok: Optional[Token] = None) -> None:
@@ -227,7 +241,8 @@ class _Parser:
         return any(d.severity == "error" for d in self.diagnostics)
 
 
-_ITEM_KEYWORDS = ("type", "aspect", "fact", "A", "E", "I", "O")
+_FORMS = frozenset("AEIO")
+_ITEM_KEYWORDS = _FORMS | {"type", "aspect", "fact"}
 
 # Where a diagnostic about a declaration a document already holds points
 # when an item is parsed against it: the item's first column.
@@ -288,22 +303,24 @@ def parse_item(doc: Ologism, item: str) -> ParseResult:
     positions in ``item``, and one about a declaration ``doc`` already
     holds (a fact that a new aspect makes ambiguous) is at 1:1.
     """
-    p = _Parser(item)
-    end = p.tokens[-1]
-    p.tokens.insert(-1, Token("RBRACE", "}", end.line, end.column))
+    p = _Parser(item, closing_brace=True)
     return _parse_items(p, doc.name, _Declarations.of(doc))
 
 
 def _parse_items(p: _Parser, name: str, d: _Declarations) -> ParseResult:
     """Declarations up to the closing brace and end of input, added to ``d``."""
     while p.here.kind not in ("EOF", "RBRACE"):
-        if not p.at_keyword(*_ITEM_KEYWORDS):
-            p.error("UnexpectedToken", f"expected a declaration keyword, found {p.here.value!r}")
-            p.advance()
+        keyword = p.advance()
+        if keyword.kind != "IDENT" or keyword.value not in _ITEM_KEYWORDS:
+            p.error("UnexpectedToken", f"expected a declaration keyword, found {keyword.value!r}", keyword)
             p.skip_to_next_item()
             continue
-        keyword = p.advance()
-        if keyword.value == "type":
+        if keyword.value in _FORMS:
+            subj = p.expect("IDENT", "the subject type")
+            pred = p.expect("IDENT", "the predicate type")
+            if subj and pred:
+                _add_premiss(p, d, keyword.value, subj, pred, keyword)
+        elif keyword.value == "type":
             ident = p.expect("IDENT", "a type id")
             label = p.expect("STRING", "the type label")
             if ident and label is not None:
@@ -340,11 +357,6 @@ def _parse_items(p: _Parser, name: str, d: _Declarations) -> ParseResult:
                     else:
                         d.aspects.append(aspect)
                         d.positions[aspect] = ident
-        elif keyword.value in ("A", "E", "I", "O"):
-            subj = p.expect("IDENT", "the subject type")
-            pred = p.expect("IDENT", "the predicate type")
-            if subj and pred:
-                _add_premiss(p, d, keyword.value, subj, pred, keyword)
         else:  # fact
             label_tok = p.advance() if p.here.kind == "STRING" else None
             if p.expect("COLON", "':'") is None:
@@ -387,7 +399,9 @@ def _parse_items(p: _Parser, name: str, d: _Declarations) -> ParseResult:
 
     if p.errors_present():
         return ParseResult(None, p.diagnostics)
-    return ParseResult(Ologism.build(name, d.types, d.aspects, d.facts, d.premisses), p.diagnostics)
+    # _add_premiss has paired every A premiss with its is-aspect, as build would.
+    value = Ologism(name, tuple(d.types), tuple(d.aspects), tuple(d.facts), tuple(d.premisses))
+    return ParseResult(value, p.diagnostics)
 
 
 def _add_premiss(p: _Parser, d: _Declarations, form: str, subj: Token, pred: Token, at: Token) -> None:
@@ -559,7 +573,10 @@ def parse_model(source: str) -> ParseResult:
                 continue
             pairs: dict[str, str] = {}
             bad = False
-            while True:
+            # Pairs start with an element and '->'; without them the map is
+            # empty, as serialize writes the map of an empty carrier.
+            more = p.here.kind in ("IDENT", "STRING") and p.tokens[p.index + 1].kind == "ARROW"
+            while more:
                 if p.here.kind not in ("IDENT", "STRING"):
                     p.error("UnexpectedToken", "expected an element name")
                     bad = True
@@ -576,10 +593,9 @@ def parse_model(source: str) -> ParseResult:
                 if src in pairs:
                     p.error("DuplicateMapping", f"element {src!r} mapped twice")
                 pairs[src] = dst
-                if p.here.kind == "COMMA":
+                more = p.here.kind == "COMMA"
+                if more:
                     p.advance()
-                    continue
-                break
             if bad:
                 p.skip_to_next_item()
                 continue

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import random
 import time
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from ologism.cli import EXIT_CODES, main
 from ologism.core import Ologism
 from ologism.dsl import serialize
 from ologism.repl import Repl
-from .oracles import check_dot
+from .oracles import check_dot, random_document, random_model
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "ologism" / "data"
 GOLDEN_DOT = Path(__file__).resolve().parent / "golden" / "dot"
@@ -164,6 +165,24 @@ class TestModelCheck:
         mutated.write_text(source.replace("Susan -> Elen2", "Susan -> Elen1"))
         code, out = run(capsys, "model-check", str(DATA / "has_mother.olgm"), str(mutated))
         assert code == 1 and "FactBroken" in out and "Susan" in out
+
+    def test_empty_maps_read_back(self, capsys, tmp_path):
+        # A map out of an empty carrier serializes as "map f :"; model-check
+        # must read it, so that the exit code is a verdict, never a parse error.
+        rng = random.Random(5)
+        checked = 0
+        for k in range(150):
+            doc = random_document(rng)
+            model = random_model(rng, doc)
+            if all(model.maps.values()):
+                continue
+            doc_path, model_path = tmp_path / f"d{k}.olgm", tmp_path / f"m{k}.olgmodel"
+            doc_path.write_text(serialize(doc), encoding="utf-8")
+            model_path.write_text(serialize(model), encoding="utf-8")
+            code, out = run(capsys, "model-check", str(doc_path), str(model_path))
+            assert code in (0, 1), out
+            checked += 1
+        assert checked > 0
 
 
 class TestOracle:

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from ologism.core import E, I, SerializeError, TypeDecl, Ologism, structurally_equal
+from ologism.core import E, I, SerializeError, TypeDecl, Ologism, structurally_equal, validate
 from ologism.dsl import _tokenize, parse_item, parse_model, parse_ologism, serialize
-from .oracles import random_document, reference_tokens, spliced_item
+from .oracles import random_document, random_model, random_ologism, reference_tokens, spliced_item
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "ologism" / "data"
 
 
 class TestParseOlogism:
@@ -149,6 +152,26 @@ class TestParseModel:
         result = parse_model('model "m" for "d" { map f : a b }')
         assert result.value is None and result.errors
 
+    @pytest.mark.parametrize("maps, expected", [
+        ("map f : }", {"f": {}}),
+        ("map f :\n  map g : set -> x }", {"f": {}, "g": {"set": "x"}}),
+        ("map g : a -> b\n  map f : }", {"f": {}, "g": {"a": "b"}}),
+    ])
+    def test_empty_map(self, maps, expected):
+        result = parse_model('model "m" for "d" {\n  set X = {}\n  ' + maps)
+        assert result.diagnostics == []
+        assert result.value.maps == expected
+
+    def test_random_models_roundtrip(self):
+        # A map out of an empty carrier is written "map f :" and reads back empty.
+        rng = random.Random(5)
+        empty = 0
+        for _ in range(150):
+            model = random_model(rng, random_document(rng))
+            assert parse_model(serialize(model)).value == model, serialize(model)
+            empty += any(not pairs for pairs in model.maps.values())
+        assert empty > 0
+
 
 class TestSerialize:
     def test_animals_roundtrip(self, animals):
@@ -220,6 +243,18 @@ _LEXER_EDGES = 'é²½٣Δ\r\x0b\x0c\x85\u2028\u3000\t\n"\\#->{}:;=,()_9aZ '
 @example('²9a ½ ٣x _1 é\r"a\\x\\"\\\\" \x0b\u3000- -> # c\n"open\\')
 def test_lexer_matches_reference(text):
     assert _tokenize(text) == reference_tokens(text)
+
+
+def test_lexer_matches_reference_on_whole_documents():
+    # Many lines each: the line and column bookkeeping across newlines.
+    texts = [path.read_text(encoding="utf-8") for path in sorted(DATA.glob("*.olgm*"))]
+    assert len(texts) >= 8
+    rng = random.Random(5)
+    for _ in range(200):
+        doc = random_document(rng)
+        texts += [serialize(doc), serialize(random_model(rng, doc))]
+    for text in texts:
+        assert _tokenize(text) == reference_tokens(text)
 
 
 def test_only_the_end_token_reads_as_end_of_input():
@@ -396,3 +431,44 @@ def test_an_item_reports_positions_in_itself(animals):
     assert [(d.code, d.line, d.column) for d in clash.diagnostics] == [("AmbiguousAspect", 1, 1)]
     added = parse_item(animals, "A Z V type Z \"a zebra\"").value
     assert ("is", "Z", "V") in {(a.name, a.source, a.target) for a in added.aspects}
+
+
+# --- parsed documents are built ------------------------------------------------
+#
+# The parser pairs every A premiss with its is-aspect as it reads them, so what
+# it returns is already what ``Ologism.build`` would make of it.
+
+
+def assert_built(doc: Ologism) -> None:
+    built = Ologism.build(doc.name, doc.types, doc.aspects, doc.facts, doc.premisses)
+    for field in ("name", "types", "aspects", "facts"):
+        assert getattr(built, field) == getattr(doc, field), field
+    # Premiss equality ignores the orientation of E and I; the order and the
+    # written orientation must match too.
+    assert [str(q) for q in built.premisses] == [str(q) for q in doc.premisses]
+    assert [d.code for d in validate(doc) if d.code.startswith("Orphan")] == []
+
+
+# One item of each kind, valid against any random document (all have a T0).
+_ITEM_KINDS = [
+    'type Z "a z"',
+    "aspect g : T0 -> T0",
+    'type Z "a z" aspect is : Z -> T0',
+    'type Z "a z" A T0 Z',
+    'type Z "a z" E Z T0',
+    'type Z "a z" I T0 Z',
+    'type Z "a z" O Z T0',
+    'aspect g : T0 -> T0 fact "new" : g = id(T0)',
+]
+
+
+def test_parsed_documents_need_no_build():
+    rng = random.Random(5)
+    docs = [random_document(rng) for _ in range(300)] + [random_ologism(rng) for _ in range(300)]
+    for doc in docs:
+        parsed = parse_ologism(serialize(doc)).value
+        assert_built(parsed)
+        for item in _ITEM_KINDS:
+            added = parse_item(parsed, item).value
+            assert added is not None, item
+            assert_built(added)

@@ -289,6 +289,11 @@ class Ologism:
     def label(self, type_id: str) -> str:
         return self._labels[type_id]
 
+    @cached_property
+    def _diagnostics(self) -> tuple[Diagnostic, ...]:
+        # Like ``_labels``, not a field; ``validate`` reads it.
+        return tuple(_diagnose(self))
+
     def aspect(self, name: str, source: str, target: str) -> Aspect:
         for a in self.aspects:
             if (a.name, a.source, a.target) == (name, source, target):
@@ -323,8 +328,14 @@ def validate(ologism: Ologism) -> list[Diagnostic]:
     """Check every structural invariant; an empty list means well-formed.
 
     Diagnostics are data, not failures, and come back in a deterministic
-    order (declaration order within each family of checks).
+    order (declaration order within each family of checks).  A document is
+    immutable, so it is checked once: later calls read what it keeps.
     """
+    return list(ologism._diagnostics)
+
+
+def _diagnose(ologism: Ologism) -> list[Diagnostic]:
+    """The checks behind ``validate``."""
     out: list[Diagnostic] = []
     seen_ids: set[str] = set()
     for t in ologism.types:

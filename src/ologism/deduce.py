@@ -29,7 +29,19 @@ every conclusion not yet known gets height h + 1, and among that level's
 candidates for it the least (rule tag, child triples) wins.  That is the
 least (height, rule, operands) over all derivations, found without
 re-running old joins.  Each winner's tree is made as its level is admitted,
-from its children's trees already in the table.
+from its children's trees already in the table, and records its height.
+
+Adding premisses can only add facts or lower their heights, so the same
+level loop extends a table (Knuth, "A generalization of Dijkstra's
+algorithm", 1977; Ramalingam & Reps 1996).  It starts from the old table
+with the new premisses as height-1 candidates; each fact whose tree changes
+joins once with every fact in the table, and each conclusion waits at one
+more than its tallest child's height.  At its level, a fact that keeps its
+height takes the least of its old step and the candidates there.  Only a
+tree whose step changed, and the trees above it, are built again; every
+other tree stays the same object.  An extended table keeps the old facts in
+their places and appends the new ones, where a fresh pass would list every
+fact level by level.
 
 The default calculus is sound but not complete for the set semantics: it
 cannot derive implied existential import (I(A,B) forces A nonempty, yet
@@ -61,7 +73,7 @@ the premiss rows, and recomputes them until nothing is added.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional
@@ -84,14 +96,27 @@ EXPLOSION = "Explosion"
 Triple = tuple[str, str, str]  # (form, subject, predicate), orientation significant
 
 
-@dataclass(frozen=True, slots=True)  # a theory keeps one per oriented fact
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True, init=False)  # a theory keeps one per oriented fact
 class Derivation:
     """One step of a derivation tree; ``conclusion`` keeps the orientation
-    this step states it in, so printed trees mirror diagram reversals."""
+    this step states it in, so printed trees mirror diagram reversals.
+    ``height`` is one more than the tallest child's, 1 for a leaf."""
 
     conclusion: CategoricalProposition
     rule: str
     children: tuple["Derivation", ...] = ()
+    height: int = field(default=0, compare=False, repr=False)
+
+    def __init__(self, conclusion: CategoricalProposition, rule: str,
+                 children: tuple["Derivation", ...] = (), height: int = 0) -> None:
+        """``height`` may be passed by a caller that knows it; 0 computes it."""
+        _set(self, "conclusion", conclusion)
+        _set(self, "rule", rule)
+        _set(self, "children", children)
+        _set(self, "height", height or 1 + max([c.height for c in children], default=0))
 
     def replay(self) -> CategoricalProposition:
         """Re-check every rule instance bottom-up against the rule rows
@@ -121,13 +146,19 @@ class Derivation:
 @dataclass(frozen=True)
 class Theory:
     """The closure as its derivation table: one minimal derivation per
-    oriented fact.  The propositions are the canonical entries, and each
-    starred set is a read-only view of the propositions of one form."""
+    oriented fact, under the rules of ``calculus``.  The propositions are
+    the canonical entries, and each starred set is a read-only view of the
+    propositions of one form."""
 
     name: str
     types: tuple[str, ...]
     premisses: frozenset[CategoricalProposition]
     trees: Mapping[Triple, Derivation]
+    calculus: str
+    # What a later ``close`` needs to extend the table: the premisses as
+    # oriented triples, and the join index.
+    _premisses: tuple[Triple, ...] = field(repr=False, compare=False)
+    _index: Mapping[tuple[str, int, str], tuple[Triple, ...]] = field(repr=False, compare=False)
 
     def _canonical(self) -> Iterator[Derivation]:
         """The trees of the canonical entries, in table order."""
@@ -225,44 +256,85 @@ def _by_form(rows: tuple, at: int) -> dict[str, list[tuple]]:
 _AS_LEFT, _AS_RIGHT = _by_form(_JOINS, 1), _by_form(_JOINS, 3)
 
 
-def _saturate(seeds: dict[Triple, tuple[str, tuple[Triple, ...]]], unaries: tuple,
-              types: tuple[str, ...], old: Mapping[Triple, Derivation]) -> dict[Triple, Derivation]:
-    """The table closing ``seeds``, the (rule, no children) steps of height
-    1, under ``_JOINS`` and ``unaries``, level by level in derivation height
-    (see the module docstring).
+Step = tuple[str, tuple[Triple, ...]]  # (rule tag, child triples): one rule instance
+
+
+def _saturate(agenda: dict[int, dict[Triple, Step]], unaries: tuple, types: tuple[str, ...],
+              trees: dict[Triple, Derivation], index: dict[tuple[str, int, str], tuple[Triple, ...]],
+              old: Mapping[Triple, Derivation]) -> None:
+    """Admit the candidate steps of ``agenda``, keyed by level and
+    conclusion, into the table ``trees`` and its join ``index``, and close
+    both under ``_JOINS`` and ``unaries``, level by level in derivation
+    height (see the module docstring).  A fresh pass starts from an empty
+    table with the height-1 steps as the agenda.
+
+    At its level a fact takes the least (rule, child triples) among its
+    candidates there and, when it already has that height, its current
+    step.  Each fact whose tree changes joins with every fact in the index,
+    and each conclusion waits at one more than its tallest child's height.
 
     A tree of ``old`` is kept where it states the same triple by the same
     rule from the very trees admitted here for its children, so it is the
     tree that would be built."""
     by_form = _by_form(unaries, 1)
-    trees: dict[Triple, Derivation] = {}
-    index: dict[tuple[str, int, str], list[Triple]] = {}
-    best = seeds
-    while best:
-        for concl, (tag, children) in best.items():
-            kids = tuple([trees[c] for c in children])
-            tree = old.get(concl)
-            if tree is None or tree.rule != tag or not all(map(operator.is_, tree.children, kids)):
-                tree = Derivation(proposition(*concl), tag, kids)
-            trees[concl] = tree
-            index.setdefault((concl[0], 1, concl[1]), []).append(concl)
-            index.setdefault((concl[0], 2, concl[2]), []).append(concl)
-        level, best = list(best), {}
-        for t in level:
+    known = len(trees)  # the starting table's facts are no taller than their count
+    while agenda:
+        level = min(agenda)
+        changed = []
+        for concl, step in agenda.pop(level).items():
+            tree = trees.get(concl)
+            if tree is not None:
+                if tree.height < level:
+                    continue  # lowered since this candidate was found
+                if tree.height == level:
+                    step = min(step, (tree.rule, tuple([_triple(c.conclusion) for c in tree.children])))
+            tag, children = step
+            kids = tuple(map(trees.__getitem__, children))
+            made = old.get(concl)
+            if made is None or made.rule != tag or not all(map(operator.is_, made.children, kids)):
+                made = Derivation(made.conclusion if made else CategoricalProposition(*concl), tag, kids, level)
+            if made is not tree:
+                if tree is None:  # tuples, so that an extended index shares them
+                    key = (concl[0], 1, concl[1])
+                    index[key] = index.get(key, ()) + (concl,)
+                    key = (concl[0], 2, concl[2])
+                    index[key] = index.get(key, ()) + (concl,)
+                trees[concl] = made
+                changed.append(concl)
+        above = agenda.setdefault(level + 1, {})
+        # Once no fact of the starting table can be taller than this level,
+        # no fact in the table takes a candidate found here.
+        settled = level >= known
+        done = trees if settled else {}
+        for t in changed:
             found = []
             for tag, _, lj, rf, rj, out in _AS_LEFT.get(t[0], ()):
                 for r in index.get((rf, rj, t[lj]), ()):
-                    found.append(((out, t[3 - lj], r[3 - rj]), tag, (t, r)))
+                    concl = (out, t[3 - lj], r[3 - rj])
+                    if concl not in done:
+                        found.append((concl, tag, (t, r)))
             for tag, lf, lj, _, rj, out in _AS_RIGHT.get(t[0], ()):
                 for left in index.get((lf, lj, t[rj]), ()):
-                    found.append(((out, left[3 - lj], t[3 - rj]), tag, (left, t)))
+                    concl = (out, left[3 - lj], t[3 - rj])
+                    if concl not in done:
+                        found.append((concl, tag, (left, t)))
             for tag, _, conclude in by_form.get(t[0], ()):
-                for c in conclude(t, types):
-                    found.append((c, tag, (t,)))
+                for concl in conclude(t, types):
+                    found.append((concl, tag, (t,)))
             for concl, tag, children in found:
-                if concl not in trees and (concl not in best or (tag, children) < best[concl]):
-                    best[concl] = (tag, children)
-    return trees
+                if concl in trees and (settled or trees[concl].height <= level):
+                    continue
+                waiting = above
+                if not settled:  # the other child may be taller than t
+                    at = max([trees[c].height for c in children]) + 1
+                    if concl in trees and trees[concl].height < at:
+                        continue
+                    if at > level + 1:
+                        waiting = agenda.setdefault(at, {})
+                if concl not in waiting or (tag, children) < waiting[concl]:
+                    waiting[concl] = (tag, children)
+        if not above:
+            del agenda[level + 1]
 
 
 def _types(ologism: Ologism, calculus: str) -> tuple[str, ...]:
@@ -283,15 +355,34 @@ def close(ologism: Ologism, calculus: str = "default",
     ``calculus`` is ``"default"`` (R1-R8 plus symmetry) or ``"complete"``
     (those plus existence, emptiness and explosion); either is one
     saturation pass over its rules.  Any other name raises ``ValueError``.
-    With ``previous``, any earlier theory, each derivation that comes out
-    the same as one of its trees is that tree, not a copy.
+
+    ``previous`` is any earlier theory.  When it was closed under the same
+    calculus, over the same types, from premisses that ``ologism`` holds in
+    the same orientation, the pass extends its table with the new premisses
+    (see the module docstring).  That covers adding a premiss, an ``is``
+    aspect, a fact or a named aspect, and closing the same document again.
+    Otherwise, as after a premiss is removed, the pass starts from an empty
+    table.  Either way, each derivation that comes out the same as one of
+    ``previous``'s trees is that tree, not a copy.
     """
     types = _types(ologism, calculus)
+    # In sorted order, so that a table's order does not depend on the order
+    # the premisses are declared in.
+    premisses = tuple(sorted([_triple(p) for p in ologism.premisses]))
+    trees: dict[Triple, Derivation] = {}
+    index: dict[tuple[str, int, str], tuple[Triple, ...]] = {}
     seeds = {("A", t, t): (IDENTITY, ()) for t in types}
-    for p in ologism.premisses:
-        seeds.setdefault(_triple(p), (PREMISS, ()))
-    trees = _saturate(seeds, _CALCULI[calculus], types, previous.trees if previous else {})
-    return Theory(ologism.name, types, frozenset(ologism.premisses), trees)
+    new = premisses
+    if (previous is not None and previous.calculus == calculus and previous.types == types
+            and len(premisses) >= len(previous._premisses)):
+        held = set(previous._premisses)
+        added = [t for t in premisses if t not in held]
+        if len(premisses) - len(added) == len(held):
+            trees, index, seeds, new = dict(previous.trees), dict(previous._index), {}, added
+    for t in new:
+        seeds.setdefault(t, (PREMISS, ()))
+    _saturate({1: seeds}, _CALCULI[calculus], types, trees, index, previous.trees if previous else {})
+    return Theory(ologism.name, types, frozenset(ologism.premisses), trees, calculus, premisses, index)
 
 
 # --- the derivable set by reachability ----------------------------------------

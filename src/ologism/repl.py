@@ -4,12 +4,15 @@
 declarations, and reports diagnostics at positions in the item; premisses
 keep the orientation they were written in, through writes and ``save``.
 Every write then closes the new document, passing the current theory as
-``previous``: the saturation runs in full, and where it derives a fact by
-the same rule from the same child trees as before, it takes the tree from
-the current theory's table instead of building a copy.  ``why`` reads one
-entry of that table.  A write prints the newly derived propositions and any
-fresh contradiction, which is the whole point of assisting an author while
-they impose constraints.
+``previous``.  An ``add`` of a premiss, ``is`` aspect, fact or named aspect
+extends the current derivation table: only the facts the new premiss
+derives or lowers, and the trees above them, are built.  An ``add`` of a
+type and a ``retract`` run the saturation in full; where it derives a fact
+by the same rule from the same child trees as before, it takes the tree
+from the current theory's table instead of building a copy.  A ``load``
+closes its document afresh.  ``why`` reads one entry of that table.  A write prints the newly derived
+propositions and any fresh contradiction, which is the whole point of
+assisting an author while they impose constraints.
 """
 
 from __future__ import annotations

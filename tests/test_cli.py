@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import random
+import shutil
 import time
 from pathlib import Path
 
@@ -19,6 +20,7 @@ DATA = Path(__file__).resolve().parents[1] / "src" / "ologism" / "data"
 GOLDEN_DOT = Path(__file__).resolve().parent / "golden" / "dot"
 GOLDEN_ORACLE = Path(__file__).resolve().parent / "golden" / "oracle"
 GOLDEN_CHECK = Path(__file__).resolve().parent / "golden" / "check"
+GOLDEN_REPL = Path(__file__).resolve().parent / "golden" / "repl"
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src" / "ologism" / "schemas" / "report.schema.json").read_text()
 )
@@ -52,6 +54,17 @@ class TestCheck:
         assert "O(A,B)" in out and "I(A,V)" in out and "O(V,A)" in out
         assert "Some animal that is able to fly is not a bird" in out
         assert "consistent" in out
+
+    @pytest.mark.parametrize("doc", ["animals", "contradictory"])
+    def test_validates_the_document_once(self, capsys, monkeypatch, contradictory, doc):
+        # _load_ologism, derivable and, for a contradiction, close all ask.
+        from ologism import core
+        calls = []
+        diagnose = core._diagnose
+        monkeypatch.setattr(core, "_diagnose", lambda d: calls.append(d) or diagnose(d))
+        path = contradictory if doc == "contradictory" else str(DATA / "animals.olgm")
+        code, _ = run(capsys, "check", path)
+        assert (code, len(calls)) == (int(doc == "contradictory"), 1)
 
     def test_contradiction_exit_1(self, capsys, contradictory):
         code, out = run(capsys, "check", contradictory)
@@ -434,6 +447,53 @@ class TestCheckGoldens:
         name = doc + ("-json" if fmt else "")
         expected = (GOLDEN_CHECK / f"{name}.txt").read_text(encoding="utf-8")
         assert f"exit {code}\n--- stdout\n{out}" == expected
+
+
+PROMPT = "olgm> "
+
+
+class _Echo:
+    """Script lines for ``Repl.run``, each written to ``out`` as it is read,
+    so a transcript shows every command after its prompt."""
+
+    def __init__(self, lines: list[str], out: io.StringIO):
+        self.lines, self.out = iter(lines), out
+
+    def readline(self) -> str:
+        line = next(self.lines, "")
+        self.out.write(line)
+        return line
+
+
+def repl_transcript(commands: list[str]) -> str:
+    out = io.StringIO()
+    Repl(out).run(_Echo(commands, out), prompt=PROMPT)
+    return out.getvalue()
+
+
+REPL_GOLDENS = ["animals", "square", "has_mother", "custodian"]
+
+
+class TestReplGoldens:
+    """REPL sessions pinned byte for byte.  tests/golden/repl/NAME.txt is the
+    transcript of a session run in a directory holding copies of the bundled
+    documents; its commands are the text after each prompt.  The sessions
+    cover ``load``, an ``add`` of every item form (among them a premiss
+    already derivable, E and I premisses in non-canonical orientation, and
+    premisses that make a contradiction or change a contradiction's
+    derivation, or a tree whose height stays), ``why``, ``derived``,
+    ``contradictions``, ``retract`` and ``save`` followed by a ``load`` of
+    the saved file."""
+
+    @pytest.mark.parametrize("name", REPL_GOLDENS)
+    def test_golden(self, tmp_path, monkeypatch, name):
+        expected = (GOLDEN_REPL / f"{name}.txt").read_text(encoding="utf-8")
+        commands = [line[len(PROMPT):] for line in expected.splitlines(keepends=True)
+                    if line.startswith(PROMPT)]
+        for doc in DATA.glob("*.olgm"):
+            shutil.copy(doc, tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert repl_transcript(commands) == expected
 
 
 class TestRepl:

@@ -144,6 +144,17 @@ class TestValidate:
     def test_deterministic(self, animals):
         assert validate(animals) == validate(animals)
 
+    def test_checks_a_document_once(self, monkeypatch):
+        from ologism import core
+        calls = []
+        monkeypatch.setattr(core, "_diagnose", lambda doc: calls.append(doc) or [])
+        doc = Ologism("bad", (TypeDecl("X", "an x"),), premisses=(E("X", "Y"),))
+        first = validate(doc)
+        first.append("scribbled on by a caller")
+        assert validate(doc) == [] and calls == [doc]
+        assert validate(Ologism("bad", (TypeDecl("X", "an x"),), premisses=(E("X", "Y"),))) == []
+        assert len(calls) == 2  # an equal document is another instance
+
     def test_non_parallel_fact(self):
         doc = Ologism.build(
             "bad",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import operator
 import random
 
 import pytest
@@ -563,3 +564,127 @@ class TestReuseAcrossCloses:
         repl.out = io.StringIO()
         repl.dispatch(line)
         return repl.out.getvalue()
+
+
+def _table(theory: Theory) -> dict:
+    """Each oriented fact's rendered tree and height, in no order."""
+    return {t: (d.render(), d.height) for t, d in theory.trees.items()}
+
+
+def _new_premisses(rng: random.Random, doc: Ologism, k: int = 1) -> tuple:
+    """Up to ``k`` distinct random premisses ``doc`` lacks, A(X,X) among
+    them, each E or I premiss in a random orientation."""
+    names, held, new = doc.type_ids(), set(doc.premisses), []
+    for _ in range(100 * k):
+        p = proposition(rng.choice("AEIO"), rng.choice(names), rng.choice(names))
+        if p not in held:
+            held.add(p)
+            new.append(p)
+            if len(new) == k:
+                break
+    return tuple(new)
+
+
+def _with(doc: Ologism, premisses) -> Ologism:
+    return doc.replace_premisses(doc.premisses + tuple(premisses))
+
+
+class TestExtend:
+    """``close(doc, previous=theory)``, where ``doc`` adds premisses to those
+    ``theory`` was closed from, extends ``theory``'s table: every tree
+    renders as a fresh close's, at the same height, and a tree whose step
+    and children did not change is the previous object."""
+
+    @staticmethod
+    def extend(doc: Ologism, calculus: str, previous: Theory, reference: bool = True) -> Theory:
+        theory = close(doc, calculus=calculus, previous=previous)
+        assert _table(theory) == _table(close(doc, calculus=calculus)), doc.name
+        # Extended, not re-run: the previous facts keep their places.
+        assert list(theory.trees)[:len(previous.trees)] == list(previous.trees)
+        for t, old in previous.trees.items():
+            new = theory.trees[t]
+            if new.rule == old.rule and len(new.children) == len(old.children) \
+                    and all(map(operator.is_, new.children, old.children)):
+                assert new is old, (doc.name, t)
+        for t, d in theory.trees.items():  # each child is the table's tree for its fact
+            assert all(c is theory.trees[_triple(c.conclusion)] for c in d.children), t
+            assert d.height == 1 + max((c.height for c in d.children), default=0), t
+        if reference:
+            assert_minimal_derivations(doc, calculus, theory)
+        return theory
+
+    @pytest.mark.parametrize("calculus", ["default", "complete"])
+    def test_random_add_sequences(self, calculus):
+        rng = random.Random(19)
+        for _ in range(120):
+            doc = random_ologism(rng, max_types=8, max_premisses=16)
+            premisses = list(doc.premisses)
+            rng.shuffle(premisses)
+            kept = rng.randrange(len(premisses) + 1)
+            doc = doc.replace_premisses(premisses[:kept])
+            theory = close(doc, calculus=calculus)
+            for p in premisses[kept:] + list(_new_premisses(rng, doc, 2)):
+                if p not in doc.premisses:
+                    doc = _with(doc, [p])
+                    theory = self.extend(doc, calculus, theory)
+
+    @pytest.mark.parametrize("calculus", ["default", "complete"])
+    def test_adds_to_large_documents(self, calculus):
+        rng = random.Random(20)
+        for _ in range(20):
+            doc = random_ologism(rng, max_types=120, max_premisses=160, min_types=40)
+            if calculus == "complete" and len(doc.types) > 50:
+                continue  # its closure nears every proposition
+            theory = close(doc, calculus=calculus)
+            for step in range(4):
+                doc = _with(doc, _new_premisses(rng, doc))
+                # The reference's nested loops are slow at this size: it
+                # checks the last step, and the default calculus only.
+                theory = self.extend(doc, calculus, theory, step == 3 and calculus == "default")
+
+    def test_several_premisses_at_once(self):
+        rng = random.Random(21)
+        for _ in range(60):
+            doc = random_ologism(rng, max_types=8, max_premisses=10)
+            calculus = rng.choice(["default", "complete"])
+            theory = close(doc, calculus=calculus)
+            self.extend(_with(doc, _new_premisses(rng, doc, rng.randint(2, 5))), calculus, theory)
+
+    def test_the_repl_adds_by_extension(self, tmp_path):
+        rng = random.Random(22)
+        for n in range(20):
+            doc = random_ologism(rng, max_types=6, max_premisses=8)
+            path = tmp_path / f"doc{n}.olgm"
+            path.write_text(serialize(doc))
+            session = Repl(io.StringIO())
+            session.dispatch(f"load {path}")
+            for p in _new_premisses(rng, session.doc, 4):
+                previous = session.theory
+                session.dispatch(f"add {p.form} {p.subject} {p.predicate}")
+                assert list(session.theory.trees)[:len(previous.trees)] == list(previous.trees)
+                assert _table(session.theory) == _table(close(session.doc))
+
+    def test_other_theories_take_the_full_pass(self):
+        # Another calculus, other types, or a premiss gone: the table is
+        # built afresh, in a fresh close's order.
+        rng = random.Random(23)
+        for _ in range(100):
+            doc = random_ologism(rng, max_types=8, max_premisses=16)
+            calculus, other = rng.sample(["default", "complete"], 2)
+            previous = close(doc, calculus=calculus)
+            retyped = Ologism.build(doc.name, doc.types + (TypeDecl("Z", "a z"),), premisses=doc.premisses)
+            variants = [(doc, other), (_with(doc, _new_premisses(rng, doc)), other),
+                        (_with(retyped, _new_premisses(rng, retyped)), calculus)]
+            if doc.premisses:
+                fewer = doc.replace_premisses(doc.premisses[1:])
+                variants += [(fewer, calculus), (_with(fewer, _new_premisses(rng, doc)), calculus)]
+            for variant, calc in variants:
+                theory, fresh = close(variant, calc, previous=previous), close(variant, calc)
+                assert list(theory.trees) == list(fresh.trees), variant.name
+                assert _table(theory) == _table(fresh), variant.name
+
+    def test_a_leaf_or_a_tree_built_by_hand_knows_its_height(self):
+        leaf = Derivation(A("X", "Y"), "Premiss")
+        assert leaf.height == 1
+        assert Derivation(A("X", "Z"), "R1", (leaf, Derivation(A("Y", "Z"), "Premiss"))).height == 2
+        assert Derivation(A("X", "Y"), "Premiss", (), 1) == leaf

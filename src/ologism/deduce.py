@@ -96,10 +96,7 @@ EXPLOSION = "Explosion"
 Triple = tuple[str, str, str]  # (form, subject, predicate), orientation significant
 
 
-_set = object.__setattr__
-
-
-@dataclass(frozen=True, slots=True, init=False)  # a theory keeps one per oriented fact
+@dataclass(frozen=True, slots=True)  # a theory keeps one per oriented fact
 class Derivation:
     """One step of a derivation tree; ``conclusion`` keeps the orientation
     this step states it in, so printed trees mirror diagram reversals.
@@ -108,15 +105,14 @@ class Derivation:
     conclusion: CategoricalProposition
     rule: str
     children: tuple["Derivation", ...] = ()
-    height: int = field(default=0, compare=False, repr=False)
+    height: int = field(init=False, compare=False, repr=False)
 
-    def __init__(self, conclusion: CategoricalProposition, rule: str,
-                 children: tuple["Derivation", ...] = (), height: int = 0) -> None:
-        """``height`` may be passed by a caller that knows it; 0 computes it."""
-        _set(self, "conclusion", conclusion)
-        _set(self, "rule", rule)
-        _set(self, "children", children)
-        _set(self, "height", height or 1 + max([c.height for c in children], default=0))
+    def __post_init__(self) -> None:
+        tallest = 0  # a plain loop: a theory builds one per fact
+        for child in self.children:
+            if child.height > tallest:
+                tallest = child.height
+        object.__setattr__(self, "height", tallest + 1)
 
     def replay(self) -> CategoricalProposition:
         """Re-check every rule instance bottom-up against the rule rows
@@ -155,10 +151,9 @@ class Theory:
     premisses: frozenset[CategoricalProposition]
     trees: Mapping[Triple, Derivation]
     calculus: str
-    # What a later ``close`` needs to extend the table: the premisses as
-    # oriented triples, and the join index.
+    # The premisses as oriented triples, which a later ``close`` compares to
+    # its document's before it extends the table.
     _premisses: tuple[Triple, ...] = field(repr=False, compare=False)
-    _index: Mapping[tuple[str, int, str], tuple[Triple, ...]] = field(repr=False, compare=False)
 
     def _canonical(self) -> Iterator[Derivation]:
         """The trees of the canonical entries, in table order."""
@@ -260,13 +255,12 @@ Step = tuple[str, tuple[Triple, ...]]  # (rule tag, child triples): one rule ins
 
 
 def _saturate(agenda: dict[int, dict[Triple, Step]], unaries: tuple, types: tuple[str, ...],
-              trees: dict[Triple, Derivation], index: dict[tuple[str, int, str], tuple[Triple, ...]],
-              old: Mapping[Triple, Derivation]) -> None:
+              trees: dict[Triple, Derivation], old: Mapping[Triple, Derivation]) -> None:
     """Admit the candidate steps of ``agenda``, keyed by level and
-    conclusion, into the table ``trees`` and its join ``index``, and close
-    both under ``_JOINS`` and ``unaries``, level by level in derivation
-    height (see the module docstring).  A fresh pass starts from an empty
-    table with the height-1 steps as the agenda.
+    conclusion, into the table ``trees`` and close it under ``_JOINS`` and
+    ``unaries``, level by level in derivation height (see the module
+    docstring).  A fresh pass starts from an empty table with the height-1
+    steps as the agenda.
 
     At its level a fact takes the least (rule, child triples) among its
     candidates there and, when it already has that height, its current
@@ -277,6 +271,10 @@ def _saturate(agenda: dict[int, dict[Triple, Step]], unaries: tuple, types: tupl
     rule from the very trees admitted here for its children, so it is the
     tree that would be built."""
     by_form = _by_form(unaries, 1)
+    index: dict[tuple[str, int, str], list[Triple]] = {}
+    for concl in trees:
+        index.setdefault((concl[0], 1, concl[1]), []).append(concl)
+        index.setdefault((concl[0], 2, concl[2]), []).append(concl)
     known = len(trees)  # the starting table's facts are no taller than their count
     while agenda:
         level = min(agenda)
@@ -292,13 +290,11 @@ def _saturate(agenda: dict[int, dict[Triple, Step]], unaries: tuple, types: tupl
             kids = tuple(map(trees.__getitem__, children))
             made = old.get(concl)
             if made is None or made.rule != tag or not all(map(operator.is_, made.children, kids)):
-                made = Derivation(made.conclusion if made else CategoricalProposition(*concl), tag, kids, level)
+                made = Derivation(made.conclusion if made else CategoricalProposition(*concl), tag, kids)
             if made is not tree:
-                if tree is None:  # tuples, so that an extended index shares them
-                    key = (concl[0], 1, concl[1])
-                    index[key] = index.get(key, ()) + (concl,)
-                    key = (concl[0], 2, concl[2])
-                    index[key] = index.get(key, ()) + (concl,)
+                if tree is None:
+                    index.setdefault((concl[0], 1, concl[1]), []).append(concl)
+                    index.setdefault((concl[0], 2, concl[2]), []).append(concl)
                 trees[concl] = made
                 changed.append(concl)
         above = agenda.setdefault(level + 1, {})
@@ -366,11 +362,12 @@ def close(ologism: Ologism, calculus: str = "default",
     ``previous``'s trees is that tree, not a copy.
     """
     types = _types(ologism, calculus)
-    # In sorted order, so that a table's order does not depend on the order
-    # the premisses are declared in.
+    # Seeded in sorted order, so that the table depends on the premisses and
+    # not on the order they are declared in: closing a document again, with
+    # the same premisses in another order as ``previous``, gives the very
+    # table a fresh close gives, in the same order.
     premisses = tuple(sorted([_triple(p) for p in ologism.premisses]))
     trees: dict[Triple, Derivation] = {}
-    index: dict[tuple[str, int, str], tuple[Triple, ...]] = {}
     seeds = {("A", t, t): (IDENTITY, ()) for t in types}
     new = premisses
     if (previous is not None and previous.calculus == calculus and previous.types == types
@@ -378,11 +375,11 @@ def close(ologism: Ologism, calculus: str = "default",
         held = set(previous._premisses)
         added = [t for t in premisses if t not in held]
         if len(premisses) - len(added) == len(held):
-            trees, index, seeds, new = dict(previous.trees), dict(previous._index), {}, added
+            trees, seeds, new = dict(previous.trees), {}, added
     for t in new:
         seeds.setdefault(t, (PREMISS, ()))
-    _saturate({1: seeds}, _CALCULI[calculus], types, trees, index, previous.trees if previous else {})
-    return Theory(ologism.name, types, frozenset(ologism.premisses), trees, calculus, premisses, index)
+    _saturate({1: seeds}, _CALCULI[calculus], types, trees, previous.trees if previous else {})
+    return Theory(ologism.name, types, frozenset(ologism.premisses), trees, calculus, premisses)
 
 
 # --- the derivable set by reachability ----------------------------------------

@@ -10,9 +10,10 @@ derives or lowers, and the trees above them, are built.  An ``add`` of a
 type and a ``retract`` run the saturation in full; where it derives a fact
 by the same rule from the same child trees as before, it takes the tree
 from the current theory's table instead of building a copy.  A ``load``
-closes its document afresh.  ``why`` reads one entry of that table.  A write prints the newly derived
-propositions and any fresh contradiction, which is the whole point of
-assisting an author while they impose constraints.
+closes its document afresh.  ``why`` reads one entry of that table.  A
+write prints the newly derived propositions and any fresh contradiction,
+which is the whole point of assisting an author while they impose
+constraints.
 """
 
 from __future__ import annotations

@@ -687,4 +687,3 @@ class TestExtend:
         leaf = Derivation(A("X", "Y"), "Premiss")
         assert leaf.height == 1
         assert Derivation(A("X", "Z"), "R1", (leaf, Derivation(A("Y", "Z"), "Premiss"))).height == 2
-        assert Derivation(A("X", "Y"), "Premiss", (), 1) == leaf

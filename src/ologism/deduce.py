@@ -43,6 +43,18 @@ other tree stays the same object.  An extended table keeps the old facts in
 their places and appends the new ones, where a fresh pass would list every
 fact level by level.
 
+Removing premisses only removes derivations, so the loop also shrinks a
+table by delete and re-derive (Gupta, Mumick & Subrahmanian, "Maintaining
+views incrementally", 1993).  Every fact whose tree has a removed premiss
+as a leaf is dropped, children before parents.  A fact whose tree uses no
+removed premiss keeps its tree: its height is still its least, and its
+step still the least at that height, since every derivation left was a
+candidate before.  Each dropped fact is sought again from the surviving
+facts, by every rule instance that concludes it from them, waiting at one
+more than its tallest child's height; the level loop then admits what is
+still derivable and joins it forward as it joins any admitted fact.  The
+surviving facts keep their places and the re-derived ones are appended.
+
 The default calculus is sound but not complete for the set semantics: it
 cannot derive implied existential import (I(A,B) forces A nonempty, yet
 I(A,A) does not follow) and an emptiness assertion E(X,X) can meet a
@@ -247,20 +259,48 @@ def _by_form(rows: tuple, at: int) -> dict[str, list[tuple]]:
 
 
 # The ``_JOINS`` rows that take a fact of each form as left, and as right,
-# premiss; ``_saturate`` loops only over these.
-_AS_LEFT, _AS_RIGHT = _by_form(_JOINS, 1), _by_form(_JOINS, 3)
+# premiss, and that conclude a fact of each form; ``_saturate`` loops only
+# over these.
+_AS_LEFT, _AS_RIGHT, _CONCLUDING = _by_form(_JOINS, 1), _by_form(_JOINS, 3), _by_form(_JOINS, 5)
 
 
 Step = tuple[str, tuple[Triple, ...]]  # (rule tag, child triples): one rule instance
 
 
+def _drop(trees: dict[Triple, Derivation], removed: set[Triple]) -> set[Triple]:
+    """Delete from ``trees`` every fact whose tree has a premiss leaf of
+    ``removed``, and return those facts.  Trees are judged in height order,
+    so each child is judged before its parent."""
+    # The dropped trees, by id: each child is the table's tree for its fact.
+    gone = {id(trees[t]): t for t in removed if trees[t].rule == PREMISS}
+    if not gone:
+        return set()
+    by_height: dict[int, list[tuple[Triple, Derivation]]] = {}
+    for item in trees.items():
+        if item[1].children:
+            by_height.setdefault(item[1].height, []).append(item)
+    for height in sorted(by_height):
+        for concl, tree in by_height[height]:
+            for child in tree.children:
+                if id(child) in gone:
+                    gone[id(tree)] = concl
+                    break
+    lost = set(gone.values())
+    for concl in lost:
+        del trees[concl]
+    return lost
+
+
 def _saturate(agenda: dict[int, dict[Triple, Step]], unaries: tuple, types: tuple[str, ...],
-              trees: dict[Triple, Derivation], old: Mapping[Triple, Derivation]) -> None:
+              trees: dict[Triple, Derivation], old: Mapping[Triple, Derivation],
+              lost: set[Triple]) -> None:
     """Admit the candidate steps of ``agenda``, keyed by level and
     conclusion, into the table ``trees`` and close it under ``_JOINS`` and
     ``unaries``, level by level in derivation height (see the module
     docstring).  A fresh pass starts from an empty table with the height-1
-    steps as the agenda.
+    steps as the agenda.  ``lost`` holds the facts just dropped from
+    ``trees``; every rule instance that concludes one of them from the
+    facts in ``trees`` joins the agenda first.
 
     At its level a fact takes the least (rule, child triples) among its
     candidates there and, when it already has that height, its current
@@ -275,6 +315,23 @@ def _saturate(agenda: dict[int, dict[Triple, Step]], unaries: tuple, types: tupl
     for concl in trees:
         index.setdefault((concl[0], 1, concl[1]), []).append(concl)
         index.setdefault((concl[0], 2, concl[2]), []).append(concl)
+    if lost:
+        found = []
+        for concl in lost:
+            for tag, lf, lj, rf, rj, _ in _CONCLUDING.get(concl[0], ()):
+                for left in index.get((lf, 3 - lj, concl[1]), ()):
+                    right = (rf, left[lj], concl[2]) if rj == 1 else (rf, concl[2], left[lj])
+                    if right in trees:
+                        found.append((concl, tag, (left, right)))
+        for t in trees:
+            for tag, _, conclude in by_form.get(t[0], ()):
+                for concl in conclude(t, types):
+                    if concl in lost:
+                        found.append((concl, tag, (t,)))
+        for concl, tag, children in found:
+            waiting = agenda.setdefault(max([trees[c].height for c in children]) + 1, {})
+            if concl not in waiting or (tag, children) < waiting[concl]:
+                waiting[concl] = (tag, children)
     known = len(trees)  # the starting table's facts are no taller than their count
     while agenda:
         level = min(agenda)
@@ -357,9 +414,11 @@ def close(ologism: Ologism, calculus: str = "default",
     the same orientation, the pass extends its table with the new premisses
     (see the module docstring).  That covers adding a premiss, an ``is``
     aspect, a fact or a named aspect, and closing the same document again.
-    Otherwise, as after a premiss is removed, the pass starts from an empty
-    table.  Either way, each derivation that comes out the same as one of
-    ``previous``'s trees is that tree, not a copy.
+    When instead ``ologism``'s premisses are some of ``previous``'s, as
+    after a premiss is removed, the pass drops the facts that leaned on the
+    removed ones and derives again what it can of them.  Otherwise the pass
+    starts from an empty table.  Either way, each derivation that comes out
+    the same as one of ``previous``'s trees is that tree, not a copy.
     """
     types = _types(ologism, calculus)
     # Seeded in sorted order, so that the table depends on the premisses and
@@ -369,16 +428,17 @@ def close(ologism: Ologism, calculus: str = "default",
     premisses = tuple(sorted([_triple(p) for p in ologism.premisses]))
     trees: dict[Triple, Derivation] = {}
     seeds = {("A", t, t): (IDENTITY, ()) for t in types}
-    new = premisses
-    if (previous is not None and previous.calculus == calculus and previous.types == types
-            and len(premisses) >= len(previous._premisses)):
+    new, lost = premisses, set()
+    if previous is not None and previous.calculus == calculus and previous.types == types:
         held = set(previous._premisses)
         added = [t for t in premisses if t not in held]
-        if len(premisses) - len(added) == len(held):
+        # Every held premiss kept, or no premiss new: extend or shrink.
+        if len(premisses) - len(added) == len(held) or not added:
             trees, seeds, new = dict(previous.trees), {}, added
+            lost = _drop(trees, held.difference(premisses))
     for t in new:
         seeds.setdefault(t, (PREMISS, ()))
-    _saturate({1: seeds}, _CALCULI[calculus], types, trees, previous.trees if previous else {})
+    _saturate({1: seeds}, _CALCULI[calculus], types, trees, previous.trees if previous else {}, lost)
     return Theory(ologism.name, types, frozenset(ologism.premisses), trees, calculus, premisses)
 
 

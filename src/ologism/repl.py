@@ -6,14 +6,17 @@ keep the orientation they were written in, through writes and ``save``.
 Every write then closes the new document, passing the current theory as
 ``previous``.  An ``add`` of a premiss, ``is`` aspect, fact or named aspect
 extends the current derivation table: only the facts the new premiss
-derives or lowers, and the trees above them, are built.  An ``add`` of a
-type and a ``retract`` run the saturation in full; where it derives a fact
-by the same rule from the same child trees as before, it takes the tree
-from the current theory's table instead of building a copy.  A ``load``
-closes its document afresh.  ``why`` reads one entry of that table.  A
-write prints the newly derived propositions and any fresh contradiction,
-which is the whole point of assisting an author while they impose
-constraints.
+derives or lowers, and the trees above them, are built.  A ``retract``
+drops the facts whose trees lean on the removed premiss and derives again
+those that still follow; every other tree stays, since a removal takes no
+derivation from a fact that did not use the premiss.  An ``add`` of a type
+runs the saturation in full; where it derives a fact by the same rule from
+the same child trees as before, it takes the tree from the current
+theory's table instead of building a copy.  A ``load`` closes its document
+afresh.  ``why`` reads one entry of that table.  An ``add`` prints the
+newly derived propositions and any fresh contradiction, which is the whole
+point of assisting an author while they impose constraints; a ``retract``
+can derive nothing new, and prints only what it removed.
 """
 
 from __future__ import annotations
@@ -110,10 +113,14 @@ class Repl:
 
         Callers close first, so a document that fails validation raises
         before anything here changes."""
-        before = self.theory.propositions() if self.theory else frozenset()
+        # A proposition is in the old theory iff its canonical key is in the
+        # old table, so the old proposition set, which a retract leaves
+        # unbuilt, is not needed.
+        before = self.theory.trees if self.theory else {}
         before_clash = {x for x, _ in deduce.contradictions(self.theory)} if self.theory else set()
         self.doc, self.theory = doc, theory
-        fresh = sorted(self.theory.propositions() - before, key=lambda p: p.sort_key())
+        fresh = sorted([p for p in theory.propositions() if p.sort_key() not in before],
+                       key=lambda p: p.sort_key())
         fresh = [p for p in fresh if p.subject != p.predicate or p.form != "A"]
         if fresh:
             self.say("now derivable:")
@@ -164,7 +171,9 @@ class Repl:
             if target not in doc.premisses:
                 raise ValueError(f"premiss {target} is not declared")
             doc = doc.replace_premisses(tuple(p for p in doc.premisses if p != target))
-            self.adopt(doc, deduce.close(doc, previous=self.theory))
+            # A removal derives nothing new and no fresh O(X,X), so there is
+            # nothing for ``adopt`` to print.
+            self.doc, self.theory = doc, deduce.close(doc, previous=self.theory)
             self.say(f"retracted {target}")
             return
         raise ValueError("retract handles premisses, e.g.: retract E B M")

@@ -471,7 +471,7 @@ def repl_transcript(commands: list[str]) -> str:
     return out.getvalue()
 
 
-REPL_GOLDENS = ["animals", "square", "has_mother", "custodian"]
+REPL_GOLDENS = ["animals", "square", "has_mother", "custodian", "retract"]
 
 
 class TestReplGoldens:
@@ -483,7 +483,10 @@ class TestReplGoldens:
     premisses that make a contradiction or change a contradiction's
     derivation, or a tree whose height stays), ``why``, ``derived``,
     ``contradictions``, ``retract`` and ``save`` followed by a ``load`` of
-    the saved file."""
+    the saved file.  The ``retract`` session removes a premiss that stays
+    derivable, one written in non-canonical orientation, one whose removal
+    clears a contradiction and one whose O(X,X) stands by another route, an
+    A premiss with its ``is`` aspect, and one that is not declared."""
 
     @pytest.mark.parametrize("name", REPL_GOLDENS)
     def test_golden(self, tmp_path, monkeypatch, name):

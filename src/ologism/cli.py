@@ -9,22 +9,23 @@ to the exit code, uniformly across subcommands:
     3  io_error
 
 ``--format json`` renders the same report as a stable JSON envelope
-(validated by ``schemas/report.schema.json``); text output is byte-identical
-for identical inputs and flags.
+(validated by ``schemas/report.schema.json``), byte for byte as
+``json.dumps(indent=2, sort_keys=True)`` writes it, then a newline; text
+output is byte-identical for identical inputs and flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Optional
 
 from . import deduce, dsl, dot, oracle, syll
-from .core import Ologism, proposition, reading, validate
+from .core import Ologism, proposition, reading, reading_of, validate
 from .model import check_model
 from .oracle import OracleConfig
 from .repl import Repl
@@ -48,9 +49,8 @@ class Report:
 
     def emit(self, fmt: str, out, color: bool = False) -> None:
         if fmt == "json":
-            json.dump({"command": self.command, "status": self.status, "sections": self.sections},
-                      out, indent=2, sort_keys=True)
-            out.write("\n")
+            out.write(json_text({"command": self.command, "status": self.status,
+                                 "sections": self.sections}) + "\n")
             return
         for line in self.lines:
             if color:
@@ -59,6 +59,43 @@ class Report:
                 elif line.startswith(("consistent:", "valid;")) or line.endswith(" ok"):
                     line = f"\x1b[32m{line}\x1b[0m"
             out.write(line + "\n")
+
+
+def json_text(value: Any) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for a value made of
+    dicts with str keys, lists, str, int, bool and None; any other type
+    raises ``TypeError``.  Strings go through the C encoder that ``json``
+    itself uses; the indented structure is joined here, where ``json`` would
+    walk it in pure Python."""
+
+    def write(value: Any, indent: str) -> str:
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        inner = indent + "  "
+        if isinstance(value, list):
+            if not value:
+                return "[]"
+            return "[" + inner + ("," + inner).join([write(v, inner) for v in value]) + indent + "]"
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            items = []
+            for key in sorted(value):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                items.append(encode_basestring_ascii(key) + ": " + write(value[key], inner))
+            return "{" + inner + ("," + inner).join(items) + indent + "}"
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    return write(value, "\n")
 
 
 def _read_file(path: str, report: Report) -> Optional[str]:
@@ -127,20 +164,23 @@ def _parse_literal(text: str):
 # --- subcommands ---------------------------------------------------------------
 
 
-def _beyond_premisses(doc, props):
-    """``props``, the derivable set, less the premisses and the identities."""
-    return props.difference(doc.premisses, [proposition("A", t, t) for t in doc.type_ids()])
+def _derived(doc: Ologism, triples: list[deduce.Triple]) -> list[deduce.Triple]:
+    """``triples``, from ``deduce.derivable_triples``, less the premisses and
+    the identities, in the same order."""
+    stated = {p.sort_key() for p in doc.premisses}
+    stated.update(("A", t, t) for t in doc.type_ids())
+    return [t for t in triples if t not in stated]
 
 
 def cmd_check(args, report: Report) -> None:
     doc = _load_ologism(args.path, report)
     if doc is None:
         return
-    props = deduce.derivable(doc)
-    beyond = _beyond_premisses(doc, props)
-    derived = [(p, reading(p, doc)) for p in sorted(beyond, key=lambda p: p.sort_key())]
+    triples = deduce.derivable_triples(doc)
+    derived = [(f"{form}({s},{p})", reading_of(form, s, p, doc))
+               for form, s, p in _derived(doc, triples)]
     clashes = []
-    if any(p.form == "O" and p.subject == p.predicate for p in props):  # close for the trees
+    if any(form == "O" and s == p for form, s, p in triples):  # close for the trees
         clashes = [(x, reading(proposition("O", x, x), doc), d.render())
                    for x, d in deduce.contradictions(deduce.close(doc))]
 
@@ -148,13 +188,10 @@ def cmd_check(args, report: Report) -> None:
                f"{len(doc.aspects)} aspects, {len(doc.facts)} facts, "
                f"{len(doc.premisses)} premisses")
     report.sections["ologism"] = doc.name
-    report.sections["derived"] = [
-        {"proposition": str(p.canonical()), "reading": said} for p, said in derived
-    ]
+    report.sections["derived"] = [{"proposition": text, "reading": said} for text, said in derived]
     if derived:
         report.say("derived beyond the premisses:")
-        for p, said in derived:
-            report.say(f"  {p}   \"{said}\"")
+        report.lines += [f"  {text}   \"{said}\"" for text, said in derived]
     else:
         report.say("nothing derivable beyond the premisses")
 
@@ -304,7 +341,8 @@ def cmd_export_dot(args, report: Report) -> None:
     doc = _load_ologism(args.path, report)
     if doc is None:
         return
-    derived = _beyond_premisses(doc, deduce.derivable(doc)) if args.derived else ()
+    derived = ([proposition(*t) for t in _derived(doc, deduce.derivable_triples(doc))]
+               if args.derived else ())
     text = dot.export_dot(doc, derived)
     report.sections["dot"] = text
     report.lines = [text.rstrip("\n")]

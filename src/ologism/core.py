@@ -410,13 +410,18 @@ def strip_article(label: str) -> str:
 
 
 def reading(prop: CategoricalProposition, ologism: Ologism) -> str:
-    """Render a proposition as the English sentence its diagram is read as.
+    """Render a proposition as the English sentence its diagram is read as
+    (see ``reading_of``)."""
+    return reading_of(prop.form, prop.subject, prop.predicate, ologism)
+
+
+def reading_of(form: str, subject: str, predicate: str, ologism: Ologism) -> str:
+    """The reading of ``form(subject, predicate)``, without building the
+    proposition.
 
     The subject label loses its leading indefinite article ("a bird" reads as
     "bird" after "Every"/"Some"); the predicate label is kept verbatim.
     """
-    subject = strip_article(ologism.label(prop.subject))
-    predicate = ologism.label(prop.predicate)
-    quantifier = "Every" if prop.form in ("A", "E") else "Some"
-    copula = "is" if prop.form in ("A", "I") else "is not"
-    return f"{quantifier} {subject} {copula} {predicate}"
+    quantifier = "Every" if form in ("A", "E") else "Some"
+    copula = "is" if form in ("A", "I") else "is not"
+    return f"{quantifier} {strip_article(ologism.label(subject))} {copula} {ologism.label(predicate)}"

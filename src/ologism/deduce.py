@@ -66,10 +66,12 @@ calculus="complete")`` adds the rules that close those gaps:
     explosion   O(X,X) |- O(T,T), for every type T
 
 There are two entry points.  ``close`` builds the table, for the REPL,
-``explain`` and the contradictions ``check`` renders.  ``derivable`` returns
-the same propositions without trees, for callers that read only the set:
-``check``'s derived list, the oracle, and a model checked against the
-closure.  Consequence is reachability over the A-order, so it composes
+``explain`` and the contradictions ``check`` renders.  ``derivable_triples``
+lists the same facts without trees, as canonical (form, subject, predicate)
+triples already in ``sort_key`` order: ``check`` and ``export-dot
+--derived`` read that list.  ``derivable`` is the set of those
+propositions, for the oracle and a model checked against the closure.
+Consequence is reachability over the A-order, so it composes
 bitset rows.  With A* the reflexive-transitive closure of the A-premisses,
 ``up`` relating each type to its supertypes and ``down`` to its subtypes,
 and the E and I premisses taken both ways:
@@ -498,10 +500,12 @@ def _reach(rows: list[int]) -> list[int]:
     return out
 
 
-def derivable(ologism: Ologism, calculus: str = "default") -> frozenset[CategoricalProposition]:
-    """The propositions of ``close(ologism, calculus)``, found by composing
-    bitset rows (see the module docstring) without building trees.  Raises
-    as ``close`` raises."""
+def derivable_triples(ologism: Ologism, calculus: str = "default") -> list[Triple]:
+    """The canonical triples of ``close(ologism, calculus)``'s propositions,
+    found by composing bitset rows (see the module docstring) without
+    building trees.  They come in ``sort_key`` order: forms A, E, I, O, then
+    subjects and predicates in sorted type order.  Raises as ``close``
+    raises."""
     types = _types(ologism, calculus)
     n, at = len(types), {t: k for k, t in enumerate(types)}
     rows = {form: [0] * n for form in "AEIO"}
@@ -528,13 +532,22 @@ def derivable(ologism: Ologism, calculus: str = "default") -> frozenset[Categori
         for seed, x, bits in steps:
             seed[x] |= bits
 
-    props = []
+    triples = []
     for form, star in (("A", up), ("E", e_star), ("I", i_star), ("O", o_star)):
         for x, row in enumerate(star):
             if form in "EI":
                 row &= ~((1 << x) - 1)  # the canonical orientation: subject <= predicate
-            props += [proposition(form, types[x], types[y]) for y in _bits(row)]
-    return frozenset(props)
+            while row:
+                low = row & -row
+                triples.append((form, types[x], types[low.bit_length() - 1]))
+                row ^= low
+    return triples
+
+
+def derivable(ologism: Ologism, calculus: str = "default") -> frozenset[CategoricalProposition]:
+    """The propositions of ``close(ologism, calculus)``, without trees (see
+    ``derivable_triples``).  Raises as ``close`` raises."""
+    return frozenset(proposition(*t) for t in derivable_triples(ologism, calculus))
 
 
 def contradictions(theory: Theory) -> list[tuple[str, Derivation]]:

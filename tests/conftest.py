@@ -57,8 +57,8 @@ def animals_model():
 
 @pytest.fixture
 def unsound_close(monkeypatch):
-    """``deduce.derivable``, the set the oracle and ``check`` read, made
-    unsound: every closure also claims E(M,V), which some model of the
+    """``deduce.derivable``, the set the oracle and ``model-check`` read,
+    made unsound: every closure also claims E(M,V), which some model of the
     animals document refutes."""
     real_derivable = deduce.derivable
 

@@ -9,11 +9,13 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ologism.cli import EXIT_CODES, main
+from ologism.cli import EXIT_CODES, json_text, main
 from ologism.core import Ologism
 from ologism.dsl import serialize
 from ologism.repl import Repl
+from perfbench.docs import premiss_only, render_premiss_only
 from .oracles import check_dot, random_document, random_model
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "ologism" / "data"
@@ -447,6 +449,45 @@ class TestCheckGoldens:
         name = doc + ("-json" if fmt else "")
         expected = (GOLDEN_CHECK / f"{name}.txt").read_text(encoding="utf-8")
         assert f"exit {code}\n--- stdout\n{out}" == expected
+
+
+# Any code point, with lone surrogates and control characters drawn often.
+_json_strings = st.text(st.one_of(
+    st.characters(exclude_categories=()),
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, exclude_categories=()),
+    st.characters(max_codepoint=0x1F),
+))
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200) | _json_strings,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_json_strings, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonText:
+    """``json_text``, the writer of every ``--format json`` report, writes
+    what ``json.dumps(indent=2, sort_keys=True)`` writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_json_values)
+    def test_equals_json_dumps(self, value):
+        assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [1.5, {"a"}, {1: "one"}, {"nested": [0, -0.0]}],
+                             ids=["float", "set", "int-key", "nested-float"])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            json_text(value)
+
+    def test_check_on_a_large_contradictory_document(self, capsys, tmp_path):
+        types, premisses = premiss_only(random.Random(0), 120)
+        path = tmp_path / "large.olgm"
+        path.write_text(render_premiss_only("large", types, premisses))
+        code, out = run(capsys, "--format", "json", "check", str(path))
+        payload = json.loads(out)
+        assert (code, payload["status"]) == (1, "contradiction")
+        assert payload["sections"]["derived"] and payload["sections"]["contradictions"]
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 PROMPT = "olgm> "

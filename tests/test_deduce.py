@@ -10,7 +10,16 @@ from ologism import data
 from ologism.dsl import serialize
 from ologism.repl import Repl
 from ologism.core import A, E, I, InvalidOlogismError, O, Ologism, TypeDecl, proposition
-from ologism.deduce import _JOINS, Derivation, Theory, close, contradictions, derivable, explain
+from ologism.deduce import (
+    _JOINS,
+    Derivation,
+    Theory,
+    close,
+    contradictions,
+    derivable,
+    derivable_triples,
+    explain,
+)
 from ologism.syll import Rejection, enumerate_moods, mood_premisses, prove
 from .oracles import (
     exact_consequences,
@@ -437,8 +446,18 @@ def _derivable_documents() -> list[Ologism]:
             + [random_document(rng) for _ in range(300)])
 
 
+def assert_sorted_triples(doc: Ologism, calculus: str, props: frozenset) -> None:
+    """``derivable_triples`` lists ``props``, the derivable set, each once,
+    canonically oriented and in ``sort_key`` order."""
+    triples = derivable_triples(doc, calculus)
+    assert triples == sorted(p.sort_key() for p in props), doc.name
+    assert len(set(triples)) == len(triples), doc.name
+    assert all(s <= p for form, s, p in triples if form in "EI"), doc.name
+
+
 class TestDerivable:
-    """``derivable`` is the set ``close`` finds, written the same way."""
+    """``derivable`` is the set ``close`` finds, written the same way, and
+    ``derivable_triples`` lists it in sort order."""
 
     @pytest.mark.parametrize("calculus", ["default", "complete"])
     def test_equals_the_closure(self, calculus):
@@ -446,13 +465,16 @@ class TestDerivable:
             props, theory = derivable(doc, calculus), close(doc, calculus)
             assert props == theory.propositions(), doc
             assert sorted(map(str, props)) == sorted(map(str, theory.propositions())), doc
+            assert_sorted_triples(doc, calculus, props)
 
     @pytest.mark.parametrize("calculus", ["default", "complete"])
     def test_equals_the_closure_on_large_documents(self, calculus):
         rng = random.Random(18)
         for _ in range(20):
             doc = random_ologism(rng, max_types=120, max_premisses=160, min_types=40)
-            assert derivable(doc, calculus) == close(doc, calculus).propositions(), doc.name
+            props = derivable(doc, calculus)
+            assert props == close(doc, calculus).propositions(), doc.name
+            assert_sorted_triples(doc, calculus, props)
 
     def test_default_equals_naive_fixpoint(self):
         for doc in _derivable_documents():

@@ -165,7 +165,7 @@ def _parse_literal(text: str):
 
 
 def _derived(doc: Ologism, triples: list[deduce.Triple]) -> list[deduce.Triple]:
-    """``triples``, from ``deduce.derivable_triples``, less the premisses and
+    """``triples``, from ``StarRows.triples``, less the premisses and
     the identities, in the same order."""
     stated = {p.sort_key() for p in doc.premisses}
     stated.update(("A", t, t) for t in doc.type_ids())
@@ -176,13 +176,15 @@ def cmd_check(args, report: Report) -> None:
     doc = _load_ologism(args.path, report)
     if doc is None:
         return
-    triples = deduce.derivable_triples(doc)
+    stars = deduce.star_rows(doc)
+    triples = stars.triples()
     derived = [(f"{form}({s},{p})", reading_of(form, s, p, doc))
                for form, s, p in _derived(doc, triples)]
+    goals = [t for t in triples if t[0] == "O" and t[1] == t[2]]  # in type order
     clashes = []
-    if any(form == "O" and s == p for form, s, p in triples):  # close for the trees
-        clashes = [(x, reading(proposition("O", x, x), doc), d.render())
-                   for x, d in deduce.contradictions(deduce.close(doc))]
+    if goals:
+        clashes = [(x, reading(proposition("O", x, x), doc), tree.render())
+                   for (_, x, _), tree in stars.trees_below(goals).items()]
 
     report.say(f"ologism {doc.name!r}: {len(doc.types)} types, "
                f"{len(doc.aspects)} aspects, {len(doc.facts)} facts, "
@@ -341,7 +343,7 @@ def cmd_export_dot(args, report: Report) -> None:
     doc = _load_ologism(args.path, report)
     if doc is None:
         return
-    derived = ([proposition(*t) for t in _derived(doc, deduce.derivable_triples(doc))]
+    derived = ([proposition(*t) for t in _derived(doc, deduce.star_rows(doc).triples())]
                if args.derived else ())
     text = dot.export_dot(doc, derived)
     report.sections["dot"] = text

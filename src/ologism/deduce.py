@@ -65,16 +65,16 @@ calculus="complete")`` adds the rules that close those gaps:
     emptiness   E(X,X) |- A(X,Y)  and  E(X,X) |- E(X,Y), for every type Y
     explosion   O(X,X) |- O(T,T), for every type T
 
-There are two entry points.  ``close`` builds the table, for the REPL,
-``explain`` and the contradictions ``check`` renders.  ``derivable_triples``
-lists the same facts without trees, as canonical (form, subject, predicate)
-triples already in ``sort_key`` order: ``check`` and ``export-dot
---derived`` read that list.  ``derivable`` is the set of those
+There are two entry points.  ``close`` builds the whole table, for the
+REPL and ``explain``.  ``star_rows`` finds the same facts without trees, as
+bitset rows; ``StarRows.triples`` lists them as canonical (form, subject,
+predicate) triples already in ``sort_key`` order, for ``check`` and
+``export-dot --derived``, and ``derivable`` is the set of those
 propositions, for the oracle and a model checked against the closure.
-Consequence is reachability over the A-order, so it composes
-bitset rows.  With A* the reflexive-transitive closure of the A-premisses,
-``up`` relating each type to its supertypes and ``down`` to its subtypes,
-and the E and I premisses taken both ways:
+Consequence is reachability over the A-order, so it composes bitset rows.
+With A* the reflexive-transitive closure of the A-premisses, ``up``
+relating each type to its supertypes and ``down`` to its subtypes, and the
+E and I premisses taken both ways:
 
     E* = up ; E ; down
     I* = down ; I ; up
@@ -82,6 +82,16 @@ and the E and I premisses taken both ways:
 
 The complete calculus adds what its unary rules conclude from these sets to
 the premiss rows, and recomputes them until nothing is added.
+
+``check`` renders the trees of its O(X,X) facts from the same rows
+(``StarRows.trees_below``), without the whole table.  Working back from the
+goals, a fact's premisses under every rule instance that concludes it from
+derivable facts (a bit test on the rows) join the set, until nothing is
+added: the goal-directed restriction of bottom-up evaluation (Bancilhon,
+Maier, Sagiv & Ullman, "Magic sets", 1986).  Every derivation of a fact in
+the set uses only facts in the set, so the level loop, seeded as ``close``
+seeds it and admitting only the set's facts, builds each goal's tree as
+``close`` does.
 """
 
 from __future__ import annotations
@@ -90,7 +100,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .core import (
     CategoricalProposition,
@@ -295,7 +305,7 @@ def _drop(trees: dict[Triple, Derivation], removed: set[Triple]) -> set[Triple]:
 
 def _saturate(agenda: dict[int, dict[Triple, Step]], unaries: tuple, types: tuple[str, ...],
               trees: dict[Triple, Derivation], old: Mapping[Triple, Derivation],
-              lost: set[Triple]) -> None:
+              lost: set[Triple], within: Optional[set[Triple]] = None) -> None:
     """Admit the candidate steps of ``agenda``, keyed by level and
     conclusion, into the table ``trees`` and close it under ``_JOINS`` and
     ``unaries``, level by level in derivation height (see the module
@@ -311,7 +321,8 @@ def _saturate(agenda: dict[int, dict[Triple, Step]], unaries: tuple, types: tupl
 
     A tree of ``old`` is kept where it states the same triple by the same
     rule from the very trees admitted here for its children, so it is the
-    tree that would be built."""
+    tree that would be built.  When ``within`` is given, only its facts are
+    admitted."""
     by_form = _by_form(unaries, 1)
     index: dict[tuple[str, int, str], list[Triple]] = {}
     for concl in trees:
@@ -378,6 +389,8 @@ def _saturate(agenda: dict[int, dict[Triple, Step]], unaries: tuple, types: tupl
                     found.append((concl, tag, (t,)))
             for concl, tag, children in found:
                 if concl in trees and (settled or trees[concl].height <= level):
+                    continue
+                if within is not None and concl not in within:
                     continue
                 waiting = above
                 if not settled:  # the other child may be taller than t
@@ -500,12 +513,97 @@ def _reach(rows: list[int]) -> list[int]:
     return out
 
 
-def derivable_triples(ologism: Ologism, calculus: str = "default") -> list[Triple]:
-    """The canonical triples of ``close(ologism, calculus)``'s propositions,
-    found by composing bitset rows (see the module docstring) without
-    building trees.  They come in ``sort_key`` order: forms A, E, I, O, then
-    subjects and predicates in sorted type order.  Raises as ``close``
-    raises."""
+class StarRows(NamedTuple):  # not a dataclass, which takes far longer to build at import
+    """The derivable set of ``ologism`` under ``calculus`` as bitset rows
+    over ``types``: bit y of ``rows[form][x]`` is set iff form(types[x],
+    types[y]) is derivable, E and I both ways.  ``down`` is the converse of
+    the A row, relating each type to its subtypes."""
+
+    ologism: Ologism
+    calculus: str
+    types: tuple[str, ...]
+    rows: dict[str, list[int]]
+    down: list[int]
+
+    def triples(self) -> list[Triple]:
+        """The derivable canonical triples in ``sort_key`` order: forms A,
+        E, I, O, then subjects and predicates in sorted type order."""
+        types, triples = self.types, []
+        for form, star in self.rows.items():
+            for x, row in enumerate(star):
+                if form in "EI":
+                    row &= ~((1 << x) - 1)  # the canonical orientation: subject <= predicate
+                while row:
+                    low = row & -row
+                    triples.append((form, types[x], types[low.bit_length() - 1]))
+                    row ^= low
+        return triples
+
+    def _below(self, goals: list[tuple[str, int, int]]) -> set[Triple]:
+        """``goals``, derivable facts over type indices, and every fact
+        that some rule instance concluding a fact of the set takes as a
+        premiss, when each of that instance's premisses is derivable."""
+        rows, down, o = self.rows, self.down, self.rows["O"]
+        o_columns: dict[int, int] = {}
+
+        def line(form: str, at: int, k: int) -> int:
+            """The terms m such that the fact of ``form`` with k at position
+            ``at`` and m at the other is derivable."""
+            if at == 1 or form in "EI":
+                return rows[form][k]
+            if form == "A":
+                return down[k]
+            if k not in o_columns:
+                o_columns[k] = sum([(row >> k & 1) << m for m, row in enumerate(o)])
+            return o_columns[k]
+
+        seen, stack = set(goals), list(goals)
+        while stack:
+            form, x, z = stack.pop()
+            found = []
+            for _, lf, lj, rf, rj, _ in _CONCLUDING.get(form, ()):
+                for m in _bits(line(lf, 3 - lj, x) & line(rf, 3 - rj, z)):
+                    found.append((lf, x, m) if lj == 2 else (lf, m, x))
+                    found.append((rf, m, z) if rj == 1 else (rf, z, m))
+            if form in "EI":
+                found.append((form, z, x))  # symmetry
+            if self.calculus == "complete":
+                if form == "I" and x == z:  # existence
+                    found += [("I", x, y) for y in _bits(rows["I"][x])]
+                    found += [("O", x, y) for y in _bits(o[x])]
+                if form in "AE" and rows["E"][x] >> x & 1:  # emptiness
+                    found.append(("E", x, x))
+                if form == "O" and x == z:  # explosion
+                    found += [("O", y, y) for y in range(len(o)) if o[y] >> y & 1]
+            for t in found:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return {(form, self.types[x], self.types[z]) for form, x, z in seen}
+
+    def trees_below(self, goals: Iterable[Triple]) -> dict[Triple, Derivation]:
+        """The tree ``close(ologism, calculus)`` stores for each derivable
+        triple of ``goals``, node for node; a goal that is not derivable is
+        absent.  Every derivation of a fact below the goals uses only facts
+        below them, so each keeps its least height and its candidates at
+        that height when the saturation admits nothing else."""
+        at = {t: k for k, t in enumerate(self.types)}
+        goals = [g for g in goals if self.rows[g[0]][at[g[1]]] >> at[g[2]] & 1]
+        below = self._below([(form, at[s], at[p]) for form, s, p in goals])
+        # Seeded as ``close`` seeds: identities, then premisses in sorted order.
+        seeds = {("A", t, t): (IDENTITY, ()) for t in self.types if ("A", t, t) in below}
+        for t in sorted([_triple(p) for p in self.ologism.premisses]):
+            if t in below:
+                seeds.setdefault(t, (PREMISS, ()))
+        trees: dict[Triple, Derivation] = {}
+        _saturate({1: seeds}, _CALCULI[self.calculus], self.types, trees, {}, set(), below)
+        return {g: trees[g] for g in goals}
+
+
+def star_rows(ologism: Ologism, calculus: str = "default") -> StarRows:
+    """The facts of ``close(ologism, calculus)`` as bitset rows, found by
+    composing the premisses' rows (see the module docstring) without
+    building trees.  Raises as ``close`` raises."""
     types = _types(ologism, calculus)
     n, at = len(types), {t: k for k, t in enumerate(types)}
     rows = {form: [0] * n for form in "AEIO"}
@@ -531,23 +629,13 @@ def derivable_triples(ologism: Ologism, calculus: str = "default") -> list[Tripl
             break
         for seed, x, bits in steps:
             seed[x] |= bits
-
-    triples = []
-    for form, star in (("A", up), ("E", e_star), ("I", i_star), ("O", o_star)):
-        for x, row in enumerate(star):
-            if form in "EI":
-                row &= ~((1 << x) - 1)  # the canonical orientation: subject <= predicate
-            while row:
-                low = row & -row
-                triples.append((form, types[x], types[low.bit_length() - 1]))
-                row ^= low
-    return triples
+    return StarRows(ologism, calculus, types, {"A": up, "E": e_star, "I": i_star, "O": o_star}, down)
 
 
 def derivable(ologism: Ologism, calculus: str = "default") -> frozenset[CategoricalProposition]:
     """The propositions of ``close(ologism, calculus)``, without trees (see
-    ``derivable_triples``).  Raises as ``close`` raises."""
-    return frozenset(proposition(*t) for t in derivable_triples(ologism, calculus))
+    ``StarRows.triples``).  Raises as ``close`` raises."""
+    return frozenset(proposition(*t) for t in star_rows(ologism, calculus).triples())
 
 
 def contradictions(theory: Theory) -> list[tuple[str, Derivation]]:

@@ -11,8 +11,9 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ologism import deduce
 from ologism.cli import EXIT_CODES, json_text, main
-from ologism.core import Ologism
+from ologism.core import Ologism, proposition
 from ologism.dsl import serialize
 from ologism.repl import Repl
 from perfbench.docs import premiss_only, render_premiss_only
@@ -67,6 +68,28 @@ class TestCheck:
         path = contradictory if doc == "contradictory" else str(DATA / "animals.olgm")
         code, _ = run(capsys, "check", path)
         assert (code, len(calls)) == (int(doc == "contradictory"), 1)
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["text", "json"])
+    def test_contradiction_trees_equal_the_closure_table(self, capsys, monkeypatch, tmp_path, fmt):
+        # A 120-type document: its trees come from the facts below its
+        # O(X,X), with no close and the star rows computed once, and the
+        # report is the one the closure table's trees give.
+        types, premisses = premiss_only(random.Random(0), 120)
+        path = tmp_path / "large.olgm"
+        path.write_text(render_premiss_only("large", types, premisses))
+        doc = Ologism.build("large", types, premisses=[proposition(*t) for t in premisses])
+        clashes = deduce.contradictions(deduce.close(doc))
+        assert len(clashes) > 1
+        computed = []
+        real_star_rows = deduce.star_rows
+        with monkeypatch.context() as patch:
+            patch.setattr(deduce, "close", None)
+            patch.setattr(deduce, "star_rows", lambda *a: computed.append(a) or real_star_rows(*a))
+            new = run(capsys, *fmt, "check", str(path))
+        assert len(computed) == 1
+        monkeypatch.setattr(deduce.StarRows, "trees_below",
+                            lambda self, goals: {("O", x, x): tree for x, tree in clashes})
+        assert new == run(capsys, *fmt, "check", str(path)) and new[0] == 1
 
     def test_contradiction_exit_1(self, capsys, contradictory):
         code, out = run(capsys, "check", contradictory)

@@ -17,8 +17,8 @@ from ologism.deduce import (
     close,
     contradictions,
     derivable,
-    derivable_triples,
     explain,
+    star_rows,
 )
 from ologism.syll import Rejection, enumerate_moods, mood_premisses, prove
 from .oracles import (
@@ -341,13 +341,9 @@ def _triple(p) -> tuple[str, str, str]:
     return (p.form, p.subject, p.predicate)
 
 
-def assert_minimal_derivations(doc: Ologism, calculus: str, theory: Theory | None = None) -> None:
-    """Every step of every stored derivation (of ``theory``, or of ``doc``
-    closed here) has the reference's height, rule and child conclusions, and
-    the theory holds exactly the reference's."""
-    theory = theory or close(doc, calculus=calculus)
-    reference = minimal_derivations(doc.type_ids(), doc.premisses, calculus)
-    assert theory.propositions() == {proposition(*t).canonical() for t in reference}, doc
+def _assert_reference_steps(doc: Ologism, reference: dict, trees) -> None:
+    """Every step of every derivation in ``trees`` has the reference's
+    height, rule and child conclusions."""
     heights: dict[int, int] = {}
 
     def check(d: Derivation) -> int:
@@ -359,9 +355,19 @@ def assert_minimal_derivations(doc: Ologism, calculus: str, theory: Theory | Non
             heights[id(d)] = height
         return heights[id(d)]
 
-    for p, d in theory.derivations.items():
-        assert d.conclusion == p
+    for d in trees:
         check(d)
+
+
+def assert_minimal_derivations(doc: Ologism, calculus: str, theory: Theory | None = None) -> None:
+    """Every step of every stored derivation (of ``theory``, or of ``doc``
+    closed here) has the reference's height, rule and child conclusions, and
+    the theory holds exactly the reference's."""
+    theory = theory or close(doc, calculus=calculus)
+    reference = minimal_derivations(doc.type_ids(), doc.premisses, calculus)
+    assert theory.propositions() == {proposition(*t).canonical() for t in reference}, doc
+    assert all(d.conclusion == p for p, d in theory.derivations.items())
+    _assert_reference_steps(doc, reference, theory.derivations.values())
 
 
 class TestMinimalDerivations:
@@ -385,6 +391,70 @@ class TestMinimalDerivations:
     def test_large_documents_complete(self, per_type):
         # The complete closure of larger documents nears every proposition.
         assert_minimal_derivations(_premiss_only(40, per_type, seed=41), "complete")
+
+
+def _nodes(d: Derivation) -> tuple:
+    """``d`` node for node: each step's conclusion as written, its rule,
+    height and children."""
+    return (_triple(d.conclusion), d.rule, d.height, tuple(map(_nodes, d.children)))
+
+
+class TestTreesBelow:
+    """``star_rows(doc, calculus).trees_below(goals)`` gives each derivable
+    goal the tree ``close`` stores for it, node for node, from a saturation
+    confined to the facts below the goals; a goal that is not derivable is
+    absent."""
+
+    @staticmethod
+    def check(doc: Ologism, calculus: str, rng: random.Random, extra: tuple = ()) -> int:
+        """The number of contradictions checked."""
+        theory = close(doc, calculus=calculus)
+        reference = minimal_derivations(doc.type_ids(), doc.premisses, calculus)
+        names = sorted(doc.type_ids())
+        clashes = [t for t in theory.trees if t[0] == "O" and t[1] == t[2]]
+        drawn = rng.sample(sorted(theory.trees), min(6, len(theory.trees)))
+        drawn += [(form, p, s) for form, s, p in drawn if form in "EI"]  # both orientations
+        absent = [t for t in ((rng.choice("AEIO"), rng.choice(names), rng.choice(names))
+                              for _ in range(6)) if t not in theory.trees]
+        rows = star_rows(doc, calculus)
+        for goals in (clashes, list(dict.fromkeys(drawn + list(extra) + absent))):
+            got = rows.trees_below(goals)
+            assert list(got) == [g for g in goals if g in theory.trees], doc.name
+            for goal, tree in got.items():
+                assert _nodes(tree) == _nodes(theory.trees[goal]), (doc.name, goal)
+                assert tree.replay() == tree.conclusion
+            _assert_reference_steps(doc, reference, got.values())
+        return len(clashes)
+
+    @pytest.mark.parametrize("calculus", ["default", "complete"])
+    def test_sample(self, sample, calculus):
+        rng = random.Random(51)
+        assert sum(self.check(doc, calculus, rng) for doc in sample) > 0
+
+    @pytest.mark.parametrize("calculus", ["default", "complete"])
+    def test_sample_with_an_identity_premissed(self, sample, calculus):
+        # An identity outranks an A(X,X) premiss, below the goals as in close.
+        rng = random.Random(52)
+        for doc in sample[:100]:
+            x = rng.choice(sorted(doc.type_ids()))
+            doc = _with(doc, [A(x, x)])
+            self.check(doc, calculus, rng, extra=(("A", x, x),))
+
+    @pytest.mark.parametrize("calculus", ["default", "complete"])
+    @pytest.mark.parametrize("name", data.NAMES)
+    def test_bundled(self, name, calculus):
+        self.check(data.load(name), calculus, random.Random(53))
+
+    @pytest.mark.parametrize("n_types, per_type", [(40, 2), (80, 2), (120, 1), (160, 1), (160, 2)])
+    def test_large_documents(self, n_types, per_type):
+        assert self.check(_premiss_only(n_types, per_type, seed=n_types), "default", random.Random(54)) > 0
+
+    @pytest.mark.parametrize("per_type", [1, 2])
+    def test_large_documents_complete(self, per_type):
+        self.check(_premiss_only(40, per_type, seed=41), "complete", random.Random(55))
+
+    def test_no_goals_no_trees(self, animals):
+        assert star_rows(animals).trees_below([]) == {}
 
 
 class TestRulesAgainstDiagrams:
@@ -447,9 +517,9 @@ def _derivable_documents() -> list[Ologism]:
 
 
 def assert_sorted_triples(doc: Ologism, calculus: str, props: frozenset) -> None:
-    """``derivable_triples`` lists ``props``, the derivable set, each once,
+    """``StarRows.triples`` lists ``props``, the derivable set, each once,
     canonically oriented and in ``sort_key`` order."""
-    triples = derivable_triples(doc, calculus)
+    triples = star_rows(doc, calculus).triples()
     assert triples == sorted(p.sort_key() for p in props), doc.name
     assert len(set(triples)) == len(triples), doc.name
     assert all(s <= p for form, s, p in triples if form in "EI"), doc.name
@@ -457,7 +527,7 @@ def assert_sorted_triples(doc: Ologism, calculus: str, props: frozenset) -> None
 
 class TestDerivable:
     """``derivable`` is the set ``close`` finds, written the same way, and
-    ``derivable_triples`` lists it in sort order."""
+    ``StarRows.triples`` lists it in sort order."""
 
     @pytest.mark.parametrize("calculus", ["default", "complete"])
     def test_equals_the_closure(self, calculus):
@@ -589,8 +659,16 @@ class TestReuseAcrossCloses:
 
 
 def _table(theory: Theory) -> dict:
-    """Each oriented fact's rendered tree and height, in no order."""
-    return {t: (d.render(), d.height) for t, d in theory.trees.items()}
+    """Each oriented fact's rule, child triples, height and conclusion as
+    written, in no order.  Each child must be its own table's tree for its
+    triple, so by induction on height two equal tables render every tree
+    alike."""
+    table = {}
+    for t, d in theory.trees.items():
+        kids = tuple([_triple(c.conclusion) for c in d.children])
+        assert all(map(operator.is_, d.children, map(theory.trees.__getitem__, kids))), t
+        table[t] = (d.rule, kids, d.height, _triple(d.conclusion))
+    return table
 
 
 def _new_premisses(rng: random.Random, doc: Ologism, k: int = 1) -> tuple:

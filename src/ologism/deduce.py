@@ -31,10 +31,12 @@ least (height, rule, operands) over all derivations, found without
 re-running old joins.  Each winner's tree is made as its level is admitted,
 from its children's trees already in the table, and records its height.
 
-Adding premisses can only add facts or lower their heights, so the same
-level loop extends a table (Knuth, "A generalization of Dijkstra's
-algorithm", 1977; Ramalingam & Reps 1996).  It starts from the old table
-with the new premisses as height-1 candidates; each fact whose tree changes
+Adding premisses or types can only add facts or lower their heights, so
+the same level loop extends a table (Knuth, "A generalization of
+Dijkstra's algorithm", 1977; Ramalingam & Reps 1996).  It starts from the
+old table with the new premisses, and the new types' identities, as
+height-1 candidates; under the complete calculus, emptiness and explosion
+also fire on the old facts for each new type.  Each fact whose tree changes
 joins once with every fact in the table, and each conclusion waits at one
 more than its tallest child's height.  At its level, a fact that keeps its
 height takes the least of its old step and the candidates there.  Only a
@@ -304,31 +306,31 @@ def _drop(trees: dict[Triple, Derivation], removed: set[Triple]) -> set[Triple]:
 
 
 def _saturate(agenda: dict[int, dict[Triple, Step]], unaries: tuple, types: tuple[str, ...],
-              trees: dict[Triple, Derivation], old: Mapping[Triple, Derivation],
-              lost: set[Triple], within: Optional[set[Triple]] = None) -> None:
+              trees: dict[Triple, Derivation], lost: set[Triple], grown: bool,
+              within: Optional[set[Triple]] = None) -> None:
     """Admit the candidate steps of ``agenda``, keyed by level and
     conclusion, into the table ``trees`` and close it under ``_JOINS`` and
     ``unaries``, level by level in derivation height (see the module
     docstring).  A fresh pass starts from an empty table with the height-1
     steps as the agenda.  ``lost`` holds the facts just dropped from
     ``trees``; every rule instance that concludes one of them from the
-    facts in ``trees`` joins the agenda first.
+    facts in ``trees`` joins the agenda first.  When ``grown``, ``types``
+    has types that ``trees`` has no facts over, and the unary rules, some of
+    which range over all types, run once on every fact in ``trees``.
 
     At its level a fact takes the least (rule, child triples) among its
     candidates there and, when it already has that height, its current
-    step.  Each fact whose tree changes joins with every fact in the index,
-    and each conclusion waits at one more than its tallest child's height.
-
-    A tree of ``old`` is kept where it states the same triple by the same
-    rule from the very trees admitted here for its children, so it is the
-    tree that would be built.  When ``within`` is given, only its facts are
+    step.  A fact keeps its tree when that step is its tree's rule over the
+    very child trees in the table.  Each fact whose tree changes joins with
+    every fact in the index, and each conclusion waits at one more than its
+    tallest child's height.  When ``within`` is given, only its facts are
     admitted."""
     by_form = _by_form(unaries, 1)
     index: dict[tuple[str, int, str], list[Triple]] = {}
     for concl in trees:
         index.setdefault((concl[0], 1, concl[1]), []).append(concl)
         index.setdefault((concl[0], 2, concl[2]), []).append(concl)
-    if lost:
+    if lost or grown:
         found = []
         for concl in lost:
             for tag, lf, lj, rf, rj, _ in _CONCLUDING.get(concl[0], ()):
@@ -339,7 +341,7 @@ def _saturate(agenda: dict[int, dict[Triple, Step]], unaries: tuple, types: tupl
         for t in trees:
             for tag, _, conclude in by_form.get(t[0], ()):
                 for concl in conclude(t, types):
-                    if concl in lost:
+                    if concl not in trees:  # lost, or over a new type
                         found.append((concl, tag, (t,)))
         for concl, tag, children in found:
             waiting = agenda.setdefault(max([trees[c].height for c in children]) + 1, {})
@@ -358,15 +360,13 @@ def _saturate(agenda: dict[int, dict[Triple, Step]], unaries: tuple, types: tupl
                     step = min(step, (tree.rule, tuple([_triple(c.conclusion) for c in tree.children])))
             tag, children = step
             kids = tuple(map(trees.__getitem__, children))
-            made = old.get(concl)
-            if made is None or made.rule != tag or not all(map(operator.is_, made.children, kids)):
-                made = Derivation(made.conclusion if made else CategoricalProposition(*concl), tag, kids)
-            if made is not tree:
-                if tree is None:
-                    index.setdefault((concl[0], 1, concl[1]), []).append(concl)
-                    index.setdefault((concl[0], 2, concl[2]), []).append(concl)
-                trees[concl] = made
-                changed.append(concl)
+            if tree is None:
+                index.setdefault((concl[0], 1, concl[1]), []).append(concl)
+                index.setdefault((concl[0], 2, concl[2]), []).append(concl)
+            elif tree.rule == tag and all(map(operator.is_, tree.children, kids)):
+                continue
+            trees[concl] = Derivation(tree.conclusion if tree else CategoricalProposition(*concl), tag, kids)
+            changed.append(concl)
         above = agenda.setdefault(level + 1, {})
         # Once no fact of the starting table can be taller than this level,
         # no fact in the table takes a candidate found here.
@@ -425,15 +425,15 @@ def close(ologism: Ologism, calculus: str = "default",
     saturation pass over its rules.  Any other name raises ``ValueError``.
 
     ``previous`` is any earlier theory.  When it was closed under the same
-    calculus, over the same types, from premisses that ``ologism`` holds in
-    the same orientation, the pass extends its table with the new premisses
-    (see the module docstring).  That covers adding a premiss, an ``is``
-    aspect, a fact or a named aspect, and closing the same document again.
-    When instead ``ologism``'s premisses are some of ``previous``'s, as
-    after a premiss is removed, the pass drops the facts that leaned on the
-    removed ones and derives again what it can of them.  Otherwise the pass
-    starts from an empty table.  Either way, each derivation that comes out
-    the same as one of ``previous``'s trees is that tree, not a copy.
+    calculus, over some of ``ologism``'s types, from premisses that
+    ``ologism`` holds in the same orientation, the pass extends its table
+    with the new types and premisses (see the module docstring).  That
+    covers adding a type, a premiss, an ``is`` aspect, a fact or a named
+    aspect, and closing the same document again.  When instead ``ologism``
+    has the same types and some of ``previous``'s premisses, as after a
+    premiss is removed, the pass drops the facts that leaned on the removed
+    ones and derives again what it can of them.  Otherwise the pass starts
+    from an empty table.
     """
     types = _types(ologism, calculus)
     # Seeded in sorted order, so that the table depends on the premisses and
@@ -442,18 +442,21 @@ def close(ologism: Ologism, calculus: str = "default",
     # table a fresh close gives, in the same order.
     premisses = tuple(sorted([_triple(p) for p in ologism.premisses]))
     trees: dict[Triple, Derivation] = {}
-    seeds = {("A", t, t): (IDENTITY, ()) for t in types}
-    new, lost = premisses, set()
-    if previous is not None and previous.calculus == calculus and previous.types == types:
+    new, lost, known = premisses, set(), ()
+    if previous is not None and previous.calculus == calculus and set(previous.types) <= set(types):
         held = set(previous._premisses)
         added = [t for t in premisses if t not in held]
-        # Every held premiss kept, or no premiss new: extend or shrink.
-        if len(premisses) - len(added) == len(held) or not added:
-            trees, seeds, new = dict(previous.trees), {}, added
+        # Every held premiss kept, or no premiss new over the same types:
+        # extend or shrink.
+        if len(premisses) - len(added) == len(held) or not added and previous.types == types:
+            trees, new, known = dict(previous.trees), added, previous.types
             lost = _drop(trees, held.difference(premisses))
+    # Seeded as a fresh pass seeds: the identities of the types the table has
+    # no facts over, then the new premisses.
+    seeds = {("A", t, t): (IDENTITY, ()) for t in sorted(set(types).difference(known))}
     for t in new:
         seeds.setdefault(t, (PREMISS, ()))
-    _saturate({1: seeds}, _CALCULI[calculus], types, trees, previous.trees if previous else {}, lost)
+    _saturate({1: seeds}, _CALCULI[calculus], types, trees, lost, len(known) < len(types))
     return Theory(ologism.name, types, frozenset(ologism.premisses), trees, calculus, premisses)
 
 
@@ -596,7 +599,7 @@ class StarRows(NamedTuple):  # not a dataclass, which takes far longer to build 
             if t in below:
                 seeds.setdefault(t, (PREMISS, ()))
         trees: dict[Triple, Derivation] = {}
-        _saturate({1: seeds}, _CALCULI[self.calculus], self.types, trees, {}, set(), below)
+        _saturate({1: seeds}, _CALCULI[self.calculus], self.types, trees, set(), False, below)
         return {g: trees[g] for g in goals}
 
 

@@ -4,19 +4,16 @@
 declarations, and reports diagnostics at positions in the item; premisses
 keep the orientation they were written in, through writes and ``save``.
 Every write then closes the new document, passing the current theory as
-``previous``.  An ``add`` of a premiss, ``is`` aspect, fact or named aspect
-extends the current derivation table: only the facts the new premiss
+``previous``.  An ``add`` of a type, premiss, ``is`` aspect, fact or named
+aspect extends the current derivation table: only the facts the new item
 derives or lowers, and the trees above them, are built.  A ``retract``
 drops the facts whose trees lean on the removed premiss and derives again
 those that still follow; every other tree stays, since a removal takes no
-derivation from a fact that did not use the premiss.  An ``add`` of a type
-runs the saturation in full; where it derives a fact by the same rule from
-the same child trees as before, it takes the tree from the current
-theory's table instead of building a copy.  A ``load`` closes its document
-afresh.  ``why`` reads one entry of that table.  An ``add`` prints the
-newly derived propositions and any fresh contradiction, which is the whole
-point of assisting an author while they impose constraints; a ``retract``
-can derive nothing new, and prints only what it removed.
+derivation from a fact that did not use the premiss.  A ``load`` closes its
+document afresh.  ``why`` reads one entry of that table.  An ``add`` prints
+the newly derived propositions and any fresh contradiction, which is the
+whole point of assisting an author while they impose constraints; a
+``retract`` can derive nothing new, and prints only what it removed.
 """
 
 from __future__ import annotations
@@ -113,25 +110,20 @@ class Repl:
 
         Callers close first, so a document that fails validation raises
         before anything here changes."""
-        # A proposition is in the old theory iff its canonical key is in the
-        # old table, so the old proposition set, which a retract leaves
-        # unbuilt, is not needed.
+        # The facts the old table lacks, canonical and so in ``sort_key``
+        # order once sorted; a fresh contradiction is a new O(X,X).
         before = self.theory.trees if self.theory else {}
-        before_clash = {x for x, _ in deduce.contradictions(self.theory)} if self.theory else set()
         self.doc, self.theory = doc, theory
-        fresh = sorted([p for p in theory.propositions() if p.sort_key() not in before],
-                       key=lambda p: p.sort_key())
-        fresh = [p for p in fresh if p.subject != p.predicate or p.form != "A"]
-        if fresh:
+        fresh = sorted([t for t in theory.trees if t not in before and not (t[0] in "EI" and t[2] < t[1])])
+        said = [theory.trees[t].conclusion for t in fresh if t[0] != "A" or t[1] != t[2]]
+        if said:
             self.say("now derivable:")
-            for p in fresh:
+            for p in said:
                 self.say(f"  {p}   {self._read(p)}")
-        clashes = deduce.contradictions(self.theory)
-        for x, derivation in clashes:
-            if x not in before_clash:
-                said = self._read(proposition("O", x, x))
-                self.say(f"CONTRADICTION: O({x},{x}) {said}")
-                self.say(derivation.render(indent=1))
+        for t in fresh:
+            if t[0] == "O" and t[1] == t[2]:
+                self.say(f"CONTRADICTION: O({t[1]},{t[1]}) {self._read(proposition(*t))}")
+                self.say(theory.trees[t].render(indent=1))
 
     def _read(self, p) -> str:
         try:

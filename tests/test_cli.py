@@ -535,7 +535,7 @@ def repl_transcript(commands: list[str]) -> str:
     return out.getvalue()
 
 
-REPL_GOLDENS = ["animals", "square", "has_mother", "custodian", "retract"]
+REPL_GOLDENS = ["animals", "square", "has_mother", "custodian", "retract", "add_type"]
 
 
 class TestReplGoldens:
@@ -550,7 +550,9 @@ class TestReplGoldens:
     the saved file.  The ``retract`` session removes a premiss that stays
     derivable, one written in non-canonical orientation, one whose removal
     clears a contradiction and one whose O(X,X) stands by another route, an
-    A premiss with its ``is`` aspect, and one that is not declared."""
+    A premiss with its ``is`` aspect, and one that is not declared.  The
+    ``add_type`` session adds types to a loaded document, then premisses on
+    them that derive new facts and a contradiction."""
 
     @pytest.mark.parametrize("name", REPL_GOLDENS)
     def test_golden(self, tmp_path, monkeypatch, name):

@@ -709,8 +709,8 @@ def _with(doc: Ologism, premisses) -> Ologism:
 
 
 class TestExtend:
-    """``close(doc, previous=theory)``, where ``doc`` adds premisses to those
-    ``theory`` was closed from, extends ``theory``'s table: every tree
+    """``close(doc, previous=theory)``, where ``doc`` adds types or premisses
+    to those ``theory`` was closed from, extends ``theory``'s table: every tree
     renders as a fresh close's, at the same height, and a tree whose step
     and children did not change is the previous object."""
 
@@ -789,7 +789,7 @@ class TestExtend:
         # table is extended, and under the complete calculus emptiness and
         # explosion reach the new types from the old facts.
         rng = random.Random(28)
-        for n in range(150):
+        for _ in range(150):
             doc = random_ologism(rng, max_types=6, max_premisses=12)
             theory = close(doc, calculus=calculus)
             new = tuple(TypeDecl(f"N{k}", f"a new type {k}") for k in range(rng.randint(1, 3)))

@@ -164,14 +164,6 @@ def _parse_literal(text: str):
 # --- subcommands ---------------------------------------------------------------
 
 
-def _derived(doc: Ologism, triples: list[deduce.Triple]) -> list[deduce.Triple]:
-    """``triples``, from ``StarRows.triples``, less the premisses and
-    the identities, in the same order."""
-    stated = {p.sort_key() for p in doc.premisses}
-    stated.update(("A", t, t) for t in doc.type_ids())
-    return [t for t in triples if t not in stated]
-
-
 def cmd_check(args, report: Report) -> None:
     doc = _load_ologism(args.path, report)
     if doc is None:
@@ -179,7 +171,7 @@ def cmd_check(args, report: Report) -> None:
     stars = deduce.star_rows(doc)
     triples = stars.triples()
     derived = [(f"{form}({s},{p})", reading_of(form, s, p, doc))
-               for form, s, p in _derived(doc, triples)]
+               for form, s, p in deduce.beyond_premisses(triples, doc.premisses, stars.types)]
     goals = [t for t in triples if t[0] == "O" and t[1] == t[2]]  # in type order
     clashes = []
     if goals:
@@ -343,8 +335,10 @@ def cmd_export_dot(args, report: Report) -> None:
     doc = _load_ologism(args.path, report)
     if doc is None:
         return
-    derived = ([proposition(*t) for t in _derived(doc, deduce.star_rows(doc).triples())]
-               if args.derived else ())
+    derived = ()
+    if args.derived:
+        triples = deduce.star_rows(doc).triples()
+        derived = [proposition(*t) for t in deduce.beyond_premisses(triples, doc.premisses, doc.type_ids())]
     text = dot.export_dot(doc, derived)
     report.sections["dot"] = text
     report.lines = [text.rstrip("\n")]

@@ -69,10 +69,12 @@ calculus="complete")`` adds the rules that close those gaps:
 
 There are two entry points.  ``close`` builds the whole table, for the
 REPL and ``explain``.  ``star_rows`` finds the same facts without trees, as
-bitset rows; ``StarRows.triples`` lists them as canonical (form, subject,
-predicate) triples already in ``sort_key`` order, for ``check`` and
-``export-dot --derived``, and ``derivable`` is the set of those
-propositions, for the oracle and a model checked against the closure.
+bitset rows, for ``check`` and ``export-dot --derived``; ``derivable`` is
+the set of their propositions, for the oracle and a model checked against
+the closure.  Both forms list their facts with ``triples()``, as canonical
+(form, subject, predicate) triples in ``sort_key`` order, and one filter,
+``beyond_premisses``, drops the premisses and identities from either
+listing for every front end that reports what is derived.
 Consequence is reachability over the A-order, so it composes bitset rows.
 With A* the reflexive-transitive closure of the A-premisses, ``up``
 relating each type to its supertypes and ``down`` to its subtypes, and the
@@ -91,9 +93,9 @@ goals, a fact's premisses under every rule instance that concludes it from
 derivable facts (a bit test on the rows) join the set, until nothing is
 added: the goal-directed restriction of bottom-up evaluation (Bancilhon,
 Maier, Sagiv & Ullman, "Magic sets", 1986).  Every derivation of a fact in
-the set uses only facts in the set, so the level loop, seeded as ``close``
-seeds it and admitting only the set's facts, builds each goal's tree as
-``close`` does.
+the set uses only facts in the set, so the level loop, seeding and
+admitting only the set's facts, builds each goal's tree as ``close``
+does.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
     CategoricalProposition,
@@ -181,27 +183,28 @@ class Theory:
     # its document's before it extends the table.
     _premisses: tuple[Triple, ...] = field(repr=False, compare=False)
 
-    def _canonical(self) -> Iterator[Derivation]:
-        """The trees of the canonical entries, in table order."""
-        return (tree for (form, s, p), tree in self.trees.items() if not (form in "EI" and p < s))
-
     @cached_property
     def derivations(self) -> Mapping[CategoricalProposition, Derivation]:
-        """The canonical entries of ``trees``, keyed by proposition."""
-        return MappingProxyType({tree.conclusion: tree for tree in self._canonical()})
+        """The canonical entries of ``trees``, keyed by proposition, in table
+        order."""
+        return MappingProxyType({tree.conclusion: tree for (form, s, p), tree in self.trees.items()
+                                 if not (form in "EI" and p < s)})
 
     @cached_property
     def _propositions(self) -> frozenset[CategoricalProposition]:
-        return frozenset([tree.conclusion for tree in self._canonical()])
+        return frozenset(self.derivations)
 
     def propositions(self) -> frozenset[CategoricalProposition]:
         return self._propositions
 
-    def identities(self) -> frozenset[CategoricalProposition]:
-        return frozenset(proposition("A", t, t) for t in self.types)
+    def triples(self) -> list[Triple]:
+        """The canonical triples in ``sort_key`` order, as ``StarRows.triples``
+        lists them."""
+        return sorted([p.sort_key() for p in self.derivations])
 
     def derived_beyond_premisses(self) -> frozenset[CategoricalProposition]:
-        return self.propositions() - self.premisses - self.identities()
+        return frozenset([self.trees[t].conclusion
+                          for t in beyond_premisses(self.triples(), self.premisses, self.types)])
 
     def star(self, form: str) -> frozenset[CategoricalProposition]:
         return frozenset(p for p in self._propositions if p.form == form)
@@ -278,9 +281,6 @@ def _by_form(rows: tuple, at: int) -> dict[str, list[tuple]]:
 _AS_LEFT, _AS_RIGHT, _CONCLUDING = _by_form(_JOINS, 1), _by_form(_JOINS, 3), _by_form(_JOINS, 5)
 
 
-Step = tuple[str, tuple[Triple, ...]]  # (rule tag, child triples): one rule instance
-
-
 def _drop(trees: dict[Triple, Derivation], removed: set[Triple]) -> set[Triple]:
     """Delete from ``trees`` every fact whose tree has a premiss leaf of
     ``removed``, and return those facts.  Trees are judged in height order,
@@ -305,18 +305,20 @@ def _drop(trees: dict[Triple, Derivation], removed: set[Triple]) -> set[Triple]:
     return lost
 
 
-def _saturate(agenda: dict[int, dict[Triple, Step]], unaries: tuple, types: tuple[str, ...],
-              trees: dict[Triple, Derivation], lost: set[Triple], grown: bool,
+def _saturate(calculus: str, types: tuple[str, ...], trees: dict[Triple, Derivation],
+              identities: Sequence[str], premisses: Iterable[Triple], lost: Iterable[Triple] = (),
               within: Optional[set[Triple]] = None) -> None:
-    """Admit the candidate steps of ``agenda``, keyed by level and
-    conclusion, into the table ``trees`` and close it under ``_JOINS`` and
-    ``unaries``, level by level in derivation height (see the module
-    docstring).  A fresh pass starts from an empty table with the height-1
-    steps as the agenda.  ``lost`` holds the facts just dropped from
-    ``trees``; every rule instance that concludes one of them from the
-    facts in ``trees`` joins the agenda first.  When ``grown``, ``types``
-    has types that ``trees`` has no facts over, and the unary rules, some of
-    which range over all types, run once on every fact in ``trees``.
+    """Seed the table ``trees`` and close it under ``_JOINS`` and the unary
+    rules of ``calculus``, level by level in derivation height (see the
+    module docstring).  The height-1 seeds are the identities of the types
+    ``identities`` lists, in its order, then the triples of ``premisses`` in
+    sorted order, so that the table depends on the premisses and not on the
+    order they are declared in; an identity wins over an A(X,X) premiss.  A
+    fresh pass starts from an empty table.  ``lost`` holds the facts just
+    dropped from ``trees``; every rule instance that concludes one of them
+    from the facts in ``trees`` is a candidate too.  When ``lost`` is not
+    empty, or a table that is not empty gains types, the unary rules, some
+    of which range over all types, run once on every fact in ``trees``.
 
     At its level a fact takes the least (rule, child triples) among its
     candidates there and, when it already has that height, its current
@@ -324,13 +326,19 @@ def _saturate(agenda: dict[int, dict[Triple, Step]], unaries: tuple, types: tupl
     very child trees in the table.  Each fact whose tree changes joins with
     every fact in the index, and each conclusion waits at one more than its
     tallest child's height.  When ``within`` is given, only its facts are
-    admitted."""
-    by_form = _by_form(unaries, 1)
+    seeded or admitted."""
+    by_form = _by_form(_CALCULI[calculus], 1)
+    seeds = {("A", t, t): (IDENTITY, ()) for t in identities}
+    for t in sorted(premisses):
+        seeds.setdefault(t, (PREMISS, ()))
+    if within is not None:
+        seeds = {t: step for t, step in seeds.items() if t in within}
+    agenda = {1: seeds}
     index: dict[tuple[str, int, str], list[Triple]] = {}
     for concl in trees:
         index.setdefault((concl[0], 1, concl[1]), []).append(concl)
         index.setdefault((concl[0], 2, concl[2]), []).append(concl)
-    if lost or grown:
+    if lost or trees and identities:
         found = []
         for concl in lost:
             for tag, lf, lj, rf, rj, _ in _CONCLUDING.get(concl[0], ()):
@@ -436,13 +444,9 @@ def close(ologism: Ologism, calculus: str = "default",
     from an empty table.
     """
     types = _types(ologism, calculus)
-    # Seeded in sorted order, so that the table depends on the premisses and
-    # not on the order they are declared in: closing a document again, with
-    # the same premisses in another order as ``previous``, gives the very
-    # table a fresh close gives, in the same order.
-    premisses = tuple(sorted([_triple(p) for p in ologism.premisses]))
+    premisses = tuple([_triple(p) for p in ologism.premisses])
     trees: dict[Triple, Derivation] = {}
-    new, lost, known = premisses, set(), ()
+    new, lost, known = premisses, (), ()
     if previous is not None and previous.calculus == calculus and set(previous.types) <= set(types):
         held = set(previous._premisses)
         added = [t for t in premisses if t not in held]
@@ -451,12 +455,11 @@ def close(ologism: Ologism, calculus: str = "default",
         if len(premisses) - len(added) == len(held) or not added and previous.types == types:
             trees, new, known = dict(previous.trees), added, previous.types
             lost = _drop(trees, held.difference(premisses))
-    # Seeded as a fresh pass seeds: the identities of the types the table has
-    # no facts over, then the new premisses.
-    seeds = {("A", t, t): (IDENTITY, ()) for t in sorted(set(types).difference(known))}
-    for t in new:
-        seeds.setdefault(t, (PREMISS, ()))
-    _saturate({1: seeds}, _CALCULI[calculus], types, trees, lost, len(known) < len(types))
+    # Seeded as a fresh pass is seeded, with the types the table has no facts
+    # over and the new premisses: closing a document again, with the same
+    # premisses in another order as ``previous``, gives the very table a
+    # fresh close gives, in the same order.
+    _saturate(calculus, types, trees, sorted(set(types).difference(known)), new, lost)
     return Theory(ologism.name, types, frozenset(ologism.premisses), trees, calculus, premisses)
 
 
@@ -593,13 +596,10 @@ class StarRows(NamedTuple):  # not a dataclass, which takes far longer to build 
         at = {t: k for k, t in enumerate(self.types)}
         goals = [g for g in goals if self.rows[g[0]][at[g[1]]] >> at[g[2]] & 1]
         below = self._below([(form, at[s], at[p]) for form, s, p in goals])
-        # Seeded as ``close`` seeds: identities, then premisses in sorted order.
-        seeds = {("A", t, t): (IDENTITY, ()) for t in self.types if ("A", t, t) in below}
-        for t in sorted([_triple(p) for p in self.ologism.premisses]):
-            if t in below:
-                seeds.setdefault(t, (PREMISS, ()))
+        # Seeded as ``close`` seeds a fresh pass, less the seeds not below.
         trees: dict[Triple, Derivation] = {}
-        _saturate({1: seeds}, _CALCULI[self.calculus], self.types, trees, set(), False, below)
+        _saturate(self.calculus, self.types, trees, self.types, map(_triple, self.ologism.premisses),
+                  within=below)
         return {g: trees[g] for g in goals}
 
 
@@ -641,11 +641,19 @@ def derivable(ologism: Ologism, calculus: str = "default") -> frozenset[Categori
     return frozenset(proposition(*t) for t in star_rows(ologism, calculus).triples())
 
 
+def beyond_premisses(triples: list[Triple], premisses: Iterable[CategoricalProposition],
+                     types: Iterable[str]) -> list[Triple]:
+    """``triples``, canonical ones as ``triples()`` lists them, less the
+    ``premisses`` and the identities over ``types``, in the same order."""
+    stated = {p.sort_key() for p in premisses}
+    stated.update(("A", t, t) for t in types)
+    return [t for t in triples if t not in stated]
+
+
 def contradictions(theory: Theory) -> list[tuple[str, Derivation]]:
     """Every type X with a derivable O(X,X), with its derivation, in type
     order."""
-    return sorted(((s, d) for (form, s, p), d in theory.trees.items()
-                   if form == "O" and s == p), key=operator.itemgetter(0))
+    return [(x, theory.trees[("O", x, x)]) for x in theory.types if ("O", x, x) in theory.trees]
 
 
 def explain(theory: Theory, prop: CategoricalProposition) -> Optional[Derivation]:

@@ -266,14 +266,13 @@ class _Declarations:
     def of(cls, doc: Ologism) -> "_Declarations":
         """``doc``'s declarations as the parser meets them in ``serialize(doc)``:
         in canonical order, each premiss in its declared orientation."""
-        d = cls()
-        d.types = sorted(doc.types, key=lambda t: t.id)
+        d, canon = cls(), doc.sorted()
+        d.types = list(canon.types)
         d.declared = {t.id for t in d.types}
-        d.aspects = sorted(doc.aspects, key=lambda a: (a.is_flag, a.name, a.source, a.target))
-        d.premisses = sorted(doc.premisses, key=lambda q: q.sort_key())
+        d.aspects = sorted(canon.aspects, key=lambda a: a.is_flag)  # stable: is-aspects last
+        d.premisses = list(canon.premisses)
         d.positions = dict.fromkeys(d.aspects + d.premisses, _HELD)
-        facts = sorted(doc.facts, key=lambda f: (f.name or "", str(f.lhs), str(f.rhs)))
-        d.facts = dict.fromkeys(facts)
+        d.facts = dict.fromkeys(canon.facts)
         d.held_aspects = len(d.aspects)
         return d
 
@@ -652,10 +651,8 @@ def _serialize_ologism(o: Ologism) -> str:
     for a in canon.aspects:
         if not a.is_flag:
             lines.append(f"  aspect {a.name} : {a.source} -> {a.target}")
-    for form in ("A", "E", "I", "O"):
-        for q in canon.premisses:
-            if q.form == form:
-                lines.append(f"  {form} {q.subject} {q.predicate}")
+    for q in canon.premisses:  # sorted by form first
+        lines.append(f"  {q.form} {q.subject} {q.predicate}")
     for f in canon.facts:
         label = f"{_quote(f.name)} " if f.name else ""
         lines.append(f"  fact {label}: {f.lhs} = {f.rhs}")

@@ -55,14 +55,13 @@ calculus="complete")`` closes that gap.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import E, I, CategoricalProposition, Ologism, proposition
+from .core import E, FORMS, I, CategoricalProposition, Ologism, proposition
 from .model import HOLDS, Model, check_model, satisfies
 from . import deduce
 
@@ -133,16 +132,9 @@ def count_models(ologism: Ologism, config: OracleConfig = OracleConfig()) -> int
 def all_propositions(type_ids: Sequence[str]) -> list[CategoricalProposition]:
     """The full proposition space over the given types (E/I deduplicated)."""
     types = sorted(type_ids)
-    out: list[CategoricalProposition] = []
-    for s, t in itertools.product(types, repeat=2):
-        out.append(proposition("A", s, t))
-        out.append(proposition("O", s, t))
-    for i, s in enumerate(types):
-        for t in types[i:]:
-            out.append(proposition("E", s, t))
-            out.append(proposition("I", s, t))
-    out.sort(key=lambda p: p.sort_key())
-    return out
+    # In ``sort_key`` order: forms, then subjects, then predicates.
+    return [proposition(form, s, t) for form in FORMS for s in types for t in types
+            if form in "AO" or s <= t]
 
 
 def semantic_consequences(

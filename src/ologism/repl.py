@@ -181,7 +181,9 @@ class Repl:
             self.say(derivation.render())
 
     def show_derived(self) -> None:
-        props = sorted(self.require_theory().derived_beyond_premisses(), key=lambda p: p.sort_key())
+        theory = self.require_theory()
+        props = [theory.trees[t].conclusion
+                 for t in deduce.beyond_premisses(theory.triples(), theory.premisses, theory.types)]
         if not props:
             self.say("nothing beyond the premisses")
         for p in props:

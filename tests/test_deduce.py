@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from ologism import data
+from ologism import data, deduce
 from ologism.dsl import serialize
 from ologism.repl import Repl
 from ologism.core import A, E, I, InvalidOlogismError, O, Ologism, TypeDecl, proposition
@@ -14,6 +14,7 @@ from ologism.deduce import (
     _JOINS,
     Derivation,
     Theory,
+    beyond_premisses,
     close,
     contradictions,
     derivable,
@@ -445,6 +446,16 @@ class TestTreesBelow:
     def test_bundled(self, name, calculus):
         self.check(data.load(name), calculus, random.Random(53))
 
+    @pytest.mark.parametrize("calculus", ["default", "complete"])
+    def test_only_facts_below_the_goals_are_seeded(self, sample, calculus, monkeypatch):
+        tables, saturate = [], deduce._saturate
+        monkeypatch.setattr(deduce, "_saturate",
+                            lambda *args, within: tables.append((args[2], within)) or saturate(*args, within=within))
+        for doc in sample:
+            rows = star_rows(doc, calculus)
+            rows.trees_below(rows.triples()[-2:])
+        assert tables and all(set(trees) <= within for trees, within in tables)
+
     @pytest.mark.parametrize("n_types, per_type", [(40, 2), (80, 2), (120, 1), (160, 1), (160, 2)])
     def test_large_documents(self, n_types, per_type):
         assert self.check(_premiss_only(n_types, per_type, seed=n_types), "default", random.Random(54)) > 0
@@ -502,6 +513,12 @@ class TestDerivationTable:
                 if p.form == "O" and p.subject == p.predicate)
             for x, d in contradictions(theory):
                 assert d is theory.derivations[O(x, x)]
+            triples = theory.triples()
+            assert triples == star_rows(doc, calculus).triples(), doc.name
+            derived = theory.derived_beyond_premisses()
+            assert derived == {proposition(*t) for t in beyond_premisses(triples, doc.premisses, doc.type_ids())}
+            identities = {A(t, t) for t in doc.type_ids()}
+            assert derived == theory.propositions() - set(doc.premisses) - identities, doc.name
 
     def test_derivations_are_read_only(self, animals):
         with pytest.raises(TypeError):
@@ -652,6 +669,7 @@ class TestReuseAcrossCloses:
                 queries = [f"why {q.form} {q.subject} {q.predicate}" for q in closure]
                 for query in queries + ["derived", "contradictions"]:
                     assert self.shown(session, query) == self.shown(fresh, query), (command, query)
+                assert self.shown(session, "derived") == self.derived_by_reference(session), command
                 assert_minimal_derivations(session.doc, "default", session.theory)
         assert shared > 0
 
@@ -669,6 +687,17 @@ class TestReuseAcrossCloses:
             if x not in clashed:
                 lines += [f"CONTRADICTION: O({x},{x}) {repl._read(proposition('O', x, x))}", d.render(indent=1)]
         return "".join(line + "\n" for line in lines)
+
+    @staticmethod
+    def derived_by_reference(repl: Repl) -> str:
+        """What ``derived`` prints, from ``naive_theory`` less the premisses
+        and the identities, in ``sort_key`` order."""
+        doc = repl.doc
+        stated = {q.sort_key() for q in doc.premisses} | {("A", t, t) for t in doc.type_ids()}
+        closure = naive_theory(doc.type_ids(), doc.premisses)
+        beyond = sorted(q.sort_key() for star in closure.values() for q in star if q.sort_key() not in stated)
+        lines = [f"  {q}   {repl._read(q)}" for q in [proposition(*t) for t in beyond]]
+        return "".join(line + "\n" for line in lines or ["nothing beyond the premisses"])
 
     @staticmethod
     def shown(repl: Repl, line: str) -> str:

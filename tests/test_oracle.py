@@ -124,6 +124,14 @@ class TestSemanticConsequences:
         doc = Ologism.build("sq", ["S", "P"], premisses=[A("S", "P"), O("S", "P")])
         assert semantic_consequences(doc) == frozenset(all_propositions(["S", "P"]))
 
+    def test_proposition_space_is_listed_once_in_sort_order(self):
+        for k in range(7):
+            types = [f"T{j}" for j in range(k)][::-1]
+            props = all_propositions(types)
+            keys = [p.sort_key() for p in props]
+            assert keys == sorted(set(keys)), k
+            assert len(props) == 3 * k * k + k, k
+
     def test_antitone_in_universe_size(self, animals):
         small = semantic_consequences(animals, OracleConfig(universe_size=2))
         large = semantic_consequences(animals, OracleConfig(universe_size=3))

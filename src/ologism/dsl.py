@@ -31,6 +31,16 @@ line) and returns whatever it could build.  ``serialize`` writes canonical
 form, each premiss in its declared orientation, and round-trips; the map of
 an empty carrier is written with no pairs, as ``map f :``.
 
+``parse_ologism`` reads two ways.  A document of one declaration per line,
+as ``serialize`` writes one without facts, goes to a line reader that
+matches each line once: every line is blank or a comment, the header, one
+``type``, ``aspect`` or A/E/I/O declaration, or the closing brace, with
+ASCII identifiers, blanks of spaces and tabs, and no escape in a string.
+Any other document goes to the token parser, and so does every document the
+token parser would report on, warnings included: every diagnostic comes
+from the token parser, and the reader's result is always the one the token
+parser would give.
+
 One syntactic wrinkle: fact paths name arrows by label, and the label
 ``is`` may legitimately mark several inclusions.  Resolution keeps every
 composable reading and picks the unique pair that makes the two sides
@@ -190,6 +200,76 @@ def _tokenize(source: str) -> tuple[list[Token], list[SourceDiagnostic]]:
     return tokens, diagnostics
 
 
+# --- the line reader ---------------------------------------------------------
+
+_ID = r"[A-Za-z_][A-Za-z0-9_]*"
+_COMMENT = r"(?:\#[^\r\n]*)?"
+# A blank or comment line, or one type, premiss or aspect declaration, whose
+# groups are the type id and label, the form and terms, and the aspect name,
+# source and target.  Blanks are " " and "\t" only; a string holds no '"',
+# '\\' or '\r'; a label begins with an indefinite article.  An identifier is
+# always followed by a character \w excludes, so it ends where the lexer's.
+# No repetition nests another, and no two repetitions that can meet share a
+# character, so a line that fails is given up in time linear in its length.
+_LINE = re.compile(
+    rf"""[ \t]*
+       (?: (?: type[ \t]+({_ID})[ \t]*"(an?\ [^"\\\r\n]*)"
+             | ([AEIO])[ \t]+({_ID})[ \t]+({_ID})
+             | aspect[ \t]+({_ID})[ \t]*:[ \t]*({_ID})[ \t]*->[ \t]*({_ID}))
+           [ \t]*)?
+       {_COMMENT}""",
+    re.VERBOSE,
+)
+_HEADER = re.compile(rf'[ \t]*ologism[ \t]*"([^"\\\r\n]*)"[ \t]*\{{[ \t]*{_COMMENT}')
+_CLOSE = re.compile(rf"[ \t]*\}}[ \t]*{_COMMENT}")
+
+
+def _read_lines(source: str) -> Optional[ParseResult]:
+    """``source`` read with one match per line, or None where only the token
+    parser may read it.
+
+    Each line is blank or a comment, the header ``ologism "NAME" {``, one
+    type, premiss or aspect declaration, or the closing ``}`` with nothing
+    after it but blank lines.  A document the token parser would report on,
+    warnings included, is None too: the reader never makes a diagnostic.
+    """
+    lines = source.split("\n")
+    last = len(lines) - 1
+    while last > 0 and not lines[last].strip(" \t"):
+        last -= 1
+    match = _LINE.fullmatch
+    first = 0
+    while first < last and (blank := match(lines[first])) and blank.lastindex is None:
+        first += 1
+    head = _HEADER.fullmatch(lines[first])
+    if head is None or _CLOSE.fullmatch(lines[last]) is None:
+        return None
+    types: list[TypeDecl] = []
+    aspects: list[Aspect] = []
+    premisses: list[CategoricalProposition] = []
+    for line in lines[first + 1:last]:
+        m = match(line)
+        if m is None:
+            return None
+        type_id, label, form, subject, predicate, name, src, tgt = m.groups()
+        if form:
+            premisses.append(proposition(form, subject, predicate))
+            if form == "A":  # paired with its is-aspect, as _add_premiss does
+                aspects.append(Aspect(IS, subject, predicate))
+        elif type_id:
+            types.append(TypeDecl(type_id, label))
+        elif name:
+            if name == IS:
+                return None
+            aspects.append(Aspect(name, src, tgt))
+    declared = {t.id for t in types}
+    ends = [x for q in premisses for x in q.terms] + [x for a in aspects for x in (a.source, a.target)]
+    if (IS in declared or len(declared) < len(types) or len(set(premisses)) < len(premisses)
+            or len(set(aspects)) < len(aspects) or not declared.issuperset(ends)):
+        return None
+    return ParseResult(Ologism(head.group(1), tuple(types), tuple(aspects), (), tuple(premisses)))
+
+
 # --- parsing ------------------------------------------------------------------
 
 
@@ -279,6 +359,12 @@ class _Declarations:
 
 def parse_ologism(source: str) -> ParseResult:
     """Parse an ologism document; diagnostics carry positions, never raises."""
+    read = _read_lines(source)
+    return read if read is not None else _parse_tokens(source)
+
+
+def _parse_tokens(source: str) -> ParseResult:
+    """``parse_ologism`` by the token parser, which reads every document."""
     p = _Parser(source)
     kw = p.expect("IDENT", "the keyword 'ologism'")
     if kw is None or kw.value != "ologism":

@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ologism import deduce
+from ologism import deduce, dsl
 from ologism.cli import EXIT_CODES, json_text, main
 from ologism.core import Ologism, proposition
 from ologism.dsl import serialize
@@ -304,6 +304,7 @@ OUTCOMES = [
     (["check", "SQUARE"], "contradiction"),
     (["check", "BAD"], "parse_error"),
     (["check", "ABSENT"], "io_error"),
+    (["check", "NOT_UTF8"], "io_error"),
     (["prove", "--premiss", "E:M,P", "--premiss", "A:S,M", "--conclusion", "E:S,P"], "ok"),
     (["prove", "--premiss", "E:M,P", "--premiss", "A:S,M", "--conclusion", "E:S,P", "--dot"],
      "ok"),
@@ -317,6 +318,8 @@ OUTCOMES = [
     (["model-check", "BAD", "DOC/has_mother.olgmodel"], "parse_error"),
     (["model-check", "DOC/has_mother.olgm", "ABSENT"], "io_error"),
     (["model-check", "ABSENT", "DOC/has_mother.olgmodel"], "io_error"),
+    (["model-check", "DOC/has_mother.olgm", "NOT_UTF8"], "io_error"),
+    (["model-check", "NOT_UTF8", "DOC/has_mother.olgmodel"], "io_error"),
     (["oracle", "DOC/animals.olgm", "--mode", "models"], "ok"),
     (["oracle", "DOC/animals.olgm", "--mode", "soundness"], "ok"),
     (["oracle", "DOC/has_mother.olgm", "--mode", "soundness", "--samples", "20"], "ok"),
@@ -327,9 +330,11 @@ OUTCOMES = [
     (["oracle", "DOC/animals.olgm", "--mode", "models", "--universe", "100000"], "fail"),
     (["oracle", "BAD"], "parse_error"),
     (["oracle", "ABSENT"], "io_error"),
+    (["oracle", "NOT_UTF8"], "io_error"),
     (["export-dot", "DOC/animals.olgm", "--derived"], "ok"),
     (["export-dot", "BAD"], "parse_error"),
     (["export-dot", "ABSENT"], "io_error"),
+    (["export-dot", "NOT_UTF8"], "io_error"),
 ]
 
 
@@ -337,11 +342,12 @@ OUTCOMES = [
 def inputs(tmp_path, contradictory) -> dict[str, str]:
     (tmp_path / "bad.olgm").write_text('ologism "x" {\n  E A B\n}\n')
     (tmp_path / "incon.olgm").write_text(INCONCLUSIVE)
+    (tmp_path / "latin1.olgm").write_bytes('ologism "x" {\n  type X "a caf\xe9"\n}\n'.encode("latin-1"))
     model = (DATA / "has_mother.olgmodel").read_text()
     (tmp_path / "broken.olgmodel").write_text(model.replace("Susan -> Elen2", "Susan -> Elen1"))
     return {"SQUARE": contradictory, "BAD": str(tmp_path / "bad.olgm"),
             "ABSENT": str(tmp_path / "absent.olgm"), "INCONCLUSIVE": str(tmp_path / "incon.olgm"),
-            "BROKEN_MODEL": str(tmp_path / "broken.olgmodel")}
+            "BROKEN_MODEL": str(tmp_path / "broken.olgmodel"), "NOT_UTF8": str(tmp_path / "latin1.olgm")}
 
 
 class TestExitCodes:
@@ -355,6 +361,13 @@ class TestExitCodes:
         code, payload = run_json(capsys, *argv)
         assert (payload["status"], code) == (status, EXIT_CODES[status])
         assert run(capsys, *argv)[0] == code
+
+    def test_an_undecodable_file_is_reported_not_raised(self, capsys, inputs):
+        path = inputs["NOT_UTF8"]
+        reason = "'utf-8' codec can't decode byte 0xe9 in position 29: invalid continuation byte"
+        assert run(capsys, "check", path) == (3, f"cannot read {path}: {reason}\n")
+        code, payload = run_json(capsys, "check", path)
+        assert code == 3 and payload["sections"] == {"error": reason}
 
     def test_inconclusive_soundness_fails(self, capsys, inputs):
         argv = ["oracle", inputs["INCONCLUSIVE"], "--mode", "soundness", "--samples", "5"]
@@ -472,6 +485,51 @@ class TestCheckGoldens:
         name = doc + ("-json" if fmt else "")
         expected = (GOLDEN_CHECK / f"{name}.txt").read_text(encoding="utf-8")
         assert f"exit {code}\n--- stdout\n{out}" == expected
+
+
+BUNDLED = [doc for doc in CHECK_DOCS if doc != "contradictory"]
+
+
+def _variants(text: str) -> dict[str, str]:
+    """A bundled document's text written four other ways."""
+    return {
+        "crlf": text.replace("\n", "\r\n"),
+        "tabs": text.replace("\n  ", "\n\t"),
+        "comments": text.replace("\n  ", "\n  # an extra comment\n  "),
+        "comment-after-brace": text + "# the end\n",
+    }
+
+
+class TestDocumentVariants:
+    """A bundled document with CRLF line ends, tab indents, extra comment
+    lines or a comment line after its closing brace checks byte for byte as
+    the original does.  As written, the CRLF and the trailing comment are the
+    token parser's to read and the other two the line reader's; ``check``
+    reads CRLF as LF, so it too meets both paths."""
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("doc", BUNDLED)
+    def test_variant_checks_as_the_original(self, capsys, tmp_path, doc, fmt):
+        expected = (GOLDEN_CHECK / f"{doc}{'-json' if fmt else ''}.txt").read_text(encoding="utf-8")
+        for name, text in _variants((DATA / f"{doc}.olgm").read_text(encoding="utf-8")).items():
+            path = tmp_path / f"{name}.olgm"
+            path.write_bytes(text.encode("utf-8"))
+            code, out = run(capsys, *fmt, "check", str(path))
+            assert f"exit {code}\n--- stdout\n{out}" == expected, name
+
+    @pytest.mark.parametrize("doc", BUNDLED)
+    def test_variant_parses_as_the_original(self, doc):
+        original = (DATA / f"{doc}.olgm").read_text(encoding="utf-8")
+        want = dsl.parse_ologism(original)
+        read = {}
+        for name, text in _variants(original).items():
+            got = dsl.parse_ologism(text)
+            assert got == want, name
+            assert [str(q) for q in got.value.premisses] == [str(q) for q in want.value.premisses]
+            read[name] = dsl._read_lines(text) is not None
+        has_facts = bool(want.value.facts)
+        assert read == {"crlf": False, "tabs": not has_facts, "comments": not has_facts,
+                        "comment-after-brace": False}
 
 
 # Any code point, with lone surrogates and control characters drawn often.

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import random
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ologism.core import E, I, SerializeError, TypeDecl, Ologism, structurally_equal, validate
-from ologism.dsl import _tokenize, parse_item, parse_model, parse_ologism, serialize
+from ologism.dsl import _parse_tokens, _read_lines, _tokenize, parse_item, parse_model, parse_ologism, serialize
+from perfbench.docs import premiss_only, render_premiss_only
 from .oracles import random_document, random_model, random_ologism, reference_tokens, spliced_item
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "ologism" / "data"
@@ -472,3 +475,245 @@ def test_parsed_documents_need_no_build():
             added = parse_item(parsed, item).value
             assert added is not None, item
             assert_built(added)
+
+
+# --- the line reader ---------------------------------------------------------------
+#
+# parse_ologism reads a document of one declaration per line with _read_lines
+# and any other with the token parser.  Wherever the reader answers, it must
+# answer as the token parser does.
+
+
+def _reader_agrees(source: str) -> bool:
+    """Whether the reader took ``source``; where it did, its result is the
+    token parser's, value and diagnostics, with each premiss written the same
+    way round."""
+    read = _read_lines(source)
+    if read is None:
+        return False
+    want = _parse_tokens(source)
+    assert read == want, source
+    assert [str(q) for q in read.value.premisses] == [str(q) for q in want.value.premisses]
+    return True
+
+
+def _fact_free(rng: random.Random) -> str:
+    """A fact-free document from one of the generators, serialized."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return serialize(replace(random_document(rng), facts=()))
+    if kind == 1:
+        return serialize(random_ologism(rng))
+    n = rng.randint(40, 160)
+    return render_premiss_only(f"doc-{n}", *premiss_only(rng, n))
+
+
+def _bundled() -> list[str]:
+    return [path.read_text(encoding="utf-8") for path in sorted(DATA.glob("*.olgm"))]
+
+
+_DECLARATION_LINE = re.compile(r"^[ \t]*(?:type|aspect|[AEIO])[ \t].*$", re.MULTILINE)
+_A_PREMISS = re.compile(r"^[ \t]*A[ \t]+(\w+)[ \t]+(\w+)", re.MULTILINE)
+_TYPE_ID = re.compile(r"^[ \t]*type[ \t]+(\w+)", re.MULTILINE)
+_SYMMETRIC = re.compile(r"^[ \t]*([EI])[ \t]+(\w+)[ \t]+(\w+)", re.MULTILINE)
+
+
+def _at_a_line(rng: random.Random, text: str, pattern: re.Pattern, edit) -> str:
+    """``text`` with one match of ``pattern``, if there is any, replaced by
+    ``edit(match)``."""
+    found = list(pattern.finditer(text))
+    if not found:
+        return text
+    m = rng.choice(found)
+    return text[:m.start()] + edit(m) + text[m.end():]
+
+
+def _duplicate_line(rng, text):
+    return _at_a_line(rng, text, _DECLARATION_LINE, lambda m: f"{m[0]}\n{m[0]}")
+
+
+def _reversed_duplicate(rng, text):
+    return _at_a_line(rng, text, _SYMMETRIC, lambda m: f"{m[0]}\n  {m[1]} {m[3]} {m[2]}")
+
+
+def _drop_type(rng, text):
+    lines = text.split("\n")
+    typed = [k for k, line in enumerate(lines) if line.lstrip().startswith("type ")]
+    if typed:
+        del lines[rng.choice(typed)]
+    return "\n".join(lines)
+
+
+def _type_named_is(rng, text):
+    return _at_a_line(rng, text, re.compile(r"type[ \t]+\w+", re.MULTILINE), lambda m: "type is")
+
+
+def _premiss_as_is_aspect(rng, text):
+    return _at_a_line(rng, text, _A_PREMISS, lambda m: f"  aspect is : {m[1]} -> {m[2]}")
+
+
+def _rename_type(rng, text):
+    """One type renamed everywhere to a name the lexer reads otherwise."""
+    found = _TYPE_ID.findall(text)
+    if not found:
+        return text
+    old = rng.choice(found)
+    new = rng.choice([f"{old}é", f"Δ{old}", f"9{old}", f"²{old}", "is"])
+    return re.sub(rf"\b{old}\b", new, text)
+
+
+def _strip_article(rng, text):
+    return _at_a_line(rng, text, re.compile(r'"an? '), lambda m: '"')
+
+
+def _insert(rng, text):
+    piece = rng.choice(["\r", "\t", "é", "Δ", "9", '\\"', "\\\\", "\\x", "\x0b", "\u3000", "#", '"'])
+    k = rng.randrange(len(text) + 1)
+    return text[:k] + piece + text[k:]
+
+
+def _split_item(rng, text):
+    # The line broken after its keyword.
+    return _at_a_line(rng, text, _DECLARATION_LINE, lambda m: re.sub(r"(\S)[ \t]+", "\\1\n  ", m[0], count=1))
+
+
+def _unclose(rng, text):
+    k = text.rfind("}")
+    return text[:k] + text[k + 1:]
+
+
+def _join_lines(rng, text):
+    """Two lines made one: two items, or an item beside a brace."""
+    breaks = [m.start() for m in re.finditer("\n", text.rstrip("\n"))]
+    if not breaks:
+        return text
+    k = rng.choice(breaks)
+    return text[:k] + " " + text[k + 1:]
+
+
+def _trailing_text(rng, text):
+    end = text.rstrip("\n") if rng.randrange(2) else text  # on the brace's line or after it
+    return end + rng.choice([" x", " }", ' ologism "y" { }', " # the end", "\n  \t\n", " \x0c"])
+
+
+_MUTATIONS = [_duplicate_line, _reversed_duplicate, _drop_type, _type_named_is, _premiss_as_is_aspect,
+              _rename_type, _strip_article, _insert, _split_item, _join_lines, _unclose, _trailing_text]
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow], deadline=None)
+@given(st.integers(0, 10**6), st.lists(st.sampled_from(_MUTATIONS), max_size=2))
+def test_the_reader_agrees_with_the_token_parser(seed, mutations):
+    rng = random.Random(seed)
+    text = _fact_free(rng) if rng.randrange(4) else rng.choice(_bundled())
+    for mutate in mutations:
+        text = mutate(rng, text)
+    _reader_agrees(text)
+
+
+# The lexer's edge characters, and pieces of the declarations the reader reads.
+_READER_EDGES = st.one_of(
+    st.sampled_from(_LEXER_EDGES),
+    st.sampled_from(["type ", "aspect ", "A ", "E ", "I ", "O ", "is", "T0", "T1", '"a ', '"an ',
+                     " : ", " -> ", "fact ", "ologism ", "\n  "]),
+)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow], deadline=None)
+@given(st.lists(_READER_EDGES, max_size=30).map("".join), st.integers(0, 10**6))
+@example('type T1 "a t"', 0)
+@example('A T0 T1\n  type T1 "a t" # c', 0)
+def test_the_reader_agrees_on_fuzzed_lines(fuzz, seed):
+    rng = random.Random(seed)
+    lines = serialize(random_ologism(rng)).split("\n")
+    k = rng.randint(1, len(lines) - 2)
+    _reader_agrees("\n".join(lines[:k] + [fuzz] + lines[k:]))
+    _reader_agrees(f'ologism "x" {{\n{fuzz}\n}}\n')
+    _reader_agrees(fuzz)
+
+
+def test_the_reader_takes_every_fact_free_serialization():
+    rng = random.Random(11)
+    for _ in range(300):
+        text = _fact_free(rng)
+        assert _reader_agrees(text), text
+    for text in _bundled():
+        assert _reader_agrees(text) == ("fact " not in text)
+
+
+def test_the_reader_takes_every_closure_large_document(tmp_path):
+    from perfbench.workloads import ClosureLarge
+    texts = ClosureLarge(tmp_path, tmp_path, 7919).files.values()
+    assert len(texts) == 120
+    for text in texts:
+        assert _reader_agrees(text)
+
+
+# The line reader's boundary, pinned from both sides: documents it reads, and
+# one it leaves to the token parser for each way of falling outside it.
+_READ = {
+    "tabs-comments-blanks": '# lead\n\nologism "x" {\t# head\n\ttype X "an x"\t# x\n\n\tE X X\n}  # end\n \t\n',
+    "tight-punctuation": 'ologism"x"{\n  type X"an x"\n  type Y "a y"\n  aspect f:X->Y\n  A X Y#c\n}',
+    "keywords-as-ids": 'ologism "" {\n  type A "a a"\n  type type "a type"\n  aspect fact : A -> type\n  A A type\n}\n',
+    "empty": 'ologism "x" {\n}\n',
+}
+_DECLINED = {
+    "item-on-header-line": 'ologism "x" { type X "an x"\n}\n',
+    "brace-on-item-line": 'ologism "x" {\n  type X "an x" }\n',
+    "text-after-brace": 'ologism "x" {\n  type X "an x"\n} x\n',
+    "comment-line-after-brace": 'ologism "x" {\n  type X "an x"\n}\n# done\n',
+    "split-item": 'ologism "x" {\n  type X\n    "an x"\n}\n',
+    "crlf": 'ologism "x" {\r\n  type X "an x"\r\n}\r\n',
+    "form-feed": 'ologism "x" {\n\x0ctype X "an x"\n}\n',
+    "cr-indent": 'ologism "x" {\n\rtype X "an x"\n}\n',
+    "non-ascii-id": 'ologism "x" {\n  type é "an é"\n}\n',
+    "escape": 'ologism "x" {\n  type X "an \\"x\\""\n}\n',
+    "fact": 'ologism "x" {\n  type X "an x"\n  aspect f : X -> X\n  fact : f = id(X)\n}\n',
+    "aspect-is": 'ologism "x" {\n  type X "an x"\n  type Y "a y"\n  aspect is : X -> Y\n}\n',
+    "type-is": 'ologism "x" {\n  type is "an is"\n}\n',
+    "no-article": 'ologism "x" {\n  type X "x"\n}\n',
+    "undeclared": 'ologism "x" {\n  type X "an x"\n  E X Y\n}\n',
+    "duplicate-type": 'ologism "x" {\n  type X "an x"\n  type X "an x"\n}\n',
+    "duplicate-premiss": 'ologism "x" {\n  type X "an x"\n  type Y "a y"\n  E X Y\n  E Y X\n}\n',
+    "duplicate-aspect": 'ologism "x" {\n  type X "an x"\n  aspect f : X -> X\n  aspect f : X -> X\n}\n',
+}
+
+
+@pytest.mark.parametrize("text", _READ.values(), ids=_READ.keys())
+def test_the_reader_reads(text):
+    assert _reader_agrees(text)
+
+
+@pytest.mark.parametrize("text", _DECLINED.values(), ids=_DECLINED.keys())
+def test_the_reader_leaves_the_rest_to_the_token_parser(text):
+    assert _read_lines(text) is None
+
+
+_HEAD = 'ologism "x" {\n  type T0 "a t"\n'
+
+
+@pytest.mark.parametrize("line", [
+    " " * 10**5 + "x",
+    " \t" * 50_000 + "# \r",
+    "type T0" + " " * 10**5 + "x",
+    'type T1 "a ' + "b" * 10**5,
+    "A T0" + " \t" * 50_000 + "T0" + " " * 10**5 + "9",
+    "A " + "T" * 10**5 + "é",
+    "aspect f :" + " " * 10**5 + "T0 - T0",
+    "aspect f : T0 ->" + " " * 10**5 + "T0 " * 30_000 + "x",
+    "#" * 10**5 + "\r",
+], ids=["blanks", "mixed-blanks-cr", "type-blanks", "unclosed-label", "premiss-blanks",
+        "long-id-non-ascii", "aspect-blanks", "aspect-run-on", "long-comment-cr"])
+def test_long_near_misses_parse_as_the_token_parser(line):
+    text = f"{_HEAD}  {line}\n}}\n"
+    assert len(text) >= 10**5
+    assert not _reader_agrees(text)
+    assert parse_ologism(text) == _parse_tokens(text)
+
+
+def test_a_long_document_read_to_its_last_line():
+    text = render_premiss_only("long", *premiss_only(random.Random(3), 3000))
+    assert len(text) >= 10**5
+    assert _reader_agrees(text)
+    near = text.replace("\n}", "\n  A T0 T0 x\n}")
+    assert not _reader_agrees(near)
+    assert parse_ologism(near) == _parse_tokens(near)

@@ -68,13 +68,16 @@ calculus="complete")`` adds the rules that close those gaps:
     explosion   O(X,X) |- O(T,T), for every type T
 
 There are two entry points.  ``close`` builds the whole table, for the
-REPL and ``explain``.  ``star_rows`` finds the same facts without trees, as
-bitset rows, for ``check`` and ``export-dot --derived``; ``derivable`` is
-the set of their propositions, for the oracle and a model checked against
-the closure.  Both forms list their facts with ``triples()``, as canonical
-(form, subject, predicate) triples in ``sort_key`` order, and one filter,
-``beyond_premisses``, drops the premisses and identities from either
-listing for every front end that reports what is derived.
+REPL and ``explain``; its ``Theory`` keeps the document it closed, so a
+later ``close`` reads the earlier premisses there and the REPL holds one
+theory as its whole state.  ``star_rows`` finds the same facts without
+trees, as bitset rows, for ``check`` and ``export-dot --derived``;
+``derivable`` is the set of their propositions, for the oracle and a model
+checked against the closure.  Both forms list their facts with
+``triples()``, as canonical (form, subject, predicate) triples in
+``sort_key`` order, and one filter, ``beyond_premisses``, drops the
+premisses and identities from either listing for every front end that
+reports what is derived.
 Consequence is reachability over the A-order, so it composes bitset rows.
 With A* the reflexive-transitive closure of the A-premisses, ``up``
 relating each type to its supertypes and ``down`` to its subtypes, and the
@@ -169,19 +172,15 @@ class Derivation:
 
 @dataclass(frozen=True)
 class Theory:
-    """The closure as its derivation table: one minimal derivation per
-    oriented fact, under the rules of ``calculus``.  The propositions are
-    the canonical entries, and each starred set is a read-only view of the
-    propositions of one form."""
+    """The closure of ``ologism`` as its derivation table: one minimal
+    derivation per oriented fact, under the rules of ``calculus``, over the
+    sorted ``types``.  The propositions are the canonical entries, and each
+    starred set is a read-only view of the propositions of one form."""
 
-    name: str
-    types: tuple[str, ...]
-    premisses: frozenset[CategoricalProposition]
-    trees: Mapping[Triple, Derivation]
+    ologism: Ologism
     calculus: str
-    # The premisses as oriented triples, which a later ``close`` compares to
-    # its document's before it extends the table.
-    _premisses: tuple[Triple, ...] = field(repr=False, compare=False)
+    types: tuple[str, ...]
+    trees: Mapping[Triple, Derivation]
 
     @cached_property
     def derivations(self) -> Mapping[CategoricalProposition, Derivation]:
@@ -200,11 +199,11 @@ class Theory:
     def triples(self) -> list[Triple]:
         """The canonical triples in ``sort_key`` order, as ``StarRows.triples``
         lists them."""
-        return sorted([p.sort_key() for p in self.derivations])
+        return sorted([t for t in self.trees if not (t[0] in "EI" and t[2] < t[1])])
 
     def derived_beyond_premisses(self) -> frozenset[CategoricalProposition]:
         return frozenset([self.trees[t].conclusion
-                          for t in beyond_premisses(self.triples(), self.premisses, self.types)])
+                          for t in beyond_premisses(self.triples(), self.ologism.premisses, self.types)])
 
     def star(self, form: str) -> frozenset[CategoricalProposition]:
         return frozenset(p for p in self._propositions if p.form == form)
@@ -448,7 +447,7 @@ def close(ologism: Ologism, calculus: str = "default",
     trees: dict[Triple, Derivation] = {}
     new, lost, known = premisses, (), ()
     if previous is not None and previous.calculus == calculus and set(previous.types) <= set(types):
-        held = set(previous._premisses)
+        held = {_triple(p) for p in previous.ologism.premisses}
         added = [t for t in premisses if t not in held]
         # Every held premiss kept, or no premiss new over the same types:
         # extend or shrink.
@@ -460,7 +459,7 @@ def close(ologism: Ologism, calculus: str = "default",
     # premisses in another order as ``previous``, gives the very table a
     # fresh close gives, in the same order.
     _saturate(calculus, types, trees, sorted(set(types).difference(known)), new, lost)
-    return Theory(ologism.name, types, frozenset(ologism.premisses), trees, calculus, premisses)
+    return Theory(ologism, calculus, types, trees)
 
 
 # --- the derivable set by reachability ----------------------------------------

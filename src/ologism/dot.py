@@ -15,11 +15,8 @@ import itertools
 from typing import Iterable
 
 from .core import CategoricalProposition, Ologism
+from .dsl import _quote as _q  # DOT escapes a string as the document syntax does
 from .syll import RIGHT, SyllProofTree, diagram_of
-
-
-def _q(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def proof_tree_dot(tree: SyllProofTree) -> str:

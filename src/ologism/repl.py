@@ -3,17 +3,20 @@
 ``add`` parses only the typed item, against the current document's
 declarations, and reports diagnostics at positions in the item; premisses
 keep the orientation they were written in, through writes and ``save``.
-Every write then closes the new document, passing the current theory as
-``previous``.  An ``add`` of a type, premiss, ``is`` aspect, fact or named
-aspect extends the current derivation table: only the facts the new item
-derives or lowers, and the trees above them, are built.  A ``retract``
-drops the facts whose trees lean on the removed premiss and derives again
-those that still follow; every other tree stays, since a removal takes no
-derivation from a fact that did not use the premiss.  A ``load`` closes its
-document afresh.  ``why`` reads one entry of that table.  An ``add`` prints
-the newly derived propositions and any fresh contradiction, which is the
-whole point of assisting an author while they impose constraints; a
-``retract`` can derive nothing new, and prints only what it removed.
+The session's one piece of state is a ``deduce.Theory``, which carries the
+document it closed.  Every write closes the new document, passing the
+current theory as ``previous``.  An ``add`` of a type, premiss, ``is``
+aspect, fact or named aspect extends the current derivation table: only the
+facts the new item derives or lowers, and the trees above them, are built.
+A ``retract`` drops the facts whose trees lean on the removed premiss and
+derives again those that still follow; every other tree stays, since a
+removal takes no derivation from a fact that did not use the premiss.  A
+``load`` closes its document afresh.  ``why`` reads one entry of that
+table.  An ``add`` prints the newly derived propositions and any fresh
+contradiction, which is the whole point of assisting an author while they
+impose constraints; a ``retract`` can derive nothing new, and prints only
+what it removed.  Facts are listed as ``check`` lists them, canonical
+triples with their readings.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from pathlib import Path
 from typing import IO, Optional
 
 from . import deduce, dsl, oracle
-from .core import Ologism, proposition, reading
+from .core import Ologism, proposition, reading, reading_of
 from .oracle import OracleConfig
 
 HELP = """commands:
@@ -42,8 +45,11 @@ HELP = """commands:
 class Repl:
     def __init__(self, out: IO[str]):
         self.out = out
-        self.doc: Optional[Ologism] = None
         self.theory: Optional[deduce.Theory] = None
+
+    @property
+    def doc(self) -> Optional[Ologism]:
+        return self.theory.ologism if self.theory else None
 
     def say(self, text: str = "") -> None:
         print(text, file=self.out)
@@ -95,17 +101,12 @@ class Repl:
 
     # -- state ---------------------------------------------------------------
 
-    def require_doc(self) -> Ologism:
-        if self.doc is None:
-            raise ValueError("no document loaded; use: load FILE")
-        return self.doc
-
-    def require_theory(self) -> deduce.Theory:
+    def current(self) -> deduce.Theory:
         if self.theory is None:
             raise ValueError("no document loaded; use: load FILE")
         return self.theory
 
-    def adopt(self, doc: Ologism, theory: deduce.Theory) -> None:
+    def adopt(self, theory: deduce.Theory) -> None:
         """Make a closed document current and print what it newly derives.
 
         Callers close first, so a document that fails validation raises
@@ -113,30 +114,33 @@ class Repl:
         # The facts the old table lacks, canonical and so in ``sort_key``
         # order once sorted; a fresh contradiction is a new O(X,X).
         before = self.theory.trees if self.theory else {}
-        self.doc, self.theory = doc, theory
+        self.theory = theory
         fresh = sorted([t for t in theory.trees if t not in before and not (t[0] in "EI" and t[2] < t[1])])
-        said = [theory.trees[t].conclusion for t in fresh if t[0] != "A" or t[1] != t[2]]
+        said = [t for t in fresh if t[0] != "A" or t[1] != t[2]]
         if said:
             self.say("now derivable:")
-            for p in said:
-                self.say(f"  {p}   {self._read(p)}")
+            self.say_facts(said)
         for t in fresh:
             if t[0] == "O" and t[1] == t[2]:
-                self.say(f"CONTRADICTION: O({t[1]},{t[1]}) {self._read(proposition(*t))}")
+                self.say(f'CONTRADICTION: O({t[1]},{t[1]}) "{reading(proposition(*t), theory.ologism)}"')
                 self.say(theory.trees[t].render(indent=1))
 
-    def _read(self, p) -> str:
-        try:
-            return '"' + reading(p, self.require_doc()) + '"'
-        except KeyError:
-            return ""
+    def say_facts(self, triples: list[deduce.Triple]) -> None:
+        """One line per canonical triple, with its reading."""
+        doc = self.current().ologism
+        for form, s, p in triples:
+            self.say(f'  {form}({s},{p})   "{reading_of(form, s, p, doc)}"')
 
     # -- commands --------------------------------------------------------------
 
     def load(self, path: str) -> None:
         if not path:
             raise ValueError("usage: load FILE")
-        result = dsl.parse_ologism(Path(path).read_text(encoding="utf-8"))
+        try:
+            source = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValueError(f"cannot read {path}: {exc}") from None
+        result = dsl.parse_ologism(source)
         for d in result.diagnostics:
             self.say(str(d))
         doc = result.value
@@ -144,28 +148,28 @@ class Repl:
             return
         theory = deduce.close(doc)
         self.say(f"loaded {doc.name!r}: {len(doc.types)} types, {len(doc.premisses)} premisses")
-        self.theory = None
-        self.adopt(doc, theory)
+        self.theory = None  # everything a fresh document derives is new
+        self.adopt(theory)
 
     def mutate(self, item: str) -> None:
-        result = dsl.parse_item(self.require_doc(), item)
+        result = dsl.parse_item(self.current().ologism, item)
         if result.value is None:
             for d in result.errors:
                 self.say(str(d))
             return
-        self.adopt(result.value, deduce.close(result.value, previous=self.theory))
+        self.adopt(deduce.close(result.value, previous=self.theory))
 
     def retract_item(self, item: str) -> None:
-        doc = self.require_doc()
+        theory = self.current()
+        doc = theory.ologism
         words = item.split()
         if len(words) == 3 and words[0] in ("A", "E", "I", "O"):
             target = proposition(words[0], words[1], words[2])
             if target not in doc.premisses:
                 raise ValueError(f"premiss {target} is not declared")
             doc = doc.replace_premisses(tuple(p for p in doc.premisses if p != target))
-            # A removal derives nothing new and no fresh O(X,X), so there is
-            # nothing for ``adopt`` to print.
-            self.doc, self.theory = doc, deduce.close(doc, previous=self.theory)
+            # A removal derives nothing new, so ``adopt`` prints nothing.
+            self.adopt(deduce.close(doc, previous=theory))
             self.say(f"retracted {target}")
             return
         raise ValueError("retract handles premisses, e.g.: retract E B M")
@@ -174,23 +178,21 @@ class Repl:
         words = text.split()
         if len(words) != 3 or words[0] not in ("A", "E", "I", "O"):
             raise ValueError("usage: why FORM SUBJECT PREDICATE, e.g.  why O V A")
-        derivation = deduce.explain(self.require_theory(), proposition(words[0], words[1], words[2]))
+        derivation = deduce.explain(self.current(), proposition(words[0], words[1], words[2]))
         if derivation is None:
             self.say("not derivable")
         else:
             self.say(derivation.render())
 
     def show_derived(self) -> None:
-        theory = self.require_theory()
-        props = [theory.trees[t].conclusion
-                 for t in deduce.beyond_premisses(theory.triples(), theory.premisses, theory.types)]
-        if not props:
+        theory = self.current()
+        triples = deduce.beyond_premisses(theory.triples(), theory.ologism.premisses, theory.types)
+        if not triples:
             self.say("nothing beyond the premisses")
-        for p in props:
-            self.say(f"  {p}   {self._read(p)}")
+        self.say_facts(triples)
 
     def show_contradictions(self) -> None:
-        clashes = deduce.contradictions(self.require_theory())
+        clashes = deduce.contradictions(self.current())
         if not clashes:
             self.say("consistent: no O(X,X) is derivable")
         for x, derivation in clashes:
@@ -198,7 +200,7 @@ class Repl:
             self.say(derivation.render(indent=1))
 
     def models(self, rest: str) -> None:
-        doc = self.require_doc()
+        doc = self.current().ologism
         try:
             n = int(rest) if rest else 3
         except ValueError:
@@ -211,6 +213,6 @@ class Repl:
     def save(self, path: str) -> None:
         if not path:
             raise ValueError("usage: save FILE")
-        Path(path).write_text(dsl.serialize(self.require_doc()), encoding="utf-8")
+        Path(path).write_text(dsl.serialize(self.current().ologism), encoding="utf-8")
         self.say(f"wrote {path}")
 

@@ -769,3 +769,34 @@ class TestRepl:
         assert "loaded" not in out.getvalue()
         assert "error: ologism fails validation: EmptyTypeLabel" in out.getvalue()
         assert repl.doc is doc and repl.theory is theory
+
+    def test_rejected_retract_keeps_the_document(self, tmp_path):
+        # Retracting A X Y drops the ``is`` arrow X -> Y that the fact uses.
+        source = tmp_path / "arrow.olgm"
+        source.write_text('ologism "arrow" {\n  type X "an x"\n  type Y "a y"\n'
+                          '  aspect f : X -> Y\n  A X Y\n  fact "same" : f = is\n}\n')
+        repl = Repl(io.StringIO())
+        repl.run(io.StringIO(f"load {source}\n"), prompt="")
+        theory = repl.theory
+        out = io.StringIO()
+        repl.out = out
+        repl.run(io.StringIO("retract A X Y\nwhy A X Y\n"), prompt="")
+        assert "error: ologism fails validation: FactAspectUndeclared" in out.getvalue()
+        assert "retracted" not in out.getvalue()
+        assert "A(X,Y)   (Premiss)" in out.getvalue()
+        assert repl.theory is theory
+
+    @pytest.mark.parametrize("name", ["NOT_UTF8", "ABSENT"])
+    def test_unreadable_load_keeps_the_document(self, capsys, inputs, name):
+        # The REPL reports the file as the CLI's io_error does.
+        path = inputs[name]
+        said = run(capsys, "check", path)[1]
+        assert said.startswith(f"cannot read {path}: ")
+        repl = Repl(io.StringIO())
+        repl.run(io.StringIO(f"load {DATA / 'animals.olgm'}\n"), prompt="")
+        theory = repl.theory
+        out = io.StringIO()
+        repl.out = out
+        repl.run(io.StringIO(f"load {path}\n"), prompt="")
+        assert f"\nerror: {said}" in out.getvalue()
+        assert repl.theory is theory

@@ -9,7 +9,7 @@ import pytest
 from ologism import data, deduce
 from ologism.dsl import serialize
 from ologism.repl import Repl
-from ologism.core import A, E, I, InvalidOlogismError, O, Ologism, TypeDecl, proposition
+from ologism.core import A, E, I, InvalidOlogismError, O, Ologism, TypeDecl, proposition, reading
 from ologism.deduce import (
     _JOINS,
     Derivation,
@@ -681,11 +681,11 @@ class TestReuseAcrossCloses:
         fresh = sorted(theory.propositions() - previous.propositions(), key=lambda q: q.sort_key())
         fresh = [q for q in fresh if q.form != "A" or q.subject != q.predicate]
         if fresh:
-            lines = ["now derivable:"] + [f"  {q}   {repl._read(q)}" for q in fresh]
+            lines = ["now derivable:"] + [f'  {q}   "{reading(q, repl.doc)}"' for q in fresh]
         clashed = {x for x, _ in contradictions(previous)}
         for x, d in contradictions(theory):
             if x not in clashed:
-                lines += [f"CONTRADICTION: O({x},{x}) {repl._read(proposition('O', x, x))}", d.render(indent=1)]
+                lines += [f'CONTRADICTION: O({x},{x}) "{reading(proposition("O", x, x), repl.doc)}"', d.render(indent=1)]
         return "".join(line + "\n" for line in lines)
 
     @staticmethod
@@ -696,7 +696,7 @@ class TestReuseAcrossCloses:
         stated = {q.sort_key() for q in doc.premisses} | {("A", t, t) for t in doc.type_ids()}
         closure = naive_theory(doc.type_ids(), doc.premisses)
         beyond = sorted(q.sort_key() for star in closure.values() for q in star if q.sort_key() not in stated)
-        lines = [f"  {q}   {repl._read(q)}" for q in [proposition(*t) for t in beyond]]
+        lines = [f'  {q}   "{reading(q, repl.doc)}"' for q in [proposition(*t) for t in beyond]]
         return "".join(line + "\n" for line in lines or ["nothing beyond the premisses"])
 
     @staticmethod

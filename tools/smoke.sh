@@ -1,0 +1,39 @@
+#!/usr/bin/env bash
+# End-to-end smoke run of the command line, the REPL and the demos on the
+# bundled documents; exits non-zero at the first failed check.
+#
+#     bash tools/smoke.sh
+set -eo pipefail
+cd "$(dirname "$0")/.."
+export PYTHONPATH=src
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+python -m ologism --help
+python -m ologism check src/ologism/data/animals.olgm
+printf '%s\n' 'load src/ologism/data/animals.olgm' 'add type F "a fish"' 'add A F V' quit \
+  | python -m ologism repl | grep -F 'A(F,V)   "Every fish is a vertebrate"'
+out=$(printf '%s\n' 'load src/ologism/data/animals.olgm' derived contradictions quit \
+  | python -m ologism repl)
+test "$(printf '%s\n' "$out" | grep -cF 'I(A,V)   "Some animal that is able to fly is a vertebrate"')" -eq 2
+printf '%s\n' "$out" | grep -F 'consistent: no O(X,X) is derivable'
+
+# A CRLF copy reads as the original.
+python -m ologism check src/ologism/data/animals.olgm > "$tmp/animals-lf.txt"
+sed 's/$/\r/' src/ologism/data/animals.olgm > "$tmp/animals-crlf.olgm"
+python -m ologism check "$tmp/animals-crlf.olgm" | diff "$tmp/animals-lf.txt" -
+
+# A file that is not UTF-8 is an io_error (exit 3) for check, and the REPL
+# says it cannot read it, without a traceback either way.
+printf 'ologism "x" {\n  type X "a \xff"\n}\n' > "$tmp/not-utf8.olgm"
+status=0
+python -m ologism check "$tmp/not-utf8.olgm" 2> "$tmp/not-utf8.err" || status=$?
+test "$status" -eq 3
+if grep -F Traceback "$tmp/not-utf8.err"; then exit 1; fi
+printf '%s\n' "load $tmp/not-utf8.olgm" quit | python -m ologism repl \
+  | grep -F "error: cannot read $tmp/not-utf8.olgm: "
+
+for demo in demos/*.py; do
+  echo "== $demo"
+  python "$demo" > /dev/null
+done

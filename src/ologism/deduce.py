@@ -14,11 +14,12 @@ closure is four starred sets:
               and R8 (O_xy, A_zy |- O_xz)
 
 The theory is a table from each fact, an oriented (form, subject, predicate)
-triple, to one minimal-depth derivation; it holds E and I facts both ways.
-Its canonical entries are the propositions, and the starred sets are read
-from them.  Ties break on the rule tag, then on operand order, so output is
-stable.  A derivable O(X,X) reads "Some X is not X" and marks the document
-as contradictory.
+triple, to the last step of one minimal-depth derivation: its rule, child
+triples and height.  It holds E and I facts both ways; its canonical
+entries are the propositions, and the starred sets are read from them.
+Ties break on the rule tag, then on operand order, so output is stable.
+Trees are built from the steps only when asked for.  A derivable O(X,X)
+reads "Some X is not X" and marks the document as contradictory.
 
 The table is filled by one semi-naive saturation over every rule at once,
 level by level in derivation height.  Identities and premisses have height 1
@@ -28,34 +29,32 @@ height h, each through the rule rows of its form, with the indexed facts, so
 every conclusion not yet known gets height h + 1, and among that level's
 candidates for it the least (rule tag, child triples) wins.  That is the
 least (height, rule, operands) over all derivations, found without
-re-running old joins.  Each winner's tree is made as its level is admitted,
-from its children's trees already in the table, and records its height.
+re-running old joins.
 
 Adding premisses or types can only add facts or lower their heights, so
 the same level loop extends a table (Knuth, "A generalization of
 Dijkstra's algorithm", 1977; Ramalingam & Reps 1996).  It starts from the
 old table with the new premisses, and the new types' identities, as
 height-1 candidates; under the complete calculus, emptiness and explosion
-also fire on the old facts for each new type.  Each fact whose tree changes
-joins once with every fact in the table, and each conclusion waits at one
-more than its tallest child's height.  At its level, a fact that keeps its
-height takes the least of its old step and the candidates there.  Only a
-tree whose step changed, and the trees above it, are built again; every
-other tree stays the same object.  An extended table keeps the old facts in
-their places and appends the new ones, where a fresh pass would list every
-fact level by level.
+also fire on the old facts for each new type.  Only a new or lowered fact
+joins, once, with every fact in the table.  A fact that keeps its height
+takes the least of its old step and the candidates at its level, which
+moves no candidate of another fact, since candidates name child triples.
+An extended table keeps the old facts in their places and appends the new
+ones, where a fresh pass would list every fact level by level.
 
 Removing premisses only removes derivations, so the loop also shrinks a
 table by delete and re-derive (Gupta, Mumick & Subrahmanian, "Maintaining
-views incrementally", 1993).  Every fact whose tree has a removed premiss
-as a leaf is dropped, children before parents.  A fact whose tree uses no
-removed premiss keeps its tree: its height is still its least, and its
-step still the least at that height, since every derivation left was a
-candidate before.  Each dropped fact is sought again from the surviving
-facts, by every rule instance that concludes it from them, waiting at one
-more than its tallest child's height; the level loop then admits what is
-still derivable and joins it forward as it joins any admitted fact.  The
-surviving facts keep their places and the re-derived ones are appended.
+views incrementally", 1993).  Every fact whose derivation has a removed
+premiss as a leaf is dropped, children before parents.  A fact whose
+derivation uses no removed premiss keeps its step: its height is still its
+least, and its step still the least at that height, since every derivation
+left was a candidate before.  Each dropped fact is sought again from the
+surviving facts, by every rule instance that concludes it from them,
+waiting at one more than its tallest child's height; the level loop then
+admits what is still derivable and joins it forward as it joins any
+admitted fact.  The surviving facts keep their places and the re-derived
+ones are appended.
 
 The default calculus is sound but not complete for the set semantics: it
 cannot derive implied existential import (I(A,B) forces A nonempty, yet
@@ -71,7 +70,7 @@ There are two entry points.  ``close`` builds the whole table, for the
 REPL and ``explain``; its ``Theory`` keeps the document it closed, so a
 later ``close`` reads the earlier premisses there and the REPL holds one
 theory as its whole state.  ``star_rows`` finds the same facts without
-trees, as bitset rows, for ``check`` and ``export-dot --derived``;
+steps, as bitset rows, for ``check`` and ``export-dot --derived``;
 ``derivable`` is the set of their propositions, for the oracle and a model
 checked against the closure.  Both forms list their facts with
 ``triples()``, as canonical (form, subject, predicate) triples in
@@ -97,14 +96,13 @@ derivable facts (a bit test on the rows) join the set, until nothing is
 added: the goal-directed restriction of bottom-up evaluation (Bancilhon,
 Maier, Sagiv & Ullman, "Magic sets", 1986).  Every derivation of a fact in
 the set uses only facts in the set, so the level loop, seeding and
-admitting only the set's facts, builds each goal's tree as ``close``
+admitting only the set's facts, finds each goal's steps as ``close``
 does.
 """
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -125,25 +123,17 @@ EMPTINESS = "Emptiness"
 EXPLOSION = "Explosion"
 
 Triple = tuple[str, str, str]  # (form, subject, predicate), orientation significant
+Step = tuple[str, tuple[Triple, ...], int]  # rule, child triples, height (1 for a leaf)
 
 
-@dataclass(frozen=True, slots=True)  # a theory keeps one per oriented fact
+@dataclass(frozen=True, slots=True)
 class Derivation:
     """One step of a derivation tree; ``conclusion`` keeps the orientation
-    this step states it in, so printed trees mirror diagram reversals.
-    ``height`` is one more than the tallest child's, 1 for a leaf."""
+    this step states it in, so printed trees mirror diagram reversals."""
 
     conclusion: CategoricalProposition
     rule: str
     children: tuple["Derivation", ...] = ()
-    height: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        tallest = 0  # a plain loop: a theory builds one per fact
-        for child in self.children:
-            if child.height > tallest:
-                tallest = child.height
-        object.__setattr__(self, "height", tallest + 1)
 
     def replay(self) -> CategoricalProposition:
         """Re-check every rule instance bottom-up against the rule rows
@@ -170,43 +160,60 @@ class Derivation:
         return self.render()
 
 
+def _trees(steps: Mapping[Triple, Step], goals: Iterable[Triple]) -> dict[Triple, Derivation]:
+    """The derivation of each triple of ``goals``, built from ``steps``; the
+    goals share the tree of each fact they reach."""
+    built: dict[Triple, Derivation] = {}
+
+    def build(t: Triple) -> Derivation:
+        if t not in built:
+            rule, children, _ = steps[t]
+            built[t] = Derivation(CategoricalProposition(*t), rule, tuple(map(build, children)))
+        return built[t]
+
+    return {g: build(g) for g in goals}
+
+
 @dataclass(frozen=True)
 class Theory:
-    """The closure of ``ologism`` as its derivation table: one minimal
-    derivation per oriented fact, under the rules of ``calculus``, over the
-    sorted ``types``.  The propositions are the canonical entries, and each
-    starred set is a read-only view of the propositions of one form."""
+    """The closure of ``ologism`` as its step table: the last step of one
+    minimal derivation per oriented fact, under the rules of ``calculus``,
+    over the sorted ``types``.  The propositions are the canonical entries,
+    and each starred set holds the propositions of one form."""
 
     ologism: Ologism
     calculus: str
     types: tuple[str, ...]
-    trees: Mapping[Triple, Derivation]
+    steps: Mapping[Triple, Step]
 
     @cached_property
     def derivations(self) -> Mapping[CategoricalProposition, Derivation]:
-        """The canonical entries of ``trees``, keyed by proposition, in table
-        order."""
-        return MappingProxyType({tree.conclusion: tree for (form, s, p), tree in self.trees.items()
-                                 if not (form in "EI" and p < s)})
+        """The tree of each canonical entry, keyed by proposition, in table order."""
+        trees = _trees(self.steps, [t for t in self.steps if not (t[0] in "EI" and t[2] < t[1])])
+        return MappingProxyType({tree.conclusion: tree for tree in trees.values()})
 
-    @cached_property
-    def _propositions(self) -> frozenset[CategoricalProposition]:
-        return frozenset(self.derivations)
+    def render(self, t: Triple, indent: int = 0) -> str:
+        """``t``'s derivation as ``Derivation.render`` writes it, from the steps."""
+        rule, children, _ = self.steps[t]
+        lines = [f"{'  ' * indent}{t[0]}({t[1]},{t[2]})   ({rule})"]
+        for c in children:
+            lines.append(self.render(c, indent + 1))
+        return "\n".join(lines)
 
     def propositions(self) -> frozenset[CategoricalProposition]:
-        return self._propositions
+        return frozenset([CategoricalProposition(*t) for t in self.triples()])
 
     def triples(self) -> list[Triple]:
         """The canonical triples in ``sort_key`` order, as ``StarRows.triples``
         lists them."""
-        return sorted([t for t in self.trees if not (t[0] in "EI" and t[2] < t[1])])
+        return sorted([t for t in self.steps if not (t[0] in "EI" and t[2] < t[1])])
 
     def derived_beyond_premisses(self) -> frozenset[CategoricalProposition]:
-        return frozenset([self.trees[t].conclusion
+        return frozenset([CategoricalProposition(*t)
                           for t in beyond_premisses(self.triples(), self.ologism.premisses, self.types)])
 
     def star(self, form: str) -> frozenset[CategoricalProposition]:
-        return frozenset(p for p in self._propositions if p.form == form)
+        return frozenset([CategoricalProposition(*t) for t in self.triples() if t[0] == form])
 
     alpha_star = property(lambda self: self.star("A"))
     epsilon_star = property(lambda self: self.star("E"))
@@ -280,52 +287,46 @@ def _by_form(rows: tuple, at: int) -> dict[str, list[tuple]]:
 _AS_LEFT, _AS_RIGHT, _CONCLUDING = _by_form(_JOINS, 1), _by_form(_JOINS, 3), _by_form(_JOINS, 5)
 
 
-def _drop(trees: dict[Triple, Derivation], removed: set[Triple]) -> set[Triple]:
-    """Delete from ``trees`` every fact whose tree has a premiss leaf of
-    ``removed``, and return those facts.  Trees are judged in height order,
-    so each child is judged before its parent."""
-    # The dropped trees, by id: each child is the table's tree for its fact.
-    gone = {id(trees[t]): t for t in removed if trees[t].rule == PREMISS}
+def _drop(steps: dict[Triple, Step], removed: set[Triple]) -> set[Triple]:
+    """Delete from ``steps`` every fact whose derivation has a premiss leaf
+    of ``removed``, and return those facts.  Steps are judged in height
+    order, so each child is judged before its parent."""
+    gone = {t for t in removed if steps[t][0] == PREMISS}
     if not gone:
-        return set()
-    by_height: dict[int, list[tuple[Triple, Derivation]]] = {}
-    for item in trees.items():
-        if item[1].children:
-            by_height.setdefault(item[1].height, []).append(item)
+        return gone
+    by_height: dict[int, list[tuple[Triple, tuple[Triple, ...]]]] = {}
+    for concl, (_, children, height) in steps.items():
+        if children:
+            by_height.setdefault(height, []).append((concl, children))
     for height in sorted(by_height):
-        for concl, tree in by_height[height]:
-            for child in tree.children:
-                if id(child) in gone:
-                    gone[id(tree)] = concl
-                    break
-    lost = set(gone.values())
-    for concl in lost:
-        del trees[concl]
-    return lost
+        for concl, children in by_height[height]:
+            if not gone.isdisjoint(children):
+                gone.add(concl)
+    for concl in gone:
+        del steps[concl]
+    return gone
 
 
-def _saturate(calculus: str, types: tuple[str, ...], trees: dict[Triple, Derivation],
+def _saturate(calculus: str, types: tuple[str, ...], steps: dict[Triple, Step],
               identities: Sequence[str], premisses: Iterable[Triple], lost: Iterable[Triple] = (),
               within: Optional[set[Triple]] = None) -> None:
-    """Seed the table ``trees`` and close it under ``_JOINS`` and the unary
+    """Seed the table ``steps`` and close it under ``_JOINS`` and the unary
     rules of ``calculus``, level by level in derivation height (see the
     module docstring).  The height-1 seeds are the identities of the types
     ``identities`` lists, in its order, then the triples of ``premisses`` in
     sorted order, so that the table depends on the premisses and not on the
     order they are declared in; an identity wins over an A(X,X) premiss.  A
     fresh pass starts from an empty table.  ``lost`` holds the facts just
-    dropped from ``trees``; every rule instance that concludes one of them
-    from the facts in ``trees`` is a candidate too.  When ``lost`` is not
+    dropped from ``steps``; every rule instance that concludes one of them
+    from the facts in ``steps`` is a candidate too.  When ``lost`` is not
     empty, or a table that is not empty gains types, the unary rules, some
-    of which range over all types, run once on every fact in ``trees``.
+    of which range over all types, run once on every fact in ``steps``.
 
     At its level a fact takes the least (rule, child triples) among its
     candidates there and, when it already has that height, its current
-    step.  A fact keeps its tree when that step is its tree's rule over the
-    very child trees in the table.  Each fact whose tree changes joins with
-    every fact in the index, and each conclusion waits at one more than its
-    tallest child's height.  When ``within`` is given, only its facts are
-    seeded or admitted."""
+    step.  Each new or lowered fact joins with every fact in the index, and
+    each conclusion waits at one more than its tallest child's height.
+    When ``within`` is given, only its facts are seeded or admitted."""
     by_form = _by_form(_CALCULI[calculus], 1)
     seeds = {("A", t, t): (IDENTITY, ()) for t in identities}
     for t in sorted(premisses):
@@ -334,51 +335,48 @@ def _saturate(calculus: str, types: tuple[str, ...], trees: dict[Triple, Derivat
         seeds = {t: step for t, step in seeds.items() if t in within}
     agenda = {1: seeds}
     index: dict[tuple[str, int, str], list[Triple]] = {}
-    for concl in trees:
+    for concl in steps:
         index.setdefault((concl[0], 1, concl[1]), []).append(concl)
         index.setdefault((concl[0], 2, concl[2]), []).append(concl)
-    if lost or trees and identities:
+    if lost or steps and identities:
         found = []
         for concl in lost:
             for tag, lf, lj, rf, rj, _ in _CONCLUDING.get(concl[0], ()):
                 for left in index.get((lf, 3 - lj, concl[1]), ()):
                     right = (rf, left[lj], concl[2]) if rj == 1 else (rf, concl[2], left[lj])
-                    if right in trees:
+                    if right in steps:
                         found.append((concl, tag, (left, right)))
-        for t in trees:
+        for t in steps:
             for tag, _, conclude in by_form.get(t[0], ()):
                 for concl in conclude(t, types):
-                    if concl not in trees:  # lost, or over a new type
+                    if concl not in steps:  # lost, or over a new type
                         found.append((concl, tag, (t,)))
         for concl, tag, children in found:
-            waiting = agenda.setdefault(max([trees[c].height for c in children]) + 1, {})
+            waiting = agenda.setdefault(max([steps[c][2] for c in children]) + 1, {})
             if concl not in waiting or (tag, children) < waiting[concl]:
                 waiting[concl] = (tag, children)
-    known = len(trees)  # the starting table's facts are no taller than their count
+    known = len(steps)  # the starting table's facts are no taller than their count
     while agenda:
         level = min(agenda)
         changed = []
-        for concl, step in agenda.pop(level).items():
-            tree = trees.get(concl)
-            if tree is not None:
-                if tree.height < level:
-                    continue  # lowered since this candidate was found
-                if tree.height == level:
-                    step = min(step, (tree.rule, tuple([_triple(c.conclusion) for c in tree.children])))
-            tag, children = step
-            kids = tuple(map(trees.__getitem__, children))
-            if tree is None:
+        for concl, (tag, children) in agenda.pop(level).items():
+            old = steps.get(concl)
+            if old is not None and old[2] <= level:
+                # Lowered since this candidate was found, or at its height,
+                # where a lesser step changes no other fact's candidates.
+                if old[2] == level and (tag, children) < old[:2]:
+                    steps[concl] = (tag, children, level)
+                continue
+            if old is None:
                 index.setdefault((concl[0], 1, concl[1]), []).append(concl)
                 index.setdefault((concl[0], 2, concl[2]), []).append(concl)
-            elif tree.rule == tag and all(map(operator.is_, tree.children, kids)):
-                continue
-            trees[concl] = Derivation(tree.conclusion if tree else CategoricalProposition(*concl), tag, kids)
+            steps[concl] = (tag, children, level)
             changed.append(concl)
         above = agenda.setdefault(level + 1, {})
         # Once no fact of the starting table can be taller than this level,
         # no fact in the table takes a candidate found here.
         settled = level >= known
-        done = trees if settled else {}
+        done = steps if settled else {}
         for t in changed:
             found = []
             for tag, _, lj, rf, rj, out in _AS_LEFT.get(t[0], ()):
@@ -395,14 +393,14 @@ def _saturate(calculus: str, types: tuple[str, ...], trees: dict[Triple, Derivat
                 for concl in conclude(t, types):
                     found.append((concl, tag, (t,)))
             for concl, tag, children in found:
-                if concl in trees and (settled or trees[concl].height <= level):
+                if concl in steps and (settled or steps[concl][2] <= level):
                     continue
                 if within is not None and concl not in within:
                     continue
                 waiting = above
                 if not settled:  # the other child may be taller than t
-                    at = max([trees[c].height for c in children]) + 1
-                    if concl in trees and trees[concl].height < at:
+                    at = max([steps[c][2] for c in children]) + 1
+                    if concl in steps and steps[concl][2] < at:
                         continue
                     if at > level + 1:
                         waiting = agenda.setdefault(at, {})
@@ -444,7 +442,7 @@ def close(ologism: Ologism, calculus: str = "default",
     """
     types = _types(ologism, calculus)
     premisses = tuple([_triple(p) for p in ologism.premisses])
-    trees: dict[Triple, Derivation] = {}
+    steps: dict[Triple, Step] = {}
     new, lost, known = premisses, (), ()
     if previous is not None and previous.calculus == calculus and set(previous.types) <= set(types):
         held = {_triple(p) for p in previous.ologism.premisses}
@@ -452,14 +450,14 @@ def close(ologism: Ologism, calculus: str = "default",
         # Every held premiss kept, or no premiss new over the same types:
         # extend or shrink.
         if len(premisses) - len(added) == len(held) or not added and previous.types == types:
-            trees, new, known = dict(previous.trees), added, previous.types
-            lost = _drop(trees, held.difference(premisses))
+            steps, new, known = dict(previous.steps), added, previous.types
+            lost = _drop(steps, held.difference(premisses))
     # Seeded as a fresh pass is seeded, with the types the table has no facts
     # over and the new premisses: closing a document again, with the same
     # premisses in another order as ``previous``, gives the very table a
     # fresh close gives, in the same order.
-    _saturate(calculus, types, trees, sorted(set(types).difference(known)), new, lost)
-    return Theory(ologism, calculus, types, trees)
+    _saturate(calculus, types, steps, sorted(set(types).difference(known)), new, lost)
+    return Theory(ologism, calculus, types, steps)
 
 
 # --- the derivable set by reachability ----------------------------------------
@@ -587,7 +585,7 @@ class StarRows(NamedTuple):  # not a dataclass, which takes far longer to build 
         return {(form, self.types[x], self.types[z]) for form, x, z in seen}
 
     def trees_below(self, goals: Iterable[Triple]) -> dict[Triple, Derivation]:
-        """The tree ``close(ologism, calculus)`` stores for each derivable
+        """The tree ``close(ologism, calculus)`` holds for each derivable
         triple of ``goals``, node for node; a goal that is not derivable is
         absent.  Every derivation of a fact below the goals uses only facts
         below them, so each keeps its least height and its candidates at
@@ -596,10 +594,10 @@ class StarRows(NamedTuple):  # not a dataclass, which takes far longer to build 
         goals = [g for g in goals if self.rows[g[0]][at[g[1]]] >> at[g[2]] & 1]
         below = self._below([(form, at[s], at[p]) for form, s, p in goals])
         # Seeded as ``close`` seeds a fresh pass, less the seeds not below.
-        trees: dict[Triple, Derivation] = {}
-        _saturate(self.calculus, self.types, trees, self.types, map(_triple, self.ologism.premisses),
+        steps: dict[Triple, Step] = {}
+        _saturate(self.calculus, self.types, steps, self.types, map(_triple, self.ologism.premisses),
                   within=below)
-        return {g: trees[g] for g in goals}
+        return _trees(steps, goals)
 
 
 def star_rows(ologism: Ologism, calculus: str = "default") -> StarRows:
@@ -652,9 +650,11 @@ def beyond_premisses(triples: list[Triple], premisses: Iterable[CategoricalPropo
 def contradictions(theory: Theory) -> list[tuple[str, Derivation]]:
     """Every type X with a derivable O(X,X), with its derivation, in type
     order."""
-    return [(x, theory.trees[("O", x, x)]) for x in theory.types if ("O", x, x) in theory.trees]
+    trees = _trees(theory.steps, [("O", x, x) for x in theory.types if ("O", x, x) in theory.steps])
+    return [(t[1], tree) for t, tree in trees.items()]
 
 
 def explain(theory: Theory, prop: CategoricalProposition) -> Optional[Derivation]:
-    """The stored minimal derivation, or None when not derivable."""
-    return theory.trees.get(prop.sort_key())
+    """The minimal derivation, or None when not derivable."""
+    t = prop.sort_key()
+    return _trees(theory.steps, [t])[t] if t in theory.steps else None

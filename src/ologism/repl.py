@@ -6,17 +6,18 @@ keep the orientation they were written in, through writes and ``save``.
 The session's one piece of state is a ``deduce.Theory``, which carries the
 document it closed.  Every write closes the new document, passing the
 current theory as ``previous``.  An ``add`` of a type, premiss, ``is``
-aspect, fact or named aspect extends the current derivation table: only the
-facts the new item derives or lowers, and the trees above them, are built.
-A ``retract`` drops the facts whose trees lean on the removed premiss and
-derives again those that still follow; every other tree stays, since a
-removal takes no derivation from a fact that did not use the premiss.  A
-``load`` closes its document afresh.  ``why`` reads one entry of that
-table.  An ``add`` prints the newly derived propositions and any fresh
-contradiction, which is the whole point of assisting an author while they
-impose constraints; a ``retract`` can derive nothing new, and prints only
-what it removed.  Facts are listed as ``check`` lists them, canonical
-triples with their readings.
+aspect, fact or named aspect extends the current step table: only the
+facts the new item derives or lowers get a step, and a fact whose least
+step at its height changes gets the new one.  A ``retract`` drops the
+facts whose derivations lean on the removed premiss and derives again
+those that still follow; every other step stays, since a removal takes no
+derivation from a fact that did not use the premiss.  A ``load`` closes its
+document afresh.  ``why`` and ``contradictions`` render derivations
+straight from that table.  An ``add`` prints the newly derived
+propositions and any fresh contradiction, which is the whole point of
+assisting an author while they impose constraints; a ``retract`` can derive
+nothing new, and prints only what it removed.  Facts are listed as
+``check`` lists them, canonical triples with their readings.
 """
 
 from __future__ import annotations
@@ -113,9 +114,9 @@ class Repl:
         before anything here changes."""
         # The facts the old table lacks, canonical and so in ``sort_key``
         # order once sorted; a fresh contradiction is a new O(X,X).
-        before = self.theory.trees if self.theory else {}
+        before = self.theory.steps if self.theory else {}
         self.theory = theory
-        fresh = sorted([t for t in theory.trees if t not in before and not (t[0] in "EI" and t[2] < t[1])])
+        fresh = sorted([t for t in theory.steps if t not in before and not (t[0] in "EI" and t[2] < t[1])])
         said = [t for t in fresh if t[0] != "A" or t[1] != t[2]]
         if said:
             self.say("now derivable:")
@@ -123,7 +124,7 @@ class Repl:
         for t in fresh:
             if t[0] == "O" and t[1] == t[2]:
                 self.say(f'CONTRADICTION: O({t[1]},{t[1]}) "{reading(proposition(*t), theory.ologism)}"')
-                self.say(theory.trees[t].render(indent=1))
+                self.say(theory.render(t, indent=1))
 
     def say_facts(self, triples: list[deduce.Triple]) -> None:
         """One line per canonical triple, with its reading."""
@@ -178,11 +179,8 @@ class Repl:
         words = text.split()
         if len(words) != 3 or words[0] not in ("A", "E", "I", "O"):
             raise ValueError("usage: why FORM SUBJECT PREDICATE, e.g.  why O V A")
-        derivation = deduce.explain(self.current(), proposition(words[0], words[1], words[2]))
-        if derivation is None:
-            self.say("not derivable")
-        else:
-            self.say(derivation.render())
+        theory, t = self.current(), proposition(words[0], words[1], words[2]).sort_key()
+        self.say(theory.render(t) if t in theory.steps else "not derivable")
 
     def show_derived(self) -> None:
         theory = self.current()
@@ -192,12 +190,13 @@ class Repl:
         self.say_facts(triples)
 
     def show_contradictions(self) -> None:
-        clashes = deduce.contradictions(self.current())
+        theory = self.current()
+        clashes = [("O", x, x) for x in theory.types if ("O", x, x) in theory.steps]
         if not clashes:
             self.say("consistent: no O(X,X) is derivable")
-        for x, derivation in clashes:
-            self.say(f"O({x},{x}):")
-            self.say(derivation.render(indent=1))
+        for t in clashes:
+            self.say(f"O({t[1]},{t[1]}):")
+            self.say(theory.render(t, indent=1))
 
     def models(self, rest: str) -> None:
         doc = self.current().ologism

@@ -105,7 +105,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .core import (
     CategoricalProposition,
@@ -308,19 +308,18 @@ def _drop(steps: dict[Triple, Step], removed: set[Triple]) -> set[Triple]:
 
 
 def _saturate(calculus: str, types: tuple[str, ...], steps: dict[Triple, Step],
-              identities: Sequence[str], premisses: Iterable[Triple], lost: Iterable[Triple] = (),
+              premisses: Iterable[Triple], lost: Iterable[Triple] = (),
               within: Optional[set[Triple]] = None) -> None:
     """Seed the table ``steps`` and close it under ``_JOINS`` and the unary
     rules of ``calculus``, level by level in derivation height (see the
-    module docstring).  The height-1 seeds are the identities of the types
-    ``identities`` lists, in its order, then the triples of ``premisses`` in
-    sorted order, so that the table depends on the premisses and not on the
-    order they are declared in; an identity wins over an A(X,X) premiss.  A
-    fresh pass starts from an empty table.  ``lost`` holds the facts just
-    dropped from ``steps``; every rule instance that concludes one of them
-    from the facts in ``steps`` is a candidate too.  When ``lost`` is not
-    empty, or a table that is not empty gains types, the unary rules, some
-    of which range over all types, run once on every fact in ``steps``.
+    module docstring).  The height-1 seeds are the identities ``steps``
+    lacks, in ``types`` order, then the triples of ``premisses`` in sorted
+    order; an identity wins over an A(X,X) premiss.  A fresh pass starts
+    from an empty table.  ``lost`` holds the facts just dropped from
+    ``steps``; every rule instance that concludes one of them from the
+    facts in ``steps`` is a candidate too.  When ``lost`` is not empty, or
+    a table that is not empty gains types, the unary rules, some of which
+    range over all types, run once on every fact in ``steps``.
 
     At its level a fact takes the least (rule, child triples) among its
     candidates there and, when it already has that height, its current
@@ -328,6 +327,7 @@ def _saturate(calculus: str, types: tuple[str, ...], steps: dict[Triple, Step],
     each conclusion waits at one more than its tallest child's height.
     When ``within`` is given, only its facts are seeded or admitted."""
     by_form = _by_form(_CALCULI[calculus], 1)
+    identities = [t for t in types if ("A", t, t) not in steps]
     seeds = {("A", t, t): (IDENTITY, ()) for t in identities}
     for t in sorted(premisses):
         seeds.setdefault(t, (PREMISS, ()))
@@ -443,20 +443,17 @@ def close(ologism: Ologism, calculus: str = "default",
     types = _types(ologism, calculus)
     premisses = tuple([_triple(p) for p in ologism.premisses])
     steps: dict[Triple, Step] = {}
-    new, lost, known = premisses, (), ()
+    new, lost = premisses, ()
     if previous is not None and previous.calculus == calculus and set(previous.types) <= set(types):
         held = {_triple(p) for p in previous.ologism.premisses}
         added = [t for t in premisses if t not in held]
         # Every held premiss kept, or no premiss new over the same types:
         # extend or shrink.
         if len(premisses) - len(added) == len(held) or not added and previous.types == types:
-            steps, new, known = dict(previous.steps), added, previous.types
+            steps, new = dict(previous.steps), added
             lost = _drop(steps, held.difference(premisses))
-    # Seeded as a fresh pass is seeded, with the types the table has no facts
-    # over and the new premisses: closing a document again, with the same
-    # premisses in another order as ``previous``, gives the very table a
-    # fresh close gives, in the same order.
-    _saturate(calculus, types, steps, sorted(set(types).difference(known)), new, lost)
+    # Seeded as a fresh pass is seeded: closing a document again gives a fresh close's table.
+    _saturate(calculus, types, steps, new, lost)
     return Theory(ologism, calculus, types, steps)
 
 
@@ -595,8 +592,7 @@ class StarRows(NamedTuple):  # not a dataclass, which takes far longer to build 
         below = self._below([(form, at[s], at[p]) for form, s, p in goals])
         # Seeded as ``close`` seeds a fresh pass, less the seeds not below.
         steps: dict[Triple, Step] = {}
-        _saturate(self.calculus, self.types, steps, self.types, map(_triple, self.ologism.premisses),
-                  within=below)
+        _saturate(self.calculus, self.types, steps, map(_triple, self.ologism.premisses), within=below)
         return _trees(steps, goals)
 
 

@@ -36,10 +36,10 @@ as ``serialize`` writes one without facts, goes to a line reader that
 matches each line once: every line is blank or a comment, the header, one
 ``type``, ``aspect`` or A/E/I/O declaration, or the closing brace, with
 ASCII identifiers, blanks of spaces and tabs, and no escape in a string.
-Any other document goes to the token parser, and so does every document the
-token parser would report on, warnings included: every diagnostic comes
-from the token parser, and the reader's result is always the one the token
-parser would give.
+The reader checks syntax only; its document stands when ``validate`` finds
+nothing wrong with it, and is then the one the token parser would give.
+Every other document goes to the token parser, which makes every
+diagnostic.
 
 One syntactic wrinkle: fact paths name arrows by label, and the label
 ``is`` may legitimately mark several inclusions.  Resolution keeps every
@@ -64,6 +64,7 @@ from .core import (
     SerializeError,
     TypeDecl,
     proposition,
+    validate,
 )
 from .model import Model
 
@@ -224,14 +225,14 @@ _HEADER = re.compile(rf'[ \t]*ologism[ \t]*"([^"\\\r\n]*)"[ \t]*\{{[ \t]*{_COMME
 _CLOSE = re.compile(rf"[ \t]*\}}[ \t]*{_COMMENT}")
 
 
-def _read_lines(source: str) -> Optional[ParseResult]:
-    """``source`` read with one match per line, or None where only the token
-    parser may read it.
+def _read_lines(source: str) -> Optional[Ologism]:
+    """The document ``source``'s lines spell, read with one match per line,
+    or None at the first line that is not one of them.
 
     Each line is blank or a comment, the header ``ologism "NAME" {``, one
     type, premiss or aspect declaration, or the closing ``}`` with nothing
-    after it but blank lines.  A document the token parser would report on,
-    warnings included, is None too: the reader never makes a diagnostic.
+    after it but blank lines.  The reader checks syntax only: whether its
+    document stands is ``validate``'s to say.
     """
     lines = source.split("\n")
     last = len(lines) - 1
@@ -259,15 +260,8 @@ def _read_lines(source: str) -> Optional[ParseResult]:
         elif type_id:
             types.append(TypeDecl(type_id, label))
         elif name:
-            if name == IS:
-                return None
             aspects.append(Aspect(name, src, tgt))
-    declared = {t.id for t in types}
-    ends = [x for q in premisses for x in q.terms] + [x for a in aspects for x in (a.source, a.target)]
-    if (IS in declared or len(declared) < len(types) or len(set(premisses)) < len(premisses)
-            or len(set(aspects)) < len(aspects) or not declared.issuperset(ends)):
-        return None
-    return ParseResult(Ologism(head.group(1), tuple(types), tuple(aspects), (), tuple(premisses)))
+    return Ologism(head.group(1), tuple(types), tuple(aspects), (), tuple(premisses))
 
 
 # --- parsing ------------------------------------------------------------------
@@ -359,8 +353,10 @@ class _Declarations:
 
 def parse_ologism(source: str) -> ParseResult:
     """Parse an ologism document; diagnostics carry positions, never raises."""
-    read = _read_lines(source)
-    return read if read is not None else _parse_tokens(source)
+    doc = _read_lines(source)
+    if doc is not None and not validate(doc):
+        return ParseResult(doc)
+    return _parse_tokens(source)
 
 
 def _parse_tokens(source: str) -> ParseResult:

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ologism.core import E, I, SerializeError, TypeDecl, Ologism, structurally_equal, validate
-from ologism.dsl import _parse_tokens, _read_lines, _tokenize, parse_item, parse_model, parse_ologism, serialize
+from ologism.dsl import (
+    ParseResult, _parse_tokens, _read_lines, _tokenize, parse_item, parse_model, parse_ologism, serialize,
+)
 from perfbench.docs import premiss_only, render_premiss_only
 from .oracles import random_document, random_model, random_ologism, reference_tokens, spliced_item
 
@@ -479,19 +481,20 @@ def test_parsed_documents_need_no_build():
 
 # --- the line reader ---------------------------------------------------------------
 #
-# parse_ologism reads a document of one declaration per line with _read_lines
-# and any other with the token parser.  Wherever the reader answers, it must
-# answer as the token parser does.
+# parse_ologism keeps the document _read_lines reads from one declaration per
+# line when validate finds nothing wrong with it, and reads any other with the
+# token parser.  Wherever the reader's document stands, it must be the token
+# parser's.
 
 
 def _reader_agrees(source: str) -> bool:
-    """Whether the reader took ``source``; where it did, its result is the
-    token parser's, value and diagnostics, with each premiss written the same
-    way round."""
-    read = _read_lines(source)
-    if read is None:
+    """Whether the reader's document for ``source`` stands; where it does,
+    it is the token parser's, with no diagnostics and each premiss written
+    the same way round."""
+    doc = _read_lines(source)
+    if doc is None or validate(doc):
         return False
-    want = _parse_tokens(source)
+    read, want = ParseResult(doc), _parse_tokens(source)
     assert read == want, source
     assert [str(q) for q in read.value.premisses] == [str(q) for q in want.value.premisses]
     return True
@@ -675,6 +678,9 @@ _DECLINED = {
     "duplicate-type": 'ologism "x" {\n  type X "an x"\n  type X "an x"\n}\n',
     "duplicate-premiss": 'ologism "x" {\n  type X "an x"\n  type Y "a y"\n  E X Y\n  E Y X\n}\n',
     "duplicate-aspect": 'ologism "x" {\n  type X "an x"\n  aspect f : X -> X\n  aspect f : X -> X\n}\n',
+    "premiss-and-aspect-is": 'ologism "x" {\n  type X "an x"\n  type Y "a y"\n  A X Y\n  aspect is : X -> Y\n}\n',
+    "premiss-and-reversed-aspect-is":
+        'ologism "x" {\n  type X "an x"\n  type Y "a y"\n  A X Y\n  aspect is : Y -> X\n}\n',
 }
 
 
@@ -685,7 +691,8 @@ def test_the_reader_reads(text):
 
 @pytest.mark.parametrize("text", _DECLINED.values(), ids=_DECLINED.keys())
 def test_the_reader_leaves_the_rest_to_the_token_parser(text):
-    assert _read_lines(text) is None
+    assert not _reader_agrees(text)
+    assert parse_ologism(text) == _parse_tokens(text)
 
 
 _HEAD = 'ologism "x" {\n  type T0 "a t"\n'

@@ -33,6 +33,16 @@ if grep -F Traceback "$tmp/not-utf8.err"; then exit 1; fi
 printf '%s\n' "load $tmp/not-utf8.olgm" quit | python -m ologism repl \
   | grep -F "error: cannot read $tmp/not-utf8.olgm: "
 
+# A one-declaration-per-line document with a duplicate type goes from the
+# line reader to the token parser: check prints its positioned diagnostic and
+# exits 2, without a traceback.
+printf 'ologism "x" {\n  type X "an x"\n  type X "an x"\n}\n' > "$tmp/duplicate-type.olgm"
+status=0
+python -m ologism check "$tmp/duplicate-type.olgm" > "$tmp/duplicate-type.out" 2>&1 || status=$?
+test "$status" -eq 2
+grep -F "3:8: error: DuplicateType: type 'X' declared twice" "$tmp/duplicate-type.out"
+if grep -F Traceback "$tmp/duplicate-type.out"; then exit 1; fi
+
 for demo in demos/*.py; do
   echo "== $demo"
   python "$demo" > /dev/null

@@ -20,15 +20,14 @@ import argparse
 import functools
 import sys
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Optional
 
-from . import deduce, dsl, dot, oracle, syll
+# Each run starts a fresh interpreter, so the engines (deduce, syll, oracle,
+# dot, repl) are imported by the subcommands that run them, not here.
+from . import dsl
 from .core import Ologism, proposition, reading, reading_of, validate
 from .model import check_model
-from .oracle import OracleConfig
-from .repl import Repl
 
 # One entry per value of ``status`` in ``schemas/report.schema.json``.
 EXIT_CODES = {"ok": 0, "contradiction": 1, "rejection": 1, "violation": 1, "fail": 1,
@@ -67,6 +66,7 @@ def json_text(value: Any) -> str:
     raises ``TypeError``.  Strings go through the C encoder that ``json``
     itself uses; the indented structure is joined here, where ``json`` would
     walk it in pure Python."""
+    from json.encoder import encode_basestring_ascii
 
     def write(value: Any, indent: str) -> str:
         if isinstance(value, str):
@@ -165,6 +165,7 @@ def _parse_literal(text: str):
 
 
 def cmd_check(args, report: Report) -> None:
+    from . import deduce
     doc = _load_ologism(args.path, report)
     if doc is None:
         return
@@ -202,6 +203,7 @@ def cmd_check(args, report: Report) -> None:
 
 
 def cmd_prove(args, report: Report) -> None:
+    from . import syll
     premisses = list(args.premiss)
     if args.existential_import:
         premisses.append(proposition("I", args.existential_import, args.existential_import))
@@ -221,6 +223,7 @@ def cmd_prove(args, report: Report) -> None:
         return
     report.sections["proof"] = result.render()
     if args.dot:
+        from . import dot
         text = dot.proof_tree_dot(result)
         report.sections["dot"] = text
         report.lines = [text.rstrip("\n")]
@@ -231,6 +234,7 @@ def cmd_prove(args, report: Report) -> None:
 
 
 def cmd_enumerate(args, report: Report) -> None:
+    from . import syll
     records = syll.enumerate_moods(with_import=args.existential_import)
     valid = [r for r in records if r.valid]
     direct = [r for r in records if r.valid_direct]
@@ -287,11 +291,12 @@ def cmd_model_check(args, report: Report) -> None:
 
 
 def cmd_oracle(args, report: Report) -> None:
+    from . import oracle
     doc = _load_ologism(args.path, report)
     if doc is None:
         return
-    config = OracleConfig(universe_size=args.universe, seed=args.seed,
-                          sample_count=args.samples)
+    config = oracle.OracleConfig(universe_size=args.universe, seed=args.seed,
+                                 sample_count=args.samples)
     try:
         if args.mode == "models":
             count = oracle.count_models(doc, config)
@@ -332,11 +337,13 @@ def cmd_oracle(args, report: Report) -> None:
 
 
 def cmd_export_dot(args, report: Report) -> None:
+    from . import dot
     doc = _load_ologism(args.path, report)
     if doc is None:
         return
     derived = ()
     if args.derived:
+        from . import deduce
         triples = deduce.star_rows(doc).triples()
         derived = [proposition(*t) for t in deduce.beyond_premisses(triples, doc.premisses, doc.type_ids())]
     text = dot.export_dot(doc, derived)
@@ -345,8 +352,8 @@ def cmd_export_dot(args, report: Report) -> None:
 
 
 def cmd_repl(args, report: Report) -> None:
-    repl = Repl(sys.stdout)
-    repl.run(sys.stdin)
+    from .repl import Repl
+    Repl(sys.stdout).run(sys.stdin)
 
 
 # --- wiring ---------------------------------------------------------------------

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
 from .core import Aspect, CategoricalProposition, Ologism, PathWord
-from . import deduce
 
 
 @dataclass(frozen=True, eq=True)
@@ -215,6 +214,7 @@ def check_model(ologism: Ologism, model: Model, against: str = "premisses") -> V
     if against == "premisses":
         return ViolationReport(tuple(premiss_bad))
 
+    from . import deduce
     closure_props = sorted(deduce.derivable(ologism), key=lambda p: p.sort_key())
     closure_bad = base + _prescription_violations(model, closure_props)
     alarms = ()

@@ -25,9 +25,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import IO, Optional
 
-from . import deduce, dsl, oracle
+from . import deduce, dsl
 from .core import Ologism, proposition, reading, reading_of
-from .oracle import OracleConfig
 
 HELP = """commands:
   load FILE             read an ologism document
@@ -154,9 +153,9 @@ class Repl:
 
     def mutate(self, item: str) -> None:
         result = dsl.parse_item(self.current().ologism, item)
+        for d in result.diagnostics:
+            self.say(str(d))
         if result.value is None:
-            for d in result.errors:
-                self.say(str(d))
             return
         self.adopt(deduce.close(result.value, previous=self.theory))
 
@@ -206,7 +205,8 @@ class Repl:
             n = 0
         if n < 1:
             raise ValueError("usage: models N, with N a positive integer")
-        count = oracle.count_models(doc, OracleConfig(universe_size=n))
+        from . import oracle
+        count = oracle.count_models(doc, oracle.OracleConfig(universe_size=n))
         self.say(f"{count} model(s) on a {n}-element universe")
 
     def save(self, path: str) -> None:

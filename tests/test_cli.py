@@ -651,6 +651,18 @@ class TestRepl:
         assert "O(M,M)" in out or "O(A,A)" in out
         assert "consistent" in out
 
+    def test_add_prints_the_parsers_warnings(self):
+        # Every diagnostic of an item, in order, as a load of it would print.
+        out = self.run_session([
+            f"load {DATA / 'animals.olgm'}",
+            'add type Z "zed"',
+            'add type Y "zed" junk',
+            "quit",
+        ])
+        warning = "1:8: warning: LabelWithoutArticle: label 'zed' does not begin with an indefinite article\n"
+        assert out.endswith("\n" + warning + warning
+                            + "1:14: error: UnexpectedToken: expected a declaration keyword, found 'junk'\n")
+
     def test_models_beyond_the_count_bound(self):
         out = self.run_session([
             f"load {DATA / 'animals.olgm'}",

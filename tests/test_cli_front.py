@@ -1,5 +1,6 @@
 """The argument parser: help and usage text pinned byte for byte, and one
-parser serving many ``main`` calls in a process as a fresh one would.
+parser serving many ``main`` calls in a process as a fresh one would; and
+the package modules a fresh interpreter imports for each subcommand.
 
 Each golden file under ``tests/golden/usage`` holds one run of
 ``ologism ARGV`` with ``COLUMNS=80``, as ``render`` writes it: the exit code,
@@ -8,6 +9,7 @@ then stdout, then stderr.
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -102,3 +104,51 @@ def test_python_dash_m_runs_the_front_end():
     ran = subprocess.run([sys.executable, "-m", "ologism", "--help"],
                          capture_output=True, text=True, env=env, timeout=60)
     assert render(ran.returncode, ran.stdout, ran.stderr) == (GOLDEN / "help.txt").read_text(encoding="utf-8")
+
+
+# What a fresh interpreter has loaded of the package after ``import
+# ologism.cli``, then after one ``main(ARGV)`` when given an ARGV, with the
+# case's stdin; and whether ``json`` was loaded.  The probe imports no json.
+IMPORT_PROBE = """
+import contextlib, io, sys
+loaded = lambda: sorted(m for m in sys.modules if m.partition(".")[0] == "ologism")
+import ologism.cli
+at_import = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    if sys.argv[1:]:
+        ologism.cli.main(sys.argv[1:])
+print(repr([at_import, loaded(), "json" in sys.modules]))
+"""
+EVERY_COMMAND = {"ologism", "ologism.cli", "ologism.core", "ologism.dsl", "ologism.model"}
+ANIMALS, ANIMALS_MODEL = str(DATA / "animals.olgm"), str(DATA / "animals.olgmodel")
+PROVE = ["prove", "--premiss", "E:M,P", "--premiss", "A:S,M", "--conclusion", "E:S,P"]
+# id -> (ARGV, stdin, the modules it adds to EVERY_COMMAND, whether json is loaded)
+IMPORT_CASES = {
+    "import": ([], "", set(), False),
+    "check": (["check", ANIMALS], "", {"deduce"}, False),
+    "check-json": (["--format", "json", "check", ANIMALS], "", {"deduce"}, True),
+    "prove": (PROVE, "", {"syll"}, False),
+    "prove-dot": (PROVE + ["--dot"], "", {"syll", "dot"}, False),
+    "enumerate": (["enumerate"], "", {"syll"}, False),
+    "model-check": (["model-check", ANIMALS, ANIMALS_MODEL], "", set(), False),
+    "model-check-closure": (["model-check", ANIMALS, ANIMALS_MODEL, "--against", "closure"], "",
+                            {"deduce"}, False),
+    "oracle": (["oracle", ANIMALS, "--mode", "models"], "", {"oracle", "deduce"}, False),
+    "export-dot": (["export-dot", ANIMALS], "", {"dot", "syll"}, False),
+    "export-dot-derived": (["export-dot", ANIMALS, "--derived"], "", {"dot", "syll", "deduce"}, False),
+    "repl": (["repl"], "quit\n", {"repl", "deduce"}, False),
+    "repl-models": (["repl"], f"load {ANIMALS}\nmodels 2\nquit\n", {"repl", "deduce", "oracle"}, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IMPORT_CASES))
+def test_each_subcommand_imports_only_what_it_runs(case):
+    argv, stdin, adds, wants_json = IMPORT_CASES[case]
+    ran = subprocess.run([sys.executable, "-s", "-c", IMPORT_PROBE, *argv], input=stdin,
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+                         timeout=60)
+    assert ran.returncode == 0, ran.stderr
+    at_import, after, json_loaded = ast.literal_eval(ran.stdout)
+    assert set(at_import) == EVERY_COMMAND
+    assert set(after) == EVERY_COMMAND | {f"ologism.{name}" for name in adds}
+    assert json_loaded == wants_json

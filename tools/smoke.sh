@@ -10,6 +10,14 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 python -m ologism --help
+
+# The front end's import loads no engine that some subcommand skips. Only
+# ologism.* modules are checked: the stdlib's own imports differ by version.
+python -s -c '
+import sys, ologism.cli
+engines = {"ologism." + name for name in ("syll", "oracle", "repl", "dot", "eqtheory", "deduce")}
+loaded = sorted(engines & set(sys.modules))
+sys.exit(f"import ologism.cli loaded {loaded}" if loaded else 0)'
 python -m ologism check src/ologism/data/animals.olgm
 printf '%s\n' 'load src/ologism/data/animals.olgm' 'add type F "a fish"' 'add A F V' quit \
   | python -m ologism repl | grep -F 'A(F,V)   "Every fish is a vertebrate"'

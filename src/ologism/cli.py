@@ -174,10 +174,9 @@ def cmd_check(args, report: Report) -> None:
     derived = [(f"{form}({s},{p})", reading_of(form, s, p, doc))
                for form, s, p in deduce.beyond_premisses(triples, doc.premisses, stars.types)]
     goals = [t for t in triples if t[0] == "O" and t[1] == t[2]]  # in type order
-    clashes = []
-    if goals:
-        clashes = [(x, reading(proposition("O", x, x), doc), tree.render())
-                   for (_, x, _), tree in stars.trees_below(goals).items()]
+    steps = stars.steps_below(goals) if goals else {}
+    clashes = [(x, reading(proposition("O", x, x), doc), deduce.render(steps, ("O", x, x)))
+               for _, x, _ in goals]
 
     report.say(f"ologism {doc.name!r}: {len(doc.types)} types, "
                f"{len(doc.aspects)} aspects, {len(doc.facts)} facts, "

@@ -31,30 +31,23 @@ candidates for it the least (rule tag, child triples) wins.  That is the
 least (height, rule, operands) over all derivations, found without
 re-running old joins.
 
-Adding premisses or types can only add facts or lower their heights, so
-the same level loop extends a table (Knuth, "A generalization of
-Dijkstra's algorithm", 1977; Ramalingam & Reps 1996).  It starts from the
-old table with the new premisses, and the new types' identities, as
-height-1 candidates; under the complete calculus, emptiness and explosion
-also fire on the old facts for each new type.  Only a new or lowered fact
-joins, once, with every fact in the table.  A fact that keeps its height
+An earlier table is reused by delete and re-derive (Gupta, Mumick &
+Subrahmanian, "Maintaining views incrementally", 1993).  Every fact whose
+derivation has a removed premiss as a leaf is dropped, children before
+parents; every other fact keeps its step, since each derivation left
+without the additions was a candidate before.  The level loop then runs
+from the table left (Knuth, "A generalization of Dijkstra's algorithm",
+1977; Ramalingam & Reps 1996), with the new premisses and the new types'
+identities as height-1 candidates, and each dropped fact sought again by
+every rule instance that concludes it from the facts left, at one more
+than its tallest child's height.  When facts were dropped or types added,
+the unary rules fire once on the facts left.  Only a new or lowered fact
+joins, once, with every fact in the table; a fact that keeps its height
 takes the least of its old step and the candidates at its level, which
-moves no candidate of another fact, since candidates name child triples.
-An extended table keeps the old facts in their places and appends the new
-ones, where a fresh pass would list every fact level by level.
-
-Removing premisses only removes derivations, so the loop also shrinks a
-table by delete and re-derive (Gupta, Mumick & Subrahmanian, "Maintaining
-views incrementally", 1993).  Every fact whose derivation has a removed
-premiss as a leaf is dropped, children before parents.  A fact whose
-derivation uses no removed premiss keeps its step: its height is still its
-least, and its step still the least at that height, since every derivation
-left was a candidate before.  Each dropped fact is sought again from the
-surviving facts, by every rule instance that concludes it from them,
-waiting at one more than its tallest child's height; the level loop then
-admits what is still derivable and joins it forward as it joins any
-admitted fact.  The surviving facts keep their places and the re-derived
-ones are appended.
+moves no other fact's candidates, since candidates name child triples.  So
+any write, one that both removes and adds included, takes one pass, and
+the kept facts keep their places with the new and re-derived ones
+appended, where a fresh pass lists every fact level by level.
 
 The default calculus is sound but not complete for the set semantics: it
 cannot derive implied existential import (I(A,B) forces A nonempty, yet
@@ -89,15 +82,17 @@ E and I premisses taken both ways:
 The complete calculus adds what its unary rules conclude from these sets to
 the premiss rows, and recomputes them until nothing is added.
 
-``check`` renders the trees of its O(X,X) facts from the same rows
-(``StarRows.trees_below``), without the whole table.  Working back from the
+``check`` takes the steps of its O(X,X) facts from the same rows
+(``StarRows.steps_below``), without the whole table.  Working back from the
 goals, a fact's premisses under every rule instance that concludes it from
 derivable facts (a bit test on the rows) join the set, until nothing is
 added: the goal-directed restriction of bottom-up evaluation (Bancilhon,
 Maier, Sagiv & Ullman, "Magic sets", 1986).  Every derivation of a fact in
 the set uses only facts in the set, so the level loop, seeding and
-admitting only the set's facts, finds each goal's steps as ``close``
-does.
+admitting only the set's facts, finds each fact's step as ``close`` does.
+``check`` and the REPL both print with ``render``, from either step table;
+only the library's ``explain``, ``contradictions`` and ``derivations``
+build ``Derivation`` trees.
 """
 
 from __future__ import annotations
@@ -174,6 +169,16 @@ def _trees(steps: Mapping[Triple, Step], goals: Iterable[Triple]) -> dict[Triple
     return {g: build(g) for g in goals}
 
 
+def render(steps: Mapping[Triple, Step], t: Triple, indent: int = 0) -> str:
+    """``t``'s derivation as ``Derivation.render`` writes it, straight from
+    ``steps``: ``Theory.steps`` or what ``StarRows.steps_below`` returns."""
+    rule, children, _ = steps[t]
+    lines = [f"{'  ' * indent}{t[0]}({t[1]},{t[2]})   ({rule})"]
+    for c in children:
+        lines.append(render(steps, c, indent + 1))
+    return "\n".join(lines)
+
+
 @dataclass(frozen=True)
 class Theory:
     """The closure of ``ologism`` as its step table: the last step of one
@@ -191,14 +196,6 @@ class Theory:
         """The tree of each canonical entry, keyed by proposition, in table order."""
         trees = _trees(self.steps, [t for t in self.steps if not (t[0] in "EI" and t[2] < t[1])])
         return MappingProxyType({tree.conclusion: tree for tree in trees.values()})
-
-    def render(self, t: Triple, indent: int = 0) -> str:
-        """``t``'s derivation as ``Derivation.render`` writes it, from the steps."""
-        rule, children, _ = self.steps[t]
-        lines = [f"{'  ' * indent}{t[0]}({t[1]},{t[2]})   ({rule})"]
-        for c in children:
-            lines.append(self.render(c, indent + 1))
-        return "\n".join(lines)
 
     def propositions(self) -> frozenset[CategoricalProposition]:
         return frozenset([CategoricalProposition(*t) for t in self.triples()])
@@ -429,16 +426,13 @@ def close(ologism: Ologism, calculus: str = "default",
     (those plus existence, emptiness and explosion); either is one
     saturation pass over its rules.  Any other name raises ``ValueError``.
 
-    ``previous`` is any earlier theory.  When it was closed under the same
-    calculus, over some of ``ologism``'s types, from premisses that
-    ``ologism`` holds in the same orientation, the pass extends its table
-    with the new types and premisses (see the module docstring).  That
-    covers adding a type, a premiss, an ``is`` aspect, a fact or a named
-    aspect, and closing the same document again.  When instead ``ologism``
-    has the same types and some of ``previous``'s premisses, as after a
-    premiss is removed, the pass drops the facts that leaned on the removed
-    ones and derives again what it can of them.  Otherwise the pass starts
-    from an empty table.
+    ``previous`` is any earlier theory.  When it has this calculus and
+    ``ologism`` lacks none of its types, its table is reused (see the
+    module docstring): the facts that leaned on premisses ``ologism`` no
+    longer holds are dropped, and one pass derives from the new premisses,
+    the new types' identities and the dropped facts' candidates, whatever
+    mix of premisses and types a write adds and removes.  Otherwise the
+    pass starts from an empty table.
     """
     types = _types(ologism, calculus)
     premisses = tuple([_triple(p) for p in ologism.premisses])
@@ -446,12 +440,8 @@ def close(ologism: Ologism, calculus: str = "default",
     new, lost = premisses, ()
     if previous is not None and previous.calculus == calculus and set(previous.types) <= set(types):
         held = {_triple(p) for p in previous.ologism.premisses}
-        added = [t for t in premisses if t not in held]
-        # Every held premiss kept, or no premiss new over the same types:
-        # extend or shrink.
-        if len(premisses) - len(added) == len(held) or not added and previous.types == types:
-            steps, new = dict(previous.steps), added
-            lost = _drop(steps, held.difference(premisses))
+        steps, new = dict(previous.steps), [t for t in premisses if t not in held]
+        lost = _drop(steps, held.difference(premisses))
     # Seeded as a fresh pass is seeded: closing a document again gives a fresh close's table.
     _saturate(calculus, types, steps, new, lost)
     return Theory(ologism, calculus, types, steps)
@@ -581,19 +571,19 @@ class StarRows(NamedTuple):  # not a dataclass, which takes far longer to build 
                     stack.append(t)
         return {(form, self.types[x], self.types[z]) for form, x, z in seen}
 
-    def trees_below(self, goals: Iterable[Triple]) -> dict[Triple, Derivation]:
-        """The tree ``close(ologism, calculus)`` holds for each derivable
-        triple of ``goals``, node for node; a goal that is not derivable is
-        absent.  Every derivation of a fact below the goals uses only facts
-        below them, so each keeps its least height and its candidates at
-        that height when the saturation admits nothing else."""
+    def steps_below(self, goals: Iterable[Triple]) -> dict[Triple, Step]:
+        """The step ``close(ologism, calculus)`` holds for each fact below
+        the derivable triples of ``goals``, goals included; a goal that is
+        not derivable is absent.  A derivation of a fact below the goals
+        uses only facts below them, so a saturation that admits nothing
+        else finds each fact's least height and step."""
         at = {t: k for k, t in enumerate(self.types)}
         goals = [g for g in goals if self.rows[g[0]][at[g[1]]] >> at[g[2]] & 1]
         below = self._below([(form, at[s], at[p]) for form, s, p in goals])
         # Seeded as ``close`` seeds a fresh pass, less the seeds not below.
         steps: dict[Triple, Step] = {}
         _saturate(self.calculus, self.types, steps, map(_triple, self.ologism.premisses), within=below)
-        return _trees(steps, goals)
+        return steps
 
 
 def star_rows(ologism: Ologism, calculus: str = "default") -> StarRows:

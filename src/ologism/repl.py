@@ -5,15 +5,12 @@ declarations, and reports diagnostics at positions in the item; premisses
 keep the orientation they were written in, through writes and ``save``.
 The session's one piece of state is a ``deduce.Theory``, which carries the
 document it closed.  Every write closes the new document, passing the
-current theory as ``previous``.  An ``add`` of a type, premiss, ``is``
-aspect, fact or named aspect extends the current step table: only the
-facts the new item derives or lowers get a step, and a fact whose least
-step at its height changes gets the new one.  A ``retract`` drops the
-facts whose derivations lean on the removed premiss and derives again
-those that still follow; every other step stays, since a removal takes no
-derivation from a fact that did not use the premiss.  A ``load`` closes its
-document afresh.  ``why`` and ``contradictions`` render derivations
-straight from that table.  An ``add`` prints the newly derived
+current theory as ``previous``: ``close`` drops the facts that leaned on a
+premiss the write removed and derives, in one pass, what the write adds and
+what of the dropped facts still follows; no other step changes unless an
+addition lowers it.  A ``load`` closes its document afresh.  ``why`` and
+``contradictions`` print derivations from that table with ``deduce.render``,
+as ``check`` prints its trees.  An ``add`` prints the newly derived
 propositions and any fresh contradiction, which is the whole point of
 assisting an author while they impose constraints; a ``retract`` can derive
 nothing new, and prints only what it removed.  Facts are listed as
@@ -123,7 +120,7 @@ class Repl:
         for t in fresh:
             if t[0] == "O" and t[1] == t[2]:
                 self.say(f'CONTRADICTION: O({t[1]},{t[1]}) "{reading(proposition(*t), theory.ologism)}"')
-                self.say(theory.render(t, indent=1))
+                self.say(deduce.render(theory.steps, t, indent=1))
 
     def say_facts(self, triples: list[deduce.Triple]) -> None:
         """One line per canonical triple, with its reading."""
@@ -152,6 +149,8 @@ class Repl:
         self.adopt(theory)
 
     def mutate(self, item: str) -> None:
+        if not item:
+            raise ValueError("usage: add ITEM")
         result = dsl.parse_item(self.current().ologism, item)
         for d in result.diagnostics:
             self.say(str(d))
@@ -179,7 +178,13 @@ class Repl:
         if len(words) != 3 or words[0] not in ("A", "E", "I", "O"):
             raise ValueError("usage: why FORM SUBJECT PREDICATE, e.g.  why O V A")
         theory, t = self.current(), proposition(words[0], words[1], words[2]).sort_key()
-        self.say(theory.render(t) if t in theory.steps else "not derivable")
+        if t in theory.steps:
+            self.say(deduce.render(theory.steps, t))
+            return
+        for term in words[1:]:
+            if term not in theory.types:
+                raise ValueError(f"unknown type {term!r}")
+        self.say("not derivable")
 
     def show_derived(self) -> None:
         theory = self.current()
@@ -195,7 +200,7 @@ class Repl:
             self.say("consistent: no O(X,X) is derivable")
         for t in clashes:
             self.say(f"O({t[1]},{t[1]}):")
-            self.say(theory.render(t, indent=1))
+            self.say(deduce.render(theory.steps, t, indent=1))
 
     def models(self, rest: str) -> None:
         doc = self.current().ologism
@@ -212,6 +217,9 @@ class Repl:
     def save(self, path: str) -> None:
         if not path:
             raise ValueError("usage: save FILE")
-        Path(path).write_text(dsl.serialize(self.current().ologism), encoding="utf-8")
+        try:
+            Path(path).write_text(dsl.serialize(self.current().ologism), encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc}") from None
         self.say(f"wrote {path}")
 

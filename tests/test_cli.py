@@ -73,13 +73,13 @@ class TestCheck:
     def test_contradiction_trees_equal_the_closure_table(self, capsys, monkeypatch, tmp_path, fmt):
         # A 120-type document: its trees come from the facts below its
         # O(X,X), with no close and the star rows computed once, and the
-        # report is the one the closure table's trees give.
+        # report is the one the closure table's steps give.
         types, premisses = premiss_only(random.Random(0), 120)
         path = tmp_path / "large.olgm"
         path.write_text(render_premiss_only("large", types, premisses))
         doc = Ologism.build("large", types, premisses=[proposition(*t) for t in premisses])
-        clashes = deduce.contradictions(deduce.close(doc))
-        assert len(clashes) > 1
+        theory = deduce.close(doc)
+        assert len(deduce.contradictions(theory)) > 1
         computed = []
         real_star_rows = deduce.star_rows
         with monkeypatch.context() as patch:
@@ -87,9 +87,49 @@ class TestCheck:
             patch.setattr(deduce, "star_rows", lambda *a: computed.append(a) or real_star_rows(*a))
             new = run(capsys, *fmt, "check", str(path))
         assert len(computed) == 1
-        monkeypatch.setattr(deduce.StarRows, "trees_below",
-                            lambda self, goals: {("O", x, x): tree for x, tree in clashes})
+        monkeypatch.setattr(deduce.StarRows, "steps_below", lambda self, goals: theory.steps)
         assert new == run(capsys, *fmt, "check", str(path)) and new[0] == 1
+
+    @pytest.mark.parametrize("doc", ["contradictory", "large"])
+    def test_check_and_the_repl_print_the_same_trees(self, capsys, monkeypatch, tmp_path, contradictory, doc):
+        # Each tree under a CONTRADICTION line of check, one level in, each
+        # JSON derivation, and the REPL's ``why O X X`` after a load of the
+        # same file are one text; neither front end builds a Derivation.
+        path = contradictory
+        if doc == "large":
+            types, premisses = premiss_only(random.Random(0), 120)
+            path = tmp_path / "large.olgm"
+            path.write_text(render_premiss_only("large", types, premisses))
+
+        def shown() -> tuple:
+            _, text = run(capsys, "check", str(path))
+            _, payload = run_json(capsys, "check", str(path))
+            clashes = payload["sections"]["contradictions"]
+            repl = Repl(io.StringIO())
+            repl.dispatch(f"load {path}")
+            whys = []
+            for clash in clashes:
+                repl.out = io.StringIO()
+                repl.dispatch(f"why O {clash['type']} {clash['type']}")
+                whys.append(repl.out.getvalue())
+            return text, clashes, whys
+
+        text, clashes, whys = shown()
+        assert len(clashes) > 1
+        blocks = text.split("CONTRADICTION")[1:]
+        assert len(blocks) == len(clashes)
+        for block, clash, why in zip(blocks, clashes, whys):
+            header, _, tree = block.partition("\n")
+            assert header.startswith(f" O({clash['type']},{clash['type']}), read ")
+            lines = tree.splitlines()
+            assert all(line.startswith("  ") for line in lines)
+            assert "".join(line[2:] + "\n" for line in lines) == why == clash["derivation"] + "\n"
+
+        def no_trees(*args):
+            raise AssertionError("a Derivation was built")
+
+        monkeypatch.setattr(deduce, "_trees", no_trees)
+        assert shown() == (text, clashes, whys)
 
     def test_contradiction_exit_1(self, capsys, contradictory):
         code, out = run(capsys, "check", contradictory)
@@ -662,6 +702,29 @@ class TestRepl:
         warning = "1:8: warning: LabelWithoutArticle: label 'zed' does not begin with an indefinite article\n"
         assert out.endswith("\n" + warning + warning
                             + "1:14: error: UnexpectedToken: expected a declaration keyword, found 'junk'\n")
+
+    def test_why_names_a_term_that_is_not_a_type(self):
+        # A declared fact the calculus misses is not derivable; a term that
+        # is no type of the document is an error naming the first such term.
+        out = self.run_session([
+            f"load {DATA / 'animals.olgm'}",
+            "why O Q Q", "why I V Z", "why A Q V", "why A V M", "why O V A",
+            "quit",
+        ])
+        assert out.count("error: unknown type ") == 3
+        assert "error: unknown type 'Q'\nerror: unknown type 'Z'\nerror: unknown type 'Q'\nnot derivable\n" in out
+        assert "O(V,A)   (R7)" in out
+
+    def test_bare_add_says_its_usage(self):
+        out = self.run_session([f"load {DATA / 'animals.olgm'}", "add", "quit"])
+        assert out.endswith("\nerror: usage: add ITEM\n")
+
+    def test_save_says_it_cannot_write(self, tmp_path):
+        target = tmp_path / "nosuchdir" / "x.olgm"
+        out = self.run_session([f"load {DATA / 'animals.olgm'}", f"save {target}", "derived", "quit"])
+        assert f"\nerror: cannot write {target}: [Errno 2] No such file or directory: " in out
+        assert "I(A,V)" in out.split("cannot write")[1]  # the session goes on
+        assert not target.parent.exists()
 
     def test_models_beyond_the_count_bound(self):
         out = self.run_session([

@@ -412,10 +412,10 @@ def _nodes(d: Derivation, steps) -> tuple:
 
 
 class TestTreesBelow:
-    """``star_rows(doc, calculus).trees_below(goals)`` gives each derivable
-    goal the tree ``close`` stores for it, node for node, from a saturation
-    confined to the facts below the goals; a goal that is not derivable is
-    absent."""
+    """``star_rows(doc, calculus).steps_below(goals)`` gives each fact below
+    the derivable goals the step ``close`` stores for it, from a saturation
+    confined to those facts, so each goal's tree built from them is
+    ``close``'s, node for node; a goal that is not derivable is absent."""
 
     @staticmethod
     def check(doc: Ologism, calculus: str, rng: random.Random, extra: tuple = ()) -> int:
@@ -430,13 +430,15 @@ class TestTreesBelow:
                               for _ in range(6)) if t not in theory.steps]
         rows = star_rows(doc, calculus)
         for goals in (clashes, list(dict.fromkeys(drawn + list(extra) + absent))):
-            got = rows.trees_below(goals)
-            assert list(got) == [g for g in goals if g in theory.steps], doc.name
-            built = deduce._trees(theory.steps, got)
-            for goal, tree in got.items():
-                assert _nodes(tree, theory.steps) == _nodes(built[goal], theory.steps), (doc.name, goal)
+            got = rows.steps_below(goals)
+            derivable = [g for g in goals if g in theory.steps]
+            assert [g for g in goals if g in got] == derivable, doc.name
+            for t, step in got.items():
+                assert step == theory.steps[t], (doc.name, t)
+            trees = deduce._trees(got, derivable)  # every child is below its goal
+            for tree in trees.values():
                 assert tree.replay() == tree.conclusion
-            _assert_reference_steps(doc, reference, got.values())
+            _assert_reference_steps(doc, reference, trees.values())
         return len(clashes)
 
     @pytest.mark.parametrize("calculus", ["default", "complete"])
@@ -465,7 +467,7 @@ class TestTreesBelow:
                             lambda *args, within: tables.append((args[2], within)) or saturate(*args, within=within))
         for doc in sample:
             rows = star_rows(doc, calculus)
-            rows.trees_below(rows.triples()[-2:])
+            rows.steps_below(rows.triples()[-2:])
         assert tables and all(set(steps) <= within for steps, within in tables)
 
     @pytest.mark.parametrize("n_types, per_type", [(40, 2), (80, 2), (120, 1), (160, 1), (160, 2)])
@@ -477,7 +479,7 @@ class TestTreesBelow:
         self.check(_premiss_only(40, per_type, seed=41), "complete", random.Random(55))
 
     def test_no_goals_no_trees(self, animals):
-        assert star_rows(animals).trees_below([]) == {}
+        assert star_rows(animals).steps_below([]) == {}
 
 
 class TestRulesAgainstDiagrams:
@@ -544,21 +546,22 @@ class TestDerivationTable:
 
     @pytest.mark.parametrize("calculus", ["default", "complete"])
     def test_render_writes_the_built_tree(self, sample, calculus):
-        # ``Theory.render`` and ``Derivation.render`` write a tree two ways that
-        # must write the same bytes, and ``check``'s trees from the rows
-        # must render as the table's.
+        # ``deduce.render`` writes from steps what ``Derivation.render``
+        # writes from the built tree, byte for byte, from the table's steps
+        # and from the steps the rows find below some goals.
         for doc in sample + _derivable_documents()[:150] + [data.load(name) for name in data.NAMES]:
             theory = close(doc, calculus=calculus)
             built = deduce._trees(theory.steps, theory.steps)
             for t, tree in built.items():
                 for indent in (0, 1):
-                    assert theory.render(t, indent) == tree.render(indent), (doc.name, t)
+                    assert deduce.render(theory.steps, t, indent) == tree.render(indent), (doc.name, t)
             goals = list(theory.steps)
             clashes = [t for t in goals if t[0] == "O" and t[1] == t[2]]
             rows = star_rows(doc, calculus)
             for some in (goals, clashes):
-                for g, tree in rows.trees_below(some).items():
-                    assert tree.render() == theory.render(g), (doc.name, g)
+                below = rows.steps_below(some)
+                for g in some:
+                    assert deduce.render(below, g) == built[g].render(), (doc.name, g)
 
 
 
@@ -854,18 +857,15 @@ class TestExtend:
             self.extend(doc, calculus, theory)
 
     def test_other_theories_take_the_full_pass(self):
-        # Another calculus, or a premiss gone and another added: the table
-        # is built afresh, in a fresh close's order.
+        # Another calculus: the table is built afresh, in a fresh close's
+        # order.  (A premiss gone and another added is a reuse, tested in
+        # ``TestMixedWrites``.)
         rng = random.Random(23)
         for _ in range(100):
             doc = random_ologism(rng, max_types=8, max_premisses=16)
             calculus, other = rng.sample(["default", "complete"], 2)
             previous = close(doc, calculus=calculus)
-            variants = [(doc, other), (_with(doc, _new_premisses(rng, doc)), other)]
-            if doc.premisses:
-                fewer = doc.replace_premisses(doc.premisses[1:])
-                variants.append((_with(fewer, _new_premisses(rng, doc)), calculus))
-            for variant, calc in variants:
+            for variant, calc in [(doc, other), (_with(doc, _new_premisses(rng, doc)), other)]:
                 theory, fresh = close(variant, calc, previous=previous), close(variant, calc)
                 assert list(theory.steps) == list(fresh.steps), variant.name
                 assert _table(theory) == _table(fresh), variant.name
@@ -995,3 +995,43 @@ class TestRetract:
                     for p in _new_premisses(rng, session.doc):
                         session.dispatch(f"add {p.form} {p.subject} {p.predicate}")
                     assert _table(session.theory) == _table(close(session.doc))
+
+
+class TestMixedWrites:
+    """``close(doc, previous=theory)``, where ``doc`` drops some of
+    ``theory``'s premisses and adds others, at times with new types or an E
+    or I premiss turned round, takes the one reuse path: every step equals
+    a fresh close's, the facts that leaned on no removed premiss keep their
+    places, and every tree built from the result replays."""
+
+    @pytest.mark.parametrize("calculus", ["default", "complete"])
+    def test_drop_and_add_at_once(self, calculus):
+        rng = random.Random(30)
+        writes = with_types = turned = 0
+        while writes < 520:
+            doc = random_ologism(rng, max_types=8, max_premisses=16)
+            theory = close(doc, calculus=calculus)
+            for _ in range(4):
+                if not doc.premisses:
+                    break
+                gone = rng.sample(doc.premisses, rng.randint(1, min(3, len(doc.premisses))))
+                after = _without(doc, gone)
+                if rng.random() < 0.3:
+                    new = tuple(TypeDecl(f"N{len(after.types) + k}", "a new type") for k in range(rng.randint(1, 2)))
+                    after = Ologism.build(after.name, after.types + new, premisses=after.premisses)
+                    with_types += 1
+                sided = [p for p in gone if p.form in "EI" and p.subject != p.predicate]
+                if sided and rng.random() < 0.5:
+                    after = _with(after, [sided[0].swapped()])
+                    turned += 1
+                else:
+                    after = _with(after, _new_premisses(rng, after, rng.randint(1, 3)))
+                previous, theory = theory, close(after, calculus=calculus, previous=theory)
+                assert _table(theory) == _table(close(after, calculus=calculus)), after.name
+                leaning = _leaning(previous, after)
+                kept = [t for t in previous.steps if t not in leaning]
+                assert list(theory.steps)[:len(kept)] == kept, after.name
+                for d in theory.derivations.values():
+                    assert d.replay() == d.conclusion
+                doc, writes = after, writes + 1
+        assert with_types > 50 and turned > 50

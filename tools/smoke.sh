@@ -51,6 +51,18 @@ test "$status" -eq 2
 grep -F "3:8: error: DuplicateType: type 'X' declared twice" "$tmp/duplicate-type.out"
 if grep -F Traceback "$tmp/duplicate-type.out"; then exit 1; fi
 
+# check and the REPL print a derivation through one renderer: check's tree
+# for O(S,S), one level in, is the REPL's `why O S S`, line for line.
+printf 'ologism "square" {\n  type S "a square"\n  type P "a polygon"\n  A S P\n  O S P\n}\n' > "$tmp/square.olgm"
+status=0
+python -m ologism check "$tmp/square.olgm" > "$tmp/square-check.txt" || status=$?
+test "$status" -eq 1
+sed -n '/^CONTRADICTION O(S,S)/,/^CONTRADICTION/s/^  //p' "$tmp/square-check.txt" > "$tmp/square-tree.txt"
+printf '%s\n' "load $tmp/square.olgm" 'why O S S' quit | python -m ologism repl \
+  | sed -n 's/^olgm> O(S,S)/O(S,S)/; /^O(S,S)/,/^olgm>/p' | sed '$d' > "$tmp/square-why.txt"
+test "$(head -n 1 "$tmp/square-why.txt")" = 'O(S,S)   (R8)'
+diff "$tmp/square-tree.txt" "$tmp/square-why.txt"
+
 for demo in demos/*.py; do
   echo "== $demo"
   python "$demo" > /dev/null

@@ -59,17 +59,18 @@ calculus="complete")`` adds the rules that close those gaps:
     emptiness   E(X,X) |- A(X,Y)  and  E(X,X) |- E(X,Y), for every type Y
     explosion   O(X,X) |- O(T,T), for every type T
 
-There are two entry points.  ``close`` builds the whole table, for the
-REPL and ``explain``; its ``Theory`` keeps the document it closed, so a
-later ``close`` reads the earlier premisses there and the REPL holds one
-theory as its whole state.  ``star_rows`` finds the same facts without
-steps, as bitset rows, for ``check`` and ``export-dot --derived``;
-``derivable`` is the set of their propositions, for the oracle and a model
-checked against the closure.  Both forms list their facts with
-``triples()``, as canonical (form, subject, predicate) triples in
-``sort_key`` order, and one filter, ``beyond_premisses``, drops the
-premisses and identities from either listing for every front end that
-reports what is derived.
+``close`` builds the whole table under either calculus, for the REPL and
+``explain``; its ``Theory`` keeps the document it closed, so a later
+``close`` reads the earlier premisses there and the REPL holds one theory
+as its whole state.  The complete calculus has the table alone: its facts
+are ``close(doc, "complete").propositions()``.  Under the default
+calculus, ``star_rows`` finds the same facts without steps, as bitset
+rows, for ``check`` and ``export-dot --derived``; ``derivable`` is the set
+of their propositions, for the oracle and a model checked against the
+closure.  Both forms list their facts with ``triples()``, as canonical
+(form, subject, predicate) triples in ``sort_key`` order, and one filter,
+``beyond_premisses``, drops the premisses and identities from either
+listing for every front end that reports what is derived.
 Consequence is reachability over the A-order, so it composes bitset rows.
 With A* the reflexive-transitive closure of the A-premisses, ``up``
 relating each type to its supertypes and ``down`` to its subtypes, and the
@@ -78,9 +79,6 @@ E and I premisses taken both ways:
     E* = up ; E ; down
     I* = down ; I ; up
     O* = down ; (O | I* ; E*) ; down
-
-The complete calculus adds what its unary rules conclude from these sets to
-the premiss rows, and recomputes them until nothing is added.
 
 ``check`` takes the steps of its O(X,X) facts from the same rows
 (``StarRows.steps_below``), without the whole table.  Working back from the
@@ -407,11 +405,8 @@ def _saturate(calculus: str, types: tuple[str, ...], steps: dict[Triple, Step],
             del agenda[level + 1]
 
 
-def _types(ologism: Ologism, calculus: str) -> tuple[str, ...]:
-    """The document's type ids in sorted order, once ``calculus`` is known
-    and the document valid."""
-    if calculus not in _CALCULI:
-        raise ValueError(f"calculus must be one of {', '.join(_CALCULI)}, got {calculus!r}")
+def _types(ologism: Ologism) -> tuple[str, ...]:
+    """The document's type ids in sorted order, once the document is valid."""
     problems = validate(ologism)
     if problems:
         raise InvalidOlogismError(problems)
@@ -434,7 +429,9 @@ def close(ologism: Ologism, calculus: str = "default",
     mix of premisses and types a write adds and removes.  Otherwise the
     pass starts from an empty table.
     """
-    types = _types(ologism, calculus)
+    if calculus not in _CALCULI:
+        raise ValueError(f"calculus must be one of {', '.join(_CALCULI)}, got {calculus!r}")
+    types = _types(ologism)
     premisses = tuple([_triple(p) for p in ologism.premisses])
     steps: dict[Triple, Step] = {}
     new, lost = premisses, ()
@@ -504,13 +501,12 @@ def _reach(rows: list[int]) -> list[int]:
 
 
 class StarRows(NamedTuple):  # not a dataclass, which takes far longer to build at import
-    """The derivable set of ``ologism`` under ``calculus`` as bitset rows
-    over ``types``: bit y of ``rows[form][x]`` is set iff form(types[x],
-    types[y]) is derivable, E and I both ways.  ``down`` is the converse of
-    the A row, relating each type to its subtypes."""
+    """The derivable set of ``ologism`` under the default calculus as bitset
+    rows over ``types``: bit y of ``rows[form][x]`` is set iff
+    form(types[x], types[y]) is derivable, E and I both ways.  ``down`` is
+    the converse of the A row, relating each type to its subtypes."""
 
     ologism: Ologism
-    calculus: str
     types: tuple[str, ...]
     rows: dict[str, list[int]]
     down: list[int]
@@ -557,14 +553,6 @@ class StarRows(NamedTuple):  # not a dataclass, which takes far longer to build 
                     found.append((rf, m, z) if rj == 1 else (rf, z, m))
             if form in "EI":
                 found.append((form, z, x))  # symmetry
-            if self.calculus == "complete":
-                if form == "I" and x == z:  # existence
-                    found += [("I", x, y) for y in _bits(rows["I"][x])]
-                    found += [("O", x, y) for y in _bits(o[x])]
-                if form in "AE" and rows["E"][x] >> x & 1:  # emptiness
-                    found.append(("E", x, x))
-                if form == "O" and x == z:  # explosion
-                    found += [("O", y, y) for y in range(len(o)) if o[y] >> y & 1]
             for t in found:
                 if t not in seen:
                     seen.add(t)
@@ -572,56 +560,41 @@ class StarRows(NamedTuple):  # not a dataclass, which takes far longer to build 
         return {(form, self.types[x], self.types[z]) for form, x, z in seen}
 
     def steps_below(self, goals: Iterable[Triple]) -> dict[Triple, Step]:
-        """The step ``close(ologism, calculus)`` holds for each fact below
-        the derivable triples of ``goals``, goals included; a goal that is
-        not derivable is absent.  A derivation of a fact below the goals
-        uses only facts below them, so a saturation that admits nothing
-        else finds each fact's least height and step."""
+        """The step ``close(ologism)`` holds for each fact below the
+        derivable triples of ``goals``, goals included; a goal that is not
+        derivable is absent.  A derivation of a fact below the goals uses
+        only facts below them, so a saturation that admits nothing else
+        finds each fact's least height and step."""
         at = {t: k for k, t in enumerate(self.types)}
         goals = [g for g in goals if self.rows[g[0]][at[g[1]]] >> at[g[2]] & 1]
         below = self._below([(form, at[s], at[p]) for form, s, p in goals])
         # Seeded as ``close`` seeds a fresh pass, less the seeds not below.
         steps: dict[Triple, Step] = {}
-        _saturate(self.calculus, self.types, steps, map(_triple, self.ologism.premisses), within=below)
+        _saturate("default", self.types, steps, map(_triple, self.ologism.premisses), within=below)
         return steps
 
 
-def star_rows(ologism: Ologism, calculus: str = "default") -> StarRows:
-    """The facts of ``close(ologism, calculus)`` as bitset rows, found by
-    composing the premisses' rows (see the module docstring) without
-    building trees.  Raises as ``close`` raises."""
-    types = _types(ologism, calculus)
+def star_rows(ologism: Ologism) -> StarRows:
+    """The facts of ``close(ologism)`` as bitset rows, found by composing
+    the premisses' rows (see the module docstring) without building trees.
+    Raises as ``close`` raises."""
+    types = _types(ologism)
     n, at = len(types), {t: k for k, t in enumerate(types)}
     rows = {form: [0] * n for form in "AEIO"}
     for p in ologism.premisses:
         rows[p.form][at[p.subject]] |= 1 << at[p.predicate]
-    a, e, i, o = rows["A"], rows["E"], rows["I"], rows["O"]
-    everyone = (1 << n) - 1
-    while True:
-        up = _reach(a)
-        down = _converse(up)
-        e_star = _compose(_compose(up, _both_ways(e)), down)
-        i_star = _compose(_compose(down, _both_ways(i)), up)
-        o_star = _compose(_compose(down, [r | c for r, c in zip(o, _compose(i_star, e_star))]), down)
-        if calculus == "default":
-            break
-        empty = [x for x in range(n) if e_star[x] >> x & 1]
-        exploded = any(o_star[x] >> x & 1 for x in range(n))
-        steps = [(a, up, x, everyone) for x in empty] + [(e, e_star, x, everyone) for x in empty]
-        steps += [(i, i_star, x, 1 << x) for x in range(n) if i_star[x] or o_star[x]]
-        steps += [(o, o_star, x, 1 << x) for x in range(n) if exploded]
-        steps = [(seed, x, bits) for seed, star, x, bits in steps if bits & ~star[x]]
-        if not steps:
-            break
-        for seed, x, bits in steps:
-            seed[x] |= bits
-    return StarRows(ologism, calculus, types, {"A": up, "E": e_star, "I": i_star, "O": o_star}, down)
+    up = _reach(rows["A"])
+    down = _converse(up)
+    e_star = _compose(_compose(up, _both_ways(rows["E"])), down)
+    i_star = _compose(_compose(down, _both_ways(rows["I"])), up)
+    o_star = _compose(_compose(down, [r | c for r, c in zip(rows["O"], _compose(i_star, e_star))]), down)
+    return StarRows(ologism, types, {"A": up, "E": e_star, "I": i_star, "O": o_star}, down)
 
 
-def derivable(ologism: Ologism, calculus: str = "default") -> frozenset[CategoricalProposition]:
-    """The propositions of ``close(ologism, calculus)``, without trees (see
+def derivable(ologism: Ologism) -> frozenset[CategoricalProposition]:
+    """The propositions of ``close(ologism)``, without trees (see
     ``StarRows.triples``).  Raises as ``close`` raises."""
-    return frozenset(proposition(*t) for t in star_rows(ologism, calculus).triples())
+    return frozenset(proposition(*t) for t in star_rows(ologism).triples())
 
 
 def beyond_premisses(triples: list[Triple], premisses: Iterable[CategoricalProposition],

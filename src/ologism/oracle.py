@@ -368,8 +368,11 @@ def _sample_model(ologism: Ologism, n: int, rng: random.Random) -> Optional[Mode
         src, tgt = carriers[a.source], carriers[a.target]
         if src and not tgt:
             return None
-        targets = sorted(tgt)
-        maps[a.name] = {x: rng.choice(targets) for x in sorted(src)}
+        # Aspects sharing a name share one map: each element is drawn once.
+        targets, fn = sorted(tgt), maps.setdefault(a.name, {})
+        for x in sorted(src):
+            if x not in fn:
+                fn[x] = rng.choice(targets)
     model = Model("sample", carriers, maps, ologism.name)
     if not check_model(ologism, model, against="premisses").ok:
         return None

@@ -66,12 +66,11 @@ class Repl:
             if line in ("quit", "exit"):
                 return
             try:
-                if not self.dispatch(line):
-                    return
+                self.dispatch(line)
             except Exception as exc:  # keep the loop alive on any user error
                 self.say(f"error: {exc}")
 
-    def dispatch(self, line: str) -> bool:
+    def dispatch(self, line: str) -> None:
         command, _, rest = line.partition(" ")
         rest = rest.strip()
         if command == "help":
@@ -94,7 +93,6 @@ class Repl:
             self.save(rest)
         else:
             self.say(f"unknown command {command!r}; 'help' lists commands")
-        return True
 
     # -- state ---------------------------------------------------------------
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule, run_state_machine_as_test
 
 from ologism import deduce, dsl
 from ologism.cli import EXIT_CODES, json_text, main
@@ -663,7 +664,99 @@ class TestReplGoldens:
         assert repl_transcript(commands) == expected
 
 
+class ReplSession(RuleBasedStateMachine):
+    """A REPL session under random writes and queries.  After each write
+    the session holds the table, and prints the ``derived`` and
+    ``contradictions`` listings, that a fresh load of its saved document
+    does; every ``why``, ``derived`` and ``contradictions`` prints what it
+    prints in that fresh session."""
+
+    def __init__(self, folder: Path):
+        super().__init__()
+        self.folder = folder
+
+    @initialize(n=st.integers(1, 3))
+    def load(self, n):
+        path = self.folder / "start.olgm"
+        path.write_text(serialize(Ologism.build("session", [f"T{k}" for k in range(n)])))
+        self.session = Repl(io.StringIO())
+        self.session.dispatch(f"load {path}")
+        self.reload()
+
+    @staticmethod
+    def ask(repl: Repl, command: str) -> str:
+        """What ``command`` prints, a user error as ``Repl.run`` prints it."""
+        repl.out = io.StringIO()
+        try:
+            repl.dispatch(command)
+        except ValueError as exc:
+            repl.say(f"error: {exc}")
+        return repl.out.getvalue()
+
+    def reload(self) -> None:
+        path = self.folder / "saved.olgm"
+        self.ask(self.session, f"save {path}")
+        self.fresh = Repl(io.StringIO())
+        self.fresh.dispatch(f"load {path}")
+
+    def same(self, command: str) -> None:
+        assert self.ask(self.session, command) == self.ask(self.fresh, command), command
+
+    def write(self, command: str) -> None:
+        self.ask(self.session, command)
+        self.reload()
+        assert dict(self.session.theory.steps) == dict(self.fresh.theory.steps), command
+        self.same("derived")
+        self.same("contradictions")
+
+    def fact(self, data, terms: list[str]) -> str:
+        form = data.draw(st.sampled_from("AEIO"))
+        return " ".join([form, data.draw(st.sampled_from(terms)), data.draw(st.sampled_from(terms))])
+
+    def derived_facts(self) -> list[deduce.Triple]:
+        theory = self.session.theory
+        return deduce.beyond_premisses(theory.triples(), theory.ologism.premisses, theory.types)
+
+    @rule(data=st.data())
+    def add_premiss(self, data):
+        self.write(f"add {self.fact(data, list(self.session.theory.types))}")
+
+    @precondition(lambda self: self.derived_facts())
+    @rule(data=st.data())
+    def add_derived_premiss(self, data):
+        # Retracting it later drops it, and it must be derived again.
+        self.write("add {} {} {}".format(*data.draw(st.sampled_from(self.derived_facts()))))
+
+    @precondition(lambda self: self.session.doc.premisses)
+    @rule(data=st.data())
+    def retract_premiss(self, data):
+        p = data.draw(st.sampled_from(self.session.doc.premisses))
+        self.write(f"retract {p.form} {p.subject} {p.predicate}")
+
+    @precondition(lambda self: len(self.session.theory.types) < 4)
+    @rule()
+    def add_type(self):
+        self.write(f'add type N{len(self.session.theory.types)} "a new type"')
+
+    @rule(data=st.data())
+    def why(self, data):
+        # Now and then a term that is not a type.
+        self.same(f"why {self.fact(data, list(self.session.theory.types) + ['Q'])}")
+
+    @rule()
+    def derived(self):
+        self.same("derived")
+
+    @rule()
+    def contradictions(self):
+        self.same("contradictions")
+
+
 class TestRepl:
+    def test_writes_match_a_fresh_load(self, tmp_path):
+        run_state_machine_as_test(lambda: ReplSession(tmp_path),
+                                  settings=settings(max_examples=30, stateful_step_count=15, deadline=None))
+
     def run_session(self, lines: list[str]) -> str:
         out = io.StringIO()
         Repl(out).run(io.StringIO("\n".join(lines) + "\n"), prompt="")

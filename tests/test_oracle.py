@@ -9,7 +9,7 @@ import pytest
 
 from ologism.core import A, E, I, O, Aspect, Ologism, proposition
 from ologism.deduce import close, contradictions
-from ologism.model import check_model, satisfies
+from ologism.model import Model, check_model, satisfies
 from ologism import oracle
 from ologism.oracle import (
     MAX_COUNT_DIGITS,
@@ -193,6 +193,25 @@ class TestSoundness:
         )
         verdict = check_soundness(doc, OracleConfig(sample_count=3))
         assert verdict.inconclusive and not verdict.passed
+
+    def test_aspects_sharing_a_name_share_one_map(self):
+        # f : X -> Y and f : Y -> Z are one function on X and Y; the sampler
+        # draws each element's image once, into that one map.
+        doc = Ologism.build(
+            "shared", ["X", "Y", "Z"],
+            aspects=[Aspect("f", "X", "Y"), Aspect("f", "Y", "Z")],
+            premisses=[I("X", "X"), E("X", "Y")],
+        )
+        carriers = {"X": frozenset("a"), "Y": frozenset("b"), "Z": frozenset("c")}
+        assert check_model(doc, Model("hand", carriers, {"f": {"a": "b", "b": "c"}})).ok
+        models, quota = sample_models(doc, OracleConfig(sample_count=20))
+        assert quota and len(models) == 20
+        for model in models:
+            assert check_model(doc, model).ok
+            assert set(model.maps) == {"f"}
+            assert set(model.maps["f"]) == model.carriers["X"] | model.carriers["Y"]
+        verdict = check_soundness(doc, OracleConfig(sample_count=20))
+        assert str(verdict) == "soundness holds over 20 sampled models"
 
     def test_unsamplable_documents_are_decided_without_an_attempt(self, monkeypatch):
         def attempt(*args):

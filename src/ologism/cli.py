@@ -100,7 +100,7 @@ def json_text(value: Any) -> str:
 
 def _read_file(path: str, report: Report) -> Optional[str]:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         report.status = "io_error"
         report.say(f"cannot read {path}: {exc}")

@@ -18,8 +18,8 @@ triple, to the last step of one minimal-depth derivation: its rule, child
 triples and height.  It holds E and I facts both ways; its canonical
 entries are the propositions, and the starred sets are read from them.
 Ties break on the rule tag, then on operand order, so output is stable.
-Trees are built from the steps only when asked for.  A derivable O(X,X)
-reads "Some X is not X" and marks the document as contradictory.
+A derivable O(X,X) reads "Some X is not X" and marks the document as
+contradictory.
 
 The table is filled by one semi-naive saturation over every rule at once,
 level by level in derivation height.  Identities and premisses have height 1
@@ -88,14 +88,15 @@ added: the goal-directed restriction of bottom-up evaluation (Bancilhon,
 Maier, Sagiv & Ullman, "Magic sets", 1986).  Every derivation of a fact in
 the set uses only facts in the set, so the level loop, seeding and
 admitting only the set's facts, finds each fact's step as ``close`` does.
-``check`` and the REPL both print with ``render``, from either step table;
-only the library's ``explain``, ``contradictions`` and ``derivations``
-build ``Derivation`` trees.
+A derivation is data, a step table, which ``render`` prints and ``replay``
+checks (a proof as data and a small checker: Chihani, Miller & Renaud,
+CADE 2013); ``explain``, ``contradictions`` and ``derivations`` return
+``Derivation`` views of ``close``'s table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
@@ -119,62 +120,66 @@ Triple = tuple[str, str, str]  # (form, subject, predicate), orientation signifi
 Step = tuple[str, tuple[Triple, ...], int]  # rule, child triples, height (1 for a leaf)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Derivation:
-    """One step of a derivation tree; ``conclusion`` keeps the orientation
-    this step states it in, so printed trees mirror diagram reversals."""
+    """One fact of a step table, with a view of each child fact as
+    ``children``; ``fact`` keeps its orientation, as printed trees do."""
 
-    conclusion: CategoricalProposition
-    rule: str
-    children: tuple["Derivation", ...] = ()
+    steps: Mapping[Triple, Step] = field(repr=False)
+    fact: Triple
+    children: tuple["Derivation", ...]
 
-    def replay(self) -> CategoricalProposition:
-        """Re-check every rule instance bottom-up against the rule rows
-        ``close`` runs; raises when a step is off."""
-        kids = [c.replay() for c in self.children]
-        if self.rule not in _TAGS:
-            raise ValueError(f"unknown rule {self.rule!r}")
-        # The conclusion's own terms stand in for the types: a unary rule
-        # concludes it over all types iff it does over these two.
-        concl = _triple(self.conclusion)
-        if not (self.rule == PREMISS and not kids
-                or concl in _yields(self.rule, [_triple(k) for k in kids], concl[1:])):
-            raise ValueError(f"rule {self.rule} does not yield {self.conclusion} from {kids}")
-        return self.conclusion
+    conclusion = property(lambda self: CategoricalProposition(*self.fact))
+    rule = property(lambda self: self.steps[self.fact][0])
 
     def render(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        lines = [f"{pad}{self.conclusion}   ({self.rule})"]
-        for c in self.children:
-            lines.append(c.render(indent + 1))
-        return "\n".join(lines)
-
-    def __str__(self) -> str:
-        return self.render()
+        return render(self.steps, self.fact, indent)
 
 
 def _trees(steps: Mapping[Triple, Step], goals: Iterable[Triple]) -> dict[Triple, Derivation]:
-    """The derivation of each triple of ``goals``, built from ``steps``; the
-    goals share the tree of each fact they reach."""
+    """The view of each triple of ``goals`` in ``steps``; the goals share
+    the view of each fact they reach."""
     built: dict[Triple, Derivation] = {}
 
     def build(t: Triple) -> Derivation:
         if t not in built:
-            rule, children, _ = steps[t]
-            built[t] = Derivation(CategoricalProposition(*t), rule, tuple(map(build, children)))
+            built[t] = Derivation(steps, t, tuple(map(build, steps[t][1])))
         return built[t]
 
     return {g: build(g) for g in goals}
 
 
 def render(steps: Mapping[Triple, Step], t: Triple, indent: int = 0) -> str:
-    """``t``'s derivation as ``Derivation.render`` writes it, straight from
-    ``steps``: ``Theory.steps`` or what ``StarRows.steps_below`` returns."""
+    """``t``'s derivation in ``steps`` (``Theory.steps`` or what
+    ``StarRows.steps_below`` returns), each child one level further in."""
     rule, children, _ = steps[t]
     lines = [f"{'  ' * indent}{t[0]}({t[1]},{t[2]})   ({rule})"]
     for c in children:
         lines.append(render(steps, c, indent + 1))
     return "\n".join(lines)
+
+
+def replay(steps: Mapping[Triple, Step], t: Triple, types: Iterable[str]) -> Triple:
+    """Check each step below ``t`` in ``steps``, children first, against
+    the rule rows over ``types``, and return ``t``.  Raises ``ValueError``
+    on a step its rule does not yield or a child with no step below it."""
+    types, checked = tuple(types), set()
+
+    def check(fact: Triple) -> None:
+        if fact not in steps:
+            raise ValueError(f"no step for {fact}")
+        rule, children, height = steps[fact]
+        for c in children:
+            if c in steps and steps[c][2] >= height:
+                raise ValueError(f"{c} is no lower than {fact}, which it derives")
+            if c not in checked:
+                check(c)
+        if not (rule == PREMISS and not children or fact in _yields(rule, list(children), types)):
+            raise ValueError(f"rule {rule} does not yield {fact} from {children}")
+        checked.add(fact)
+
+    check(t)
+    return t
 
 
 @dataclass(frozen=True)
@@ -191,9 +196,9 @@ class Theory:
 
     @cached_property
     def derivations(self) -> Mapping[CategoricalProposition, Derivation]:
-        """The tree of each canonical entry, keyed by proposition, in table order."""
+        """The view of each canonical entry, keyed by proposition, in table order."""
         trees = _trees(self.steps, [t for t in self.steps if not (t[0] in "EI" and t[2] < t[1])])
-        return MappingProxyType({tree.conclusion: tree for tree in trees.values()})
+        return MappingProxyType({CategoricalProposition(*t): tree for t, tree in trees.items()})
 
     def propositions(self) -> frozenset[CategoricalProposition]:
         return frozenset([CategoricalProposition(*t) for t in self.triples()])
@@ -246,7 +251,6 @@ _EXTENSIONS = (
 
 # Each calculus's unary rules; every calculus runs all of ``_JOINS``.
 _CALCULI = {"default": _SYMMETRY, "complete": _SYMMETRY + _EXTENSIONS}
-_TAGS = {PREMISS, IDENTITY} | {row[0] for row in _JOINS + _CALCULI["complete"]}
 
 
 def _triple(p: CategoricalProposition) -> Triple:

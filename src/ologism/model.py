@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
-from .core import Aspect, CategoricalProposition, Ologism, PathWord
+from .core import CategoricalProposition, Ologism, PathWord
 
 
 @dataclass(frozen=True, eq=True)
@@ -87,18 +87,13 @@ class ViolationReport:
         return "\n".join(lines)
 
 
-def _aspect_function(model: Model, aspect: Aspect) -> Optional[Mapping[str, str]]:
-    """The function interpreting one aspect; identity for ``is`` when omitted."""
-    if aspect.is_flag and aspect.name not in model.maps:
-        return {x: x for x in model.carriers.get(aspect.source, frozenset())}
-    return model.maps.get(aspect.name)
-
-
 def _evaluate(model: Model, path: PathWord, element: str) -> Optional[str]:
     """Chase one element through a path word; None when any map is partial."""
     cur = element
     for arc in path.arcs:
-        fn = _aspect_function(model, arc)
+        fn = model.maps.get(arc.name)
+        if fn is None and arc.is_flag and cur in model.carriers.get(arc.source, ()):
+            continue  # an ``is`` arc with no map is its source's inclusion
         if fn is None or cur not in fn:
             return None
         cur = fn[cur]

@@ -132,7 +132,7 @@ class Repl:
         if not path:
             raise ValueError("usage: load FILE")
         try:
-            source = Path(path).read_text(encoding="utf-8")
+            source = Path(path).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise ValueError(f"cannot read {path}: {exc}") from None
         result = dsl.parse_ologism(source)

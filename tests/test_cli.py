@@ -543,8 +543,8 @@ def _variants(text: str) -> dict[str, str]:
 
 class TestDocumentVariants:
     """A bundled document with CRLF line ends, tab indents, extra comment
-    lines or a comment line after its closing brace checks byte for byte as
-    the original does.  As written, the CRLF and the trailing comment are the
+    lines, a comment line after its closing brace or a leading byte-order
+    mark checks byte for byte as the original does.  As written, the CRLF and the trailing comment are the
     token parser's to read and the other two the line reader's; ``check``
     reads CRLF as LF, so it too meets both paths."""
 
@@ -571,6 +571,25 @@ class TestDocumentVariants:
         has_facts = bool(want.value.facts)
         assert read == {"crlf": False, "tabs": not has_facts, "comments": not has_facts,
                         "comment-after-brace": False}
+
+    @pytest.mark.parametrize("doc", BUNDLED)
+    def test_byte_order_mark_is_read_past(self, capsys, tmp_path, doc):
+        # A file that starts with a UTF-8 byte-order mark checks byte for
+        # byte as the original does, and the REPL loads it as the original.
+        original = DATA / f"{doc}.olgm"
+        path = tmp_path / f"{doc}.olgm"
+        path.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+        for fmt in ([], ["--format", "json"]):
+            expected = (GOLDEN_CHECK / f"{doc}{'-json' if fmt else ''}.txt").read_text(encoding="utf-8")
+            code, out = run(capsys, *fmt, "check", str(path))
+            assert f"exit {code}\n--- stdout\n{out}" == expected
+        loads = []
+        for source in (original, path):
+            repl = Repl(io.StringIO())
+            repl.dispatch(f"load {source}")
+            repl.dispatch("derived")
+            loads.append((repl.out.getvalue(), repl.doc))
+        assert loads[0] == loads[1] and loads[1][1] is not None
 
 
 # Any code point, with lone surrogates and control characters drawn often.

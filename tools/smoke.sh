@@ -31,6 +31,12 @@ python -m ologism check src/ologism/data/animals.olgm > "$tmp/animals-lf.txt"
 sed 's/$/\r/' src/ologism/data/animals.olgm > "$tmp/animals-crlf.olgm"
 python -m ologism check "$tmp/animals-crlf.olgm" | diff "$tmp/animals-lf.txt" -
 
+# So does a copy that starts with a UTF-8 byte-order mark, for check and the REPL.
+{ printf '\xef\xbb\xbf'; cat src/ologism/data/animals.olgm; } > "$tmp/animals-bom.olgm"
+python -m ologism check "$tmp/animals-bom.olgm" | diff "$tmp/animals-lf.txt" -
+printf '%s\n' "load $tmp/animals-bom.olgm" quit | python -m ologism repl \
+  | grep -F "loaded 'animals': 4 types, 5 premisses"
+
 # A file that is not UTF-8 is an io_error (exit 3) for check, and the REPL
 # says it cannot read it, without a traceback either way.
 printf 'ologism "x" {\n  type X "a \xff"\n}\n' > "$tmp/not-utf8.olgm"

@@ -337,19 +337,18 @@ def validate(ologism: Ologism) -> list[Diagnostic]:
 def _diagnose(ologism: Ologism) -> list[Diagnostic]:
     """The checks behind ``validate``."""
     out: list[Diagnostic] = []
-    seen_ids: set[str] = set()
+    declared: set[str] = set()
     for t in ologism.types:
         if not t.id:
             out.append(Diagnostic("EmptyTypeId", "type with empty id"))
-        elif t.id in seen_ids:
+        elif t.id in declared:
             out.append(Diagnostic("DuplicateType", f"type {t.id!r} declared twice"))
-        seen_ids.add(t.id)
+        declared.add(t.id)
         if not t.label:
             out.append(Diagnostic("EmptyTypeLabel", f"type {t.id!r} has an empty label"))
         if t.id == IS:
             out.append(Diagnostic("ReservedIdentifier", f"type id {IS!r} is reserved"))
 
-    declared = set(ologism.type_ids())
     seen_aspects: set[tuple[str, str, str]] = set()
     for a in ologism.aspects:
         for end in (a.source, a.target):
@@ -373,23 +372,25 @@ def _diagnose(ologism: Ologism) -> list[Diagnostic]:
                 if (arc.name, arc.source, arc.target) not in seen_aspects:
                     out.append(Diagnostic("FactAspectUndeclared", f"fact {f} uses undeclared aspect {arc}"))
 
-    seen_prem: set[CategoricalProposition] = set()
+    # Keyed by canonical triple, which hashes without a Python-level call.
+    seen_prem: set[tuple[str, str, str]] = set()
     is_pairs = {(a.source, a.target) for a in ologism.is_aspects()}
     a_pairs = set()
     for p in ologism.premisses:
-        for term in p.terms:
+        terms = subject, predicate = p.subject, p.predicate
+        for term in terms:
             if term not in declared:
                 out.append(Diagnostic("UnknownPremissType", f"premiss {p} uses undeclared type {term!r}"))
-        if p in seen_prem:
+        if p._key in seen_prem:
             out.append(Diagnostic("DuplicatePremiss", f"premiss {p} declared twice"))
-        seen_prem.add(p)
+        seen_prem.add(p._key)
         if p.form == "A":
-            a_pairs.add(p.terms)
-            if p.terms not in is_pairs:
+            a_pairs.add(terms)
+            if terms not in is_pairs:
                 out.append(
                     Diagnostic(
                         "OrphanUniversalAffirmative",
-                        f"premiss {p} has no matching {IS!r} aspect {p.subject} -> {p.predicate}",
+                        f"premiss {p} has no matching {IS!r} aspect {subject} -> {predicate}",
                     )
                 )
     for pair in sorted(is_pairs - a_pairs):

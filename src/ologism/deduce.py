@@ -29,25 +29,31 @@ height h, each through the rule rows of its form, with the indexed facts, so
 every conclusion not yet known gets height h + 1, and among that level's
 candidates for it the least (rule tag, child triples) wins.  That is the
 least (height, rule, operands) over all derivations, found without
-re-running old joins.
+re-running old joins.  The theory keeps the index beside the table, each
+key's facts in table order, for a later pass to reuse.
 
 An earlier table is reused by delete and re-derive (Gupta, Mumick &
-Subrahmanian, "Maintaining views incrementally", 1993).  Every fact whose
-derivation has a removed premiss as a leaf is dropped, children before
+Subrahmanian, "Maintaining views incrementally", 1993), and so is its
+index, which a write changes at a few keys only (Motik, Nenov, Piro &
+Horrocks, "Incremental update of datalog materialisation", AAAI 2015): the
+pass starts from a copy of the index's dictionary and copies a key's list
+the first time it drops a fact from it or files one in it, so the earlier
+theory is never changed.  Every fact whose derivation has a removed premiss
+as a leaf is dropped, from the table and from its two keys, children before
 parents; every other fact keeps its step, since each derivation left
 without the additions was a candidate before.  The level loop then runs
 from the table left (Knuth, "A generalization of Dijkstra's algorithm",
 1977; Ramalingam & Reps 1996), with the new premisses and the new types'
 identities as height-1 candidates, and each dropped fact sought again by
-every rule instance that concludes it from the facts left, at one more
-than its tallest child's height.  When facts were dropped or types added,
-the unary rules fire once on the facts left.  Only a new or lowered fact
-joins, once, with every fact in the table; a fact that keeps its height
-takes the least of its old step and the candidates at its level, which
-moves no other fact's candidates, since candidates name child triples.  So
-any write, one that both removes and adds included, takes one pass, and
-the kept facts keep their places with the new and re-derived ones
-appended, where a fresh pass lists every fact level by level.
+every rule instance that concludes it from the facts left, at one more than
+its tallest child's height.  When facts were dropped or types added, the
+unary rules fire once on the facts left.  Only a new or lowered fact joins,
+once, with every fact in the table; a fact that keeps its height takes the
+least of its old step and the candidates at its level, which moves no other
+fact's candidates, since candidates name child triples.  So any write, one
+that both removes and adds included, takes one pass, and the kept facts
+keep their places with the new and re-derived ones appended, where a fresh
+pass lists every fact level by level.
 
 The default calculus is sound but not complete for the set semantics: it
 cannot derive implied existential import (I(A,B) forces A nonempty, yet
@@ -89,8 +95,8 @@ Maier, Sagiv & Ullman, "Magic sets", 1986).  Every derivation of a fact in
 the set uses only facts in the set, so the level loop, seeding and
 admitting only the set's facts, finds each fact's step as ``close`` does.
 A derivation is data, a step table, which ``render`` prints and ``replay``
-checks (a proof as data and a small checker: Chihani, Miller & Renaud,
-CADE 2013); ``explain``, ``contradictions`` and ``derivations`` return
+checks against the document's types and stated premisses (a proof as data
+and a small checker: Chihani, Miller & Renaud, CADE 2013); ``explain``, ``contradictions`` and ``derivations`` return
 ``Derivation`` views of ``close``'s table.
 """
 
@@ -118,6 +124,7 @@ EXPLOSION = "Explosion"
 
 Triple = tuple[str, str, str]  # (form, subject, predicate), orientation significant
 Step = tuple[str, tuple[Triple, ...], int]  # rule, child triples, height (1 for a leaf)
+Key = tuple[str, int, str]  # (form, position, term): 1 files a fact by subject, 2 by predicate
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -159,11 +166,14 @@ def render(steps: Mapping[Triple, Step], t: Triple, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def replay(steps: Mapping[Triple, Step], t: Triple, types: Iterable[str]) -> Triple:
+def replay(steps: Mapping[Triple, Step], t: Triple, ologism: Ologism) -> Triple:
     """Check each step below ``t`` in ``steps``, children first, against
-    the rule rows over ``types``, and return ``t``.  Raises ``ValueError``
-    on a step its rule does not yield or a child with no step below it."""
-    types, checked = tuple(types), set()
+    the rule rows over ``ologism``'s types and its premisses as written,
+    and return ``t``.  Raises ``ValueError`` on a step its rule does not
+    yield (a premiss leaf the document does not state included) or a child
+    with no step below it."""
+    types, checked = ologism.type_ids(), set()
+    premisses = {_triple(p) for p in ologism.premisses}
 
     def check(fact: Triple) -> None:
         if fact not in steps:
@@ -174,7 +184,8 @@ def replay(steps: Mapping[Triple, Step], t: Triple, types: Iterable[str]) -> Tri
                 raise ValueError(f"{c} is no lower than {fact}, which it derives")
             if c not in checked:
                 check(c)
-        if not (rule == PREMISS and not children or fact in _yields(rule, list(children), types)):
+        if not (fact in premisses if rule == PREMISS and not children
+                else fact in _yields(rule, list(children), types)):
             raise ValueError(f"rule {rule} does not yield {fact} from {children}")
         checked.add(fact)
 
@@ -187,12 +198,15 @@ class Theory:
     """The closure of ``ologism`` as its step table: the last step of one
     minimal derivation per oriented fact, under the rules of ``calculus``,
     over the sorted ``types``.  The propositions are the canonical entries,
-    and each starred set holds the propositions of one form."""
+    and each starred set holds the propositions of one form.  ``index``
+    files each fact of ``steps`` under its two keys, in table order, for a
+    later ``close`` to reuse; a later pass never changes its lists."""
 
     ologism: Ologism
     calculus: str
     types: tuple[str, ...]
     steps: Mapping[Triple, Step]
+    index: Mapping[Key, list[Triple]] = field(compare=False, repr=False)
 
     @cached_property
     def derivations(self) -> Mapping[CategoricalProposition, Derivation]:
@@ -286,10 +300,11 @@ def _by_form(rows: tuple, at: int) -> dict[str, list[tuple]]:
 _AS_LEFT, _AS_RIGHT, _CONCLUDING = _by_form(_JOINS, 1), _by_form(_JOINS, 3), _by_form(_JOINS, 5)
 
 
-def _drop(steps: dict[Triple, Step], removed: set[Triple]) -> set[Triple]:
-    """Delete from ``steps`` every fact whose derivation has a premiss leaf
-    of ``removed``, and return those facts.  Steps are judged in height
-    order, so each child is judged before its parent."""
+def _drop(steps: dict[Triple, Step], index: dict[Key, list[Triple]], removed: set[Triple]) -> set[Triple]:
+    """Delete from ``steps``, and from their keys in ``index``, every fact
+    whose derivation has a premiss leaf of ``removed``, and return those
+    facts.  Steps are judged in height order, so each child is judged
+    before its parent.  Each key changed gets a new list."""
     gone = {t for t in removed if steps[t][0] == PREMISS}
     if not gone:
         return gone
@@ -303,18 +318,29 @@ def _drop(steps: dict[Triple, Step], removed: set[Triple]) -> set[Triple]:
                 gone.add(concl)
     for concl in gone:
         del steps[concl]
+    for key in {k for form, s, p in gone for k in ((form, 1, s), (form, 2, p))}:
+        left = [t for t in index[key] if t not in gone]
+        if left:
+            index[key] = left
+        else:
+            del index[key]
     return gone
 
 
 def _saturate(calculus: str, types: tuple[str, ...], steps: dict[Triple, Step],
-              premisses: Iterable[Triple], lost: Iterable[Triple] = (),
-              within: Optional[set[Triple]] = None) -> None:
+              index: dict[Key, list[Triple]], premisses: Iterable[Triple],
+              lost: Iterable[Triple] = (), within: Optional[set[Triple]] = None,
+              shared: Optional[Mapping[Key, list[Triple]]] = None) -> None:
     """Seed the table ``steps`` and close it under ``_JOINS`` and the unary
     rules of ``calculus``, level by level in derivation height (see the
     module docstring).  The height-1 seeds are the identities ``steps``
     lacks, in ``types`` order, then the triples of ``premisses`` in sorted
     order; an identity wins over an A(X,X) premiss.  A fresh pass starts
-    from an empty table.  ``lost`` holds the facts just dropped from
+    from an empty table and index.  ``index`` files each fact of ``steps``
+    under its two keys, in table order, and each fact admitted is filed
+    at the end of both; a list that is ``shared``'s, the index of the
+    theory this pass started from, is copied at its first change instead.
+    ``lost`` holds the facts just dropped from
     ``steps``; every rule instance that concludes one of them from the
     facts in ``steps`` is a candidate too.  When ``lost`` is not empty, or
     a table that is not empty gains types, the unary rules, some of which
@@ -333,10 +359,6 @@ def _saturate(calculus: str, types: tuple[str, ...], steps: dict[Triple, Step],
     if within is not None:
         seeds = {t: step for t, step in seeds.items() if t in within}
     agenda = {1: seeds}
-    index: dict[tuple[str, int, str], list[Triple]] = {}
-    for concl in steps:
-        index.setdefault((concl[0], 1, concl[1]), []).append(concl)
-        index.setdefault((concl[0], 2, concl[2]), []).append(concl)
     if lost or steps and identities:
         found = []
         for concl in lost:
@@ -367,8 +389,19 @@ def _saturate(calculus: str, types: tuple[str, ...], steps: dict[Triple, Step],
                     steps[concl] = (tag, children, level)
                 continue
             if old is None:
-                index.setdefault((concl[0], 1, concl[1]), []).append(concl)
-                index.setdefault((concl[0], 2, concl[2]), []).append(concl)
+                # Filed under both keys, a list of ``shared`` copied first;
+                # unrolled, since a loop over the two keys slowed a fresh
+                # pass by about 3% (CPython 3.11).
+                key = (concl[0], 1, concl[1])
+                filed = index.setdefault(key, [])
+                if shared and filed is shared.get(key):
+                    filed = index[key] = filed.copy()
+                filed.append(concl)
+                key = (concl[0], 2, concl[2])
+                filed = index.setdefault(key, [])
+                if shared and filed is shared.get(key):
+                    filed = index[key] = filed.copy()
+                filed.append(concl)
             steps[concl] = (tag, children, level)
             changed.append(concl)
         above = agenda.setdefault(level + 1, {})
@@ -426,26 +459,30 @@ def close(ologism: Ologism, calculus: str = "default",
     saturation pass over its rules.  Any other name raises ``ValueError``.
 
     ``previous`` is any earlier theory.  When it has this calculus and
-    ``ologism`` lacks none of its types, its table is reused (see the
-    module docstring): the facts that leaned on premisses ``ologism`` no
-    longer holds are dropped, and one pass derives from the new premisses,
-    the new types' identities and the dropped facts' candidates, whatever
-    mix of premisses and types a write adds and removes.  Otherwise the
-    pass starts from an empty table.
+    ``ologism`` lacks none of its types, its table and join index are
+    reused (see the module docstring): the facts that leaned on premisses
+    ``ologism`` no longer holds are dropped from both, and one pass derives
+    from the new premisses, the new types' identities and the dropped
+    facts' candidates, whatever mix of premisses and types a write adds and
+    removes.  The index is not rebuilt: the pass copies a key's list before
+    its first change, so ``previous`` is left as it was.  Otherwise the
+    pass starts from an empty table and index.
     """
     if calculus not in _CALCULI:
         raise ValueError(f"calculus must be one of {', '.join(_CALCULI)}, got {calculus!r}")
     types = _types(ologism)
     premisses = tuple([_triple(p) for p in ologism.premisses])
     steps: dict[Triple, Step] = {}
-    new, lost = premisses, ()
+    index: dict[Key, list[Triple]] = {}
+    new, lost, shared = premisses, (), None
     if previous is not None and previous.calculus == calculus and set(previous.types) <= set(types):
         held = {_triple(p) for p in previous.ologism.premisses}
-        steps, new = dict(previous.steps), [t for t in premisses if t not in held]
-        lost = _drop(steps, held.difference(premisses))
+        steps, index, shared = dict(previous.steps), dict(previous.index), previous.index
+        new = [t for t in premisses if t not in held]
+        lost = _drop(steps, index, held.difference(premisses))
     # Seeded as a fresh pass is seeded: closing a document again gives a fresh close's table.
-    _saturate(calculus, types, steps, new, lost)
-    return Theory(ologism, calculus, types, steps)
+    _saturate(calculus, types, steps, index, new, lost, shared=shared)
+    return Theory(ologism, calculus, types, steps, index)
 
 
 # --- the derivable set by reachability ----------------------------------------
@@ -574,7 +611,7 @@ class StarRows(NamedTuple):  # not a dataclass, which takes far longer to build 
         below = self._below([(form, at[s], at[p]) for form, s, p in goals])
         # Seeded as ``close`` seeds a fresh pass, less the seeds not below.
         steps: dict[Triple, Step] = {}
-        _saturate("default", self.types, steps, map(_triple, self.ologism.premisses), within=below)
+        _saturate("default", self.types, steps, {}, map(_triple, self.ologism.premisses), within=below)
         return steps
 
 

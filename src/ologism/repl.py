@@ -123,8 +123,8 @@ class Repl:
     def say_facts(self, triples: list[deduce.Triple]) -> None:
         """One line per canonical triple, with its reading."""
         doc = self.current().ologism
-        for form, s, p in triples:
-            self.say(f'  {form}({s},{p})   "{reading_of(form, s, p, doc)}"')
+        self.out.write("".join([f'  {form}({s},{p})   "{reading_of(form, s, p, doc)}"\n'
+                                for form, s, p in triples]))
 
     # -- commands --------------------------------------------------------------
 

@@ -7,9 +7,10 @@ semantics for premiss-only documents over Venn regions, the same semantics
 on one universe size by enumerating subset assignments (and the models they
 give, listed one by one), a search of every carrier assignment for one that
 meets a full document's premisses and aspects, subset-semantics for
-syllogistic moods, a union-find over rewrite edges, random document
-generators, the character-stepping lexer that the document lexer replaced,
-and a small structural checker for DOT output.
+syllogistic moods, a union-find over rewrite edges, the join index rebuilt
+from a step table, random document generators, the character-stepping
+lexer that the document lexer replaced, and a small structural checker for
+DOT output.
 Two exceptions.  The spliced re-parse that REPL ``add`` used before it
 parsed items alone is the whole-document parser run on a document with the
 item spliced in, a reference for the item parser.  ``region_mask`` reads
@@ -148,6 +149,17 @@ def minimal_derivations(
                         info[concl] = key
                         changed = True
     return info
+
+
+def join_index(steps: Iterable[Triple]) -> dict[tuple[str, int, str], list[Triple]]:
+    """The join index a fresh closure pass files the facts of ``steps``
+    under: each fact under (form, 1, subject) and (form, 2, predicate), each
+    key's facts in table order."""
+    index: dict[tuple[str, int, str], list[Triple]] = {}
+    for form, s, p in steps:
+        index.setdefault((form, 1, s), []).append((form, s, p))
+        index.setdefault((form, 2, p), []).append((form, s, p))
+    return index
 
 
 # --- exact set semantics over Venn regions ---------------------------------------

@@ -18,7 +18,7 @@ from ologism.core import Ologism, proposition
 from ologism.dsl import serialize
 from ologism.repl import Repl
 from perfbench.docs import premiss_only, render_premiss_only
-from .oracles import check_dot, random_document, random_model
+from .oracles import check_dot, join_index, random_document, random_model
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "ologism" / "data"
 GOLDEN_DOT = Path(__file__).resolve().parent / "golden" / "dot"
@@ -725,6 +725,7 @@ class ReplSession(RuleBasedStateMachine):
         self.ask(self.session, command)
         self.reload()
         assert dict(self.session.theory.steps) == dict(self.fresh.theory.steps), command
+        assert self.session.theory.index == join_index(self.session.theory.steps), command
         self.same("derived")
         self.same("contradictions")
 

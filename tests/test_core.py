@@ -190,6 +190,51 @@ class TestValidate:
         assert "DuplicateAspect" in codes
         assert "DuplicatePremiss" in codes
 
+    def test_a_premiss_turned_round_is_a_duplicate_for_e_and_i_only(self):
+        # E and I are symmetric, so E X Y and E Y X state one premiss twice;
+        # A X Y and A Y X (likewise O) state two.
+        types = (TypeDecl("X", "an x"), TypeDecl("Y", "a y"))
+        for form in "EI":
+            doc = Ologism("turned", types, premisses=(proposition(form, "X", "Y"), proposition(form, "Y", "X")))
+            assert [str(d) for d in validate(doc)] == [f"DuplicatePremiss: premiss {form}(Y,X) declared twice"]
+        assert validate(Ologism.build("two", ["X", "Y"], premisses=[A("X", "Y"), A("Y", "X")])) == []
+        assert validate(Ologism.build("two", ["X", "Y"], premisses=[O("X", "Y"), O("Y", "X")])) == []
+
+    def test_every_check_family_in_order(self):
+        # One document that trips every check: the families come in the
+        # order types, aspects, facts, premisses, orphan is-aspects, and
+        # each family in declaration order (orphan is-aspects sorted).
+        h_xz = Aspect("h", "X", "Z")
+        doc = Ologism(
+            "every",
+            (TypeDecl("X", "an x"), TypeDecl("X", "another x"), TypeDecl("", "a blank"),
+             TypeDecl("Y", ""), TypeDecl("is", "an is")),
+            aspects=(f, f, Aspect("g", "Y", "W"), Aspect("is", "Y", "X"), Aspect("is", "Q", "R")),
+            facts=(Fact(PathWord("X", "Y", (f,)), empty_path("X")),
+                   Fact(PathWord("X", "Z", (h_xz,)), PathWord("X", "Z", (h_xz,)), "hh")),
+            premisses=(E("X", "Z"), I("X", "Y"), I("Y", "X"), A("X", "Y"), A("X", "Y"), O("Y", "X")),
+        )
+        assert [str(d) for d in validate(doc)] == [
+            "DuplicateType: type 'X' declared twice",
+            "EmptyTypeId: type with empty id",
+            "EmptyTypeLabel: type 'Y' has an empty label",
+            "ReservedIdentifier: type id 'is' is reserved",
+            "DuplicateAspect: aspect f: X -> Y declared twice",
+            "UnknownAspectEndpoint: aspect g: Y -> W uses undeclared type 'W'",
+            "UnknownAspectEndpoint: aspect is: Q -> R uses undeclared type 'Q'",
+            "UnknownAspectEndpoint: aspect is: Q -> R uses undeclared type 'R'",
+            "NonParallelFact: fact f = id(X) equates X->Y with X->X",
+            'FactAspectUndeclared: fact "hh": h = h uses undeclared aspect h: X -> Z',
+            'FactAspectUndeclared: fact "hh": h = h uses undeclared aspect h: X -> Z',
+            "UnknownPremissType: premiss E(X,Z) uses undeclared type 'Z'",
+            "DuplicatePremiss: premiss I(Y,X) declared twice",
+            "OrphanUniversalAffirmative: premiss A(X,Y) has no matching 'is' aspect X -> Y",
+            "DuplicatePremiss: premiss A(X,Y) declared twice",
+            "OrphanUniversalAffirmative: premiss A(X,Y) has no matching 'is' aspect X -> Y",
+            "OrphanIsAspect: aspect is: Q -> R has no matching A premiss",
+            "OrphanIsAspect: aspect is: Y -> X has no matching A premiss",
+        ]
+
     def test_build_completes_bijection(self):
         doc = Ologism.build("ok", ["X", "Y"], premisses=[A("X", "Y")])
         assert validate(doc) == []

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -24,6 +25,7 @@ from ologism.syll import Rejection, enumerate_moods, mood_premisses, prove
 from .oracles import (
     exact_consequences,
     exact_satisfiable,
+    join_index,
     minimal_derivations,
     naive_theory,
     random_document,
@@ -64,14 +66,14 @@ class TestAnimals:
         assert derivation.rule == "R4"
         assert [c.rule for c in derivation.children] == ["Symmetry", "Premiss"]
         assert derivation.children[0].children[0].conclusion == I("M", "A")
-        assert replay(theory.steps, derivation.fact, theory.types) == ("I", "A", "V")
+        assert replay(theory.steps, derivation.fact, theory.ologism) == ("I", "A", "V")
 
     def test_explain_o_va_uses_r7_with_bird_inclusion(self, animals):
         theory = close(animals)
         derivation = explain(theory, O("V", "A"))
         assert derivation.rule == "R7"
         assert derivation.children[0].conclusion == A("B", "V")
-        assert replay(theory.steps, derivation.fact, theory.types) == ("O", "V", "A")
+        assert replay(theory.steps, derivation.fact, theory.ologism) == ("O", "V", "A")
 
     def test_underivable(self, animals):
         assert explain(close(animals), E("M", "V")) is None
@@ -98,7 +100,7 @@ class TestCustodian:
     def test_i_ih_via_r4_on_the_import(self, custodian):
         theory = close(custodian)
         derivation = explain(theory, I("I", "H"))
-        assert replay(theory.steps, derivation.fact, theory.types) == I("I", "H").sort_key()
+        assert replay(theory.steps, derivation.fact, theory.ologism) == I("I", "H").sort_key()
         leaves = _leaf_rules(derivation)
         assert "Premiss" in leaves
 
@@ -129,7 +131,7 @@ class TestContradictionSquares:
         by_type = dict(clashes)
         assert by_type["S"].rule == "R8"
         for x, derivation in clashes:
-            assert replay(theory.steps, derivation.fact, theory.types) == ("O", x, x)
+            assert replay(theory.steps, derivation.fact, theory.ologism) == ("O", x, x)
 
     def test_i_with_e(self):
         doc = Ologism.build("sq", ["S", "P"], premisses=[I("S", "P"), E("S", "P")])
@@ -256,7 +258,8 @@ class TestCompleteCalculus:
         def step(conclusion, rule, child):
             """``conclusion`` by ``rule`` from the premiss ``child``, replayed."""
             t, c = _triple(conclusion), _triple(child)
-            return replay({c: ("Premiss", (), 1), t: (rule, (c,), 2)}, t, ("X", "Y", "Z"))
+            doc = Ologism.build("step", ["X", "Y", "Z"], premisses=[child])
+            return replay({c: ("Premiss", (), 1), t: (rule, (c,), 2)}, t, doc)
 
         assert step(I("X", "X"), "Existence", O("X", "Y")) == ("I", "X", "X")
         assert step(E("X", "Z"), "Emptiness", E("X", "X")) == ("E", "X", "Z")
@@ -291,7 +294,7 @@ class TestCompleteCalculus:
         t, kids = _triple(conclusion), (_triple(left), _triple(right))
         steps = {kid: ("Premiss", (), 1) for kid in kids}
         steps[t] = (tag, kids, 2)
-        return replay(steps, t, ("Q", "X", "Y", "Z"))
+        return replay(steps, t, Ologism.build("join", ["Q", "X", "Y", "Z"], premisses=[left, right]))
 
     @pytest.mark.parametrize("rule, left, right, conclusion", JOINS, ids=[j[0] for j in JOINS])
     def test_replay_rejects_joins_without_a_shared_middle(self, rule, left, right, conclusion):
@@ -327,7 +330,7 @@ class TestCompleteCalculus:
                     steps = dict(theory.steps)
                     steps[t] = (rule, kids[:k] + (sibling,) + kids[k + 1:], height)
                     with pytest.raises(ValueError, match=f"rule {rule} does not yield"):
-                        replay(steps, t, theory.types)
+                        replay(steps, t, theory.ologism)
                     mutants += 1
         assert mutants > 100
 
@@ -339,7 +342,7 @@ class TestCompleteCalculus:
         steps = dict(theory.steps)
         steps[t] = (rule, (t,) + kids[1:], height)
         with pytest.raises(ValueError, match="no lower than"):
-            replay(steps, t, theory.types)
+            replay(steps, t, theory.ologism)
 
     def test_replay_rejects_a_child_with_no_step(self, animals):
         theory = close(animals)
@@ -348,20 +351,37 @@ class TestCompleteCalculus:
         steps = dict(theory.steps)
         del steps[kids[0]]
         with pytest.raises(ValueError, match=r"no step for \('I', 'A', 'M'\)"):
-            replay(steps, t, theory.types)
+            replay(steps, t, theory.ologism)
 
     def test_replay_rejects_an_identity_over_another_type(self, animals):
         theory = close(animals)
-        assert replay(theory.steps, ("A", "B", "B"), theory.types) == ("A", "B", "B")
+        assert replay(theory.steps, ("A", "B", "B"), animals) == ("A", "B", "B")
         with pytest.raises(ValueError, match="rule Identity does not yield"):
-            replay({("A", "W", "W"): ("Identity", (), 1)}, ("A", "W", "W"), theory.types)
-        # A step the table's types allow, under types that lack its type.
+            replay({("A", "W", "W"): ("Identity", (), 1)}, ("A", "W", "W"), animals)
+        # A step the table's types allow, under a document that lacks its type.
+        birdless = Ologism("birdless", tuple(t for t in animals.types if t.id != "B"))
         with pytest.raises(ValueError, match="rule Identity does not yield"):
-            replay(theory.steps, ("A", "B", "B"), [x for x in theory.types if x != "B"])
+            replay(theory.steps, ("A", "B", "B"), birdless)
+
+    def test_replay_rejects_a_premiss_the_document_does_not_state(self, animals):
+        # A forged leaf: animals states no O(B,B).
+        with pytest.raises(ValueError, match=r"rule Premiss does not yield \('O', 'B', 'B'\)"):
+            replay({("O", "B", "B"): ("Premiss", (), 1)}, ("O", "B", "B"), animals)
+        # A stated premiss turned round is derived by symmetry, not stated,
+        # and a forged leaf fails the derivation above it too.
+        theory = close(animals)
+        steps = dict(theory.steps)
+        steps[("I", "A", "M")] = ("Premiss", (), 1)
+        with pytest.raises(ValueError, match=r"rule Premiss does not yield \('I', 'A', 'M'\)"):
+            replay(steps, ("I", "A", "M"), animals)
+        with pytest.raises(ValueError, match=r"rule Premiss does not yield \('I', 'A', 'M'\)"):
+            replay(steps, ("I", "A", "V"), animals)
+        # The table's own premiss leaves replay.
+        assert replay(theory.steps, ("I", "M", "A"), animals) == ("I", "M", "A")
 
     def test_replay_rejects_an_unknown_rule(self):
         with pytest.raises(ValueError, match="rule R9 does not yield"):
-            replay({("A", "X", "X"): ("R9", (), 1)}, ("A", "X", "X"), ("X",))
+            replay({("A", "X", "X"): ("R9", (), 1)}, ("A", "X", "X"), Ologism.build("x", ["X"]))
 
     def test_equals_exact_semantics(self):
         # Consequences over every universe size on satisfiable documents, and
@@ -433,7 +453,7 @@ def assert_minimal_derivations(doc: Ologism, calculus: str, theory: Theory | Non
 def assert_replays(theory: Theory) -> None:
     """``deduce.replay`` accepts every fact of ``theory``'s table."""
     for t in theory.steps:
-        assert replay(theory.steps, t, theory.types) == t
+        assert replay(theory.steps, t, theory.ologism) == t
 
 
 class TestMinimalDerivations:
@@ -486,7 +506,7 @@ class TestTreesBelow:
                 assert step == theory.steps[t], (doc.name, t)
             assert _reference_form(got) == {t: reference[t] for t in got}, doc.name
             for g in derivable:  # every child is below its goal
-                assert replay(got, g, rows.types) == g
+                assert replay(got, g, doc) == g
         return len(clashes)
 
     @pytest.mark.parametrize("calculus", ["default"])
@@ -1044,7 +1064,8 @@ class TestMixedWrites:
     ``theory``'s premisses and adds others, at times with new types or an E
     or I premiss turned round, takes the one reuse path: every step equals
     a fresh close's, the facts that leaned on no removed premiss keep their
-    places, and every fact of the result replays."""
+    places, every fact of the result replays, and its join index is a
+    rebuild's."""
 
     @pytest.mark.parametrize("calculus", ["default", "complete"])
     def test_drop_and_add_at_once(self, calculus):
@@ -1074,5 +1095,45 @@ class TestMixedWrites:
                 kept = [t for t in previous.steps if t not in leaning]
                 assert list(theory.steps)[:len(kept)] == kept, after.name
                 assert_replays(theory)
+                assert theory.index == join_index(theory.steps), after.name
                 doc, writes = after, writes + 1
         assert with_types > 50 and turned > 50
+
+
+class TestKeptIndex:
+    """``Theory.index`` is the join index ``close`` built, kept for a later
+    close, which copies a key's list before it changes it: ``previous`` is
+    never changed, and each result's index is a rebuild from its table."""
+
+    @pytest.mark.parametrize("calculus", ["default", "complete"])
+    def test_two_writes_from_one_previous(self, calculus):
+        rng = random.Random(33)
+        shared = 0
+        for _ in range(150):
+            doc = random_ologism(rng, max_types=8, max_premisses=16)
+            previous = close(doc, calculus=calculus)
+            steps, index = list(previous.steps.items()), {k: list(v) for k, v in previous.index.items()}
+            writes = []
+            for _ in range(2):
+                after = _without(doc, rng.sample(doc.premisses, rng.randint(0, min(3, len(doc.premisses)))))
+                if rng.random() < 0.3:
+                    after = Ologism.build(after.name, after.types + (TypeDecl("N", "a new type"),),
+                                          premisses=after.premisses)
+                writes.append(_with(after, _new_premisses(rng, after, rng.randint(0, 3))))
+            theories = [close(after, calculus=calculus, previous=previous) for after in writes]
+            assert list(previous.steps.items()) == steps, doc.name
+            assert previous.index == index, doc.name
+            for after, theory in zip(writes, theories):
+                # The same write from a copy of ``previous`` that shares no
+                # list, its index rebuilt as every pass once rebuilt it.
+                alone = replace(previous, steps=dict(steps), index=join_index(previous.steps))
+                assert list(theory.steps.items()) == list(close(after, calculus, previous=alone).steps.items())
+                assert _table(theory) == _table(close(after, calculus=calculus)), after.name
+                assert theory.index == join_index(theory.steps), after.name
+                shared += sum(theory.index.get(k) is v for k, v in previous.index.items())
+        assert shared > 0  # the results do share lists with ``previous``
+
+    def test_a_fresh_pass_builds_the_index(self, sample):
+        for doc in sample[:60]:
+            theory = close(doc)
+            assert theory.index == join_index(theory.steps), doc.name

@@ -26,6 +26,17 @@ out=$(printf '%s\n' 'load src/ologism/data/animals.olgm' derived contradictions 
 test "$(printf '%s\n' "$out" | grep -cF 'I(A,V)   "Some animal that is able to fly is a vertebrate"')" -eq 2
 printf '%s\n' "$out" | grep -F 'consistent: no O(X,X) is derivable'
 
+# A REPL session that adds a premiss, retracts it and adds it again prints
+# the same for both adds, and lists under `derived` what a fresh load of the
+# document it ends with lists. Each command's output is one awk record.
+printf '%s\n' 'load src/ologism/data/animals.olgm' 'add A A V' 'retract A A V' 'add A A V' \
+  "save $tmp/animals-edited.olgm" derived quit | python -m ologism repl > "$tmp/edited.txt"
+printf '%s\n' "load $tmp/animals-edited.olgm" derived quit | python -m ologism repl > "$tmp/fresh.txt"
+record() { awk -v n="$1" 'BEGIN { RS = "olgm> " } NR == n' "$2"; }
+test "$(record 3 "$tmp/edited.txt")" = "$(record 5 "$tmp/edited.txt")"
+record 7 "$tmp/edited.txt" | grep -F 'O(V,B)   "Some vertebrate is not a bird"'
+test "$(record 7 "$tmp/edited.txt")" = "$(record 3 "$tmp/fresh.txt")"
+
 # A CRLF copy reads as the original.
 python -m ologism check src/ologism/data/animals.olgm > "$tmp/animals-lf.txt"
 sed 's/$/\r/' src/ologism/data/animals.olgm > "$tmp/animals-crlf.olgm"

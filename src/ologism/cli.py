@@ -91,7 +91,9 @@ def json_text(value: Any) -> str:
             for key in sorted(value):
                 if not isinstance(key, str):
                     raise TypeError(f"keys must be str, not {type(key).__name__}")
-                items.append(encode_basestring_ascii(key) + ": " + write(value[key], inner))
+                item = value[key]
+                items.append(encode_basestring_ascii(key) + ": " + (
+                    encode_basestring_ascii(item) if type(item) is str else write(item, inner)))
             return "{" + inner + ("," + inner).join(items) + indent + "}"
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

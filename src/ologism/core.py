@@ -260,19 +260,22 @@ class Ologism:
         )
         asp = list(aspects)
         prem = list(premisses)
-        seen_asp, seen_prem = set(asp), set(prem)
+        # Keyed by (name, source, target) and by canonical triple, which
+        # hash without a Python-level call.
+        seen_asp = {(a.name, a.source, a.target) for a in asp}
+        seen_prem = {p._key for p in prem}
         for p in prem:
             if p.form == "A":
-                a = Aspect(IS, p.subject, p.predicate)
-                if a not in seen_asp:
-                    asp.append(a)
-                    seen_asp.add(a)
+                key = (IS, p.subject, p.predicate)
+                if key not in seen_asp:
+                    asp.append(Aspect(*key))
+                    seen_asp.add(key)
         for a in asp:
             if a.is_flag:
-                p = CategoricalProposition("A", a.source, a.target)
-                if p not in seen_prem:
-                    prem.append(p)
-                    seen_prem.add(p)
+                key = ("A", a.source, a.target)
+                if key not in seen_prem:
+                    prem.append(CategoricalProposition(*key))
+                    seen_prem.add(key)
         return cls(name, tdecls, tuple(asp), tuple(facts), tuple(prem))
 
     # -- lookups -----------------------------------------------------------
@@ -410,6 +413,10 @@ def strip_article(label: str) -> str:
     return label
 
 
+# Each form's quantifier and copula, as its reading writes them.
+_READINGS = {"A": ("Every", "is"), "E": ("Every", "is not"), "I": ("Some", "is"), "O": ("Some", "is not")}
+
+
 def reading(prop: CategoricalProposition, ologism: Ologism) -> str:
     """Render a proposition as the English sentence its diagram is read as
     (see ``reading_of``)."""
@@ -423,6 +430,6 @@ def reading_of(form: str, subject: str, predicate: str, ologism: Ologism) -> str
     The subject label loses its leading indefinite article ("a bird" reads as
     "bird" after "Every"/"Some"); the predicate label is kept verbatim.
     """
-    quantifier = "Every" if form in ("A", "E") else "Some"
-    copula = "is" if form in ("A", "I") else "is not"
-    return f"{quantifier} {strip_article(ologism.label(subject))} {copula} {ologism.label(predicate)}"
+    quantifier, copula = _READINGS[form]
+    labels = ologism._labels
+    return f"{quantifier} {strip_article(labels[subject])} {copula} {labels[predicate]}"

@@ -161,10 +161,14 @@ class Repl:
         doc = theory.ologism
         words = item.split()
         if len(words) == 3 and words[0] in ("A", "E", "I", "O"):
+            # Found and filtered by canonical triple, which E and I share
+            # with their converse and which compares without a Python-level call.
             target = proposition(words[0], words[1], words[2])
-            if target not in doc.premisses:
+            key = target.sort_key()
+            kept = tuple([p for p in doc.premisses if p._key != key])
+            if len(kept) == len(doc.premisses):
                 raise ValueError(f"premiss {target} is not declared")
-            doc = doc.replace_premisses(tuple(p for p in doc.premisses if p != target))
+            doc = doc.replace_premisses(kept)
             # A removal derives nothing new, so ``adopt`` prints nothing.
             self.adopt(deduce.close(doc, previous=theory))
             self.say(f"retracted {target}")

@@ -958,6 +958,24 @@ class TestRepl:
         assert "error: ologism fails validation: EmptyTypeLabel" in out.getvalue()
         assert repl.doc is doc and repl.theory is theory
 
+    def test_retract_finds_its_target_by_canonical_triple(self, tmp_path):
+        # E Y X names the written E X Y; an A premiss goes with its ``is`` aspect.
+        source = tmp_path / "three.olgm"
+        source.write_text('ologism "three" {\n  type X "an x"\n  type Y "a y"\n  type Z "a z"\n'
+                          '  E X Y\n  A X Z\n  I Y Z\n}\n')
+        repl = Repl(io.StringIO())
+        repl.dispatch(f"load {source}")
+        out = repl.out = io.StringIO()
+        repl.dispatch("retract E Y X")
+        with pytest.raises(ValueError, match=r"premiss E\(X,Y\) is not declared"):
+            repl.dispatch("retract E X Y")
+        repl.dispatch("retract A X Z")
+        repl.dispatch("retract I Z Y")
+        assert out.getvalue() == "retracted E(Y,X)\nretracted A(X,Z)\nretracted I(Z,Y)\n"
+        doc = repl.theory.ologism
+        assert doc.premisses == () and doc.aspects == ()
+        assert repl.theory == deduce.close(Ologism.build("three", doc.types))
+
     def test_rejected_retract_keeps_the_document(self, tmp_path):
         # Retracting A X Y drops the ``is`` arrow X -> Y that the fact uses.
         source = tmp_path / "arrow.olgm"

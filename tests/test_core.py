@@ -240,6 +240,17 @@ class TestValidate:
         assert validate(doc) == []
         assert doc.is_aspects() == (Aspect("is", "X", "Y"),)
 
+    def test_build_completes_each_side_once(self):
+        # A premiss whose ``is`` aspect is given, and an aspect whose premiss
+        # is given, gain nothing; E Y X and E X Y are one premiss to validate.
+        doc = Ologism.build("ok", ["X", "Y", "Z"], aspects=[Aspect("is", "X", "Y"), Aspect("is", "Y", "Z")],
+                            premisses=[A("X", "Y"), E("Y", "X"), A("Z", "X")])
+        assert doc.aspects == (Aspect("is", "X", "Y"), Aspect("is", "Y", "Z"), Aspect("is", "Z", "X"))
+        assert doc.premisses == (A("X", "Y"), E("Y", "X"), A("Z", "X"), A("Y", "Z"))
+        assert validate(doc) == []
+        twice = Ologism.build("twice", ["X", "Y"], premisses=[E("X", "Y"), E("Y", "X")])
+        assert [d.code for d in validate(twice)] == ["DuplicatePremiss"]
+
     def test_structural_equality_ignores_order(self, animals):
         shuffled = Ologism(
             animals.name,

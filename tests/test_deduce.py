@@ -682,6 +682,87 @@ class TestDerivable:
             assert str(by_rows.value) == str(by_close.value)
 
 
+def _relation(rng: random.Random, n: int, density: float) -> list[int]:
+    return [sum(1 << y for y in range(n) if rng.random() < density) for _ in range(n)]
+
+
+def _star_rows_documents() -> list[Ologism]:
+    """Documents with A cycles, self premisses, isolated types and dense E
+    and I rows, beside random ones."""
+    def doc(name, types, premisses):
+        return Ologism.build(name, types, premisses=premisses)
+
+    docs = [
+        doc("cycle", ["X", "Y", "Z"], [A("X", "Y"), A("Y", "X"), E("Y", "Z")]),
+        doc("long-cycle", ["P", "Q", "R", "S"], [A("P", "Q"), A("Q", "R"), A("R", "P"), I("S", "R"), O("S", "P")]),
+        doc("self", ["X", "Y"], [E("X", "X"), O("X", "X"), I("Y", "Y"), A("Y", "X")]),
+        doc("isolated", ["U", "V", "W", "X"], [A("U", "V"), O("V", "U")]),
+        doc("alone", ["X"], []),
+        doc("dense", [f"T{k}" for k in range(9)],
+            [E("T0", f"T{k}") for k in range(1, 9)] + [I("T1", f"T{k}") for k in range(2, 9)]
+            + [A("T2", "T3"), A("T3", "T4"), A("T4", "T2")]),
+    ]
+    rng = random.Random(23)
+    for k in range(60):
+        names = [f"T{j}" for j in range(rng.randint(1, 12))]
+        isolated = names[-rng.randint(0, 2):] if len(names) > 2 else []
+        linked = [t for t in names if t not in isolated] or names
+        premisses, seen = [], set()
+        for _ in range(rng.randint(0, 3 * len(linked))):
+            form, x, y = rng.choice("AAEIO"), rng.choice(linked), rng.choice(linked)
+            prop = proposition(form, x, y)
+            if prop not in seen and (form, x) != ("A", y):
+                premisses.append(prop)
+                seen.add(prop)
+        docs.append(doc(f"random-{k}", names, premisses))
+    return docs
+
+
+class TestStarKernel:
+    """The bitset kernel behind ``star_rows``: ``_scatter`` through a
+    converse is ``_compose``, and the rows are the naive fixpoint's."""
+
+    def test_scatter_through_the_converse_composes(self):
+        rng = random.Random(29)
+        for n in [0, 1, 2, 3, 7, 64, 65, 130] + [rng.randint(0, 130) for _ in range(12)]:
+            full, identity = [(1 << n) - 1] * n, [1 << x for x in range(n)]
+            relations = [[0] * n, full, identity] + [_relation(rng, n, d) for d in (0.01, 0.05, 0.3, 0.9)]
+            for left in relations:
+                for right in relations:
+                    assert deduce._scatter(deduce._converse(left), right) == deduce._compose(left, right), n
+
+    def test_converse_and_reach(self):
+        rng = random.Random(31)
+        for n in [0, 1, 5, 40, 130]:
+            rows = _relation(rng, n, 2 / max(n, 1))
+            converse = deduce._converse(rows)
+            assert all((rows[x] >> y & 1) == (converse[y] >> x & 1) for x in range(n) for y in range(n))
+            assert deduce._converse(converse) == rows
+            reach = deduce._reach(rows)
+            for x in range(n):
+                seen, stack = {x}, [x]
+                while stack:
+                    y = stack.pop()
+                    for z in range(n):
+                        if rows[y] >> z & 1 and z not in seen:
+                            seen.add(z)
+                            stack.append(z)
+                assert reach[x] == sum(1 << z for z in seen), (n, x)
+
+    def test_rows_equal_the_naive_fixpoint(self):
+        for doc in _star_rows_documents():
+            stars = star_rows(doc)
+            naive = naive_theory(doc.type_ids(), doc.premisses)
+            facts = {t for props in naive.values() for p in props
+                     for t in (_triple(p), _triple(p.swapped()) if p.form in "EI" else _triple(p))}
+            for form, rows in stars.rows.items():
+                for x, s in enumerate(stars.types):
+                    for y, p in enumerate(stars.types):
+                        assert (rows[x] >> y & 1) == ((form, s, p) in facts), (doc.name, form, s, p)
+            assert stars.down == deduce._converse(stars.rows["A"]), doc.name
+            assert stars.triples() == sorted(p.sort_key() for props in naive.values() for p in props), doc.name
+
+
 def _rendered(theory: Theory) -> list[tuple[str, str]]:
     return [(str(p), d.render()) for p, d in theory.derivations.items()]
 

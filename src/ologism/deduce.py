@@ -30,20 +30,21 @@ every conclusion not yet known gets height h + 1, and among that level's
 candidates for it the least (rule tag, child triples) wins.  That is the
 least (height, rule, operands) over all derivations, found without
 re-running old joins.  The theory keeps the index beside the table, each
-key's facts in table order, for a later pass to reuse.
+key's facts a tuple in table order, for a later pass to reuse.
 
 An earlier table is reused by delete and re-derive (Gupta, Mumick &
-Subrahmanian, "Maintaining views incrementally", 1993), and so is its
-index, which a write changes at a few keys only (Motik, Nenov, Piro &
-Horrocks, "Incremental update of datalog materialisation", AAAI 2015): the
-pass starts from a copy of the index's dictionary and copies a key's list
-the first time it drops a fact from it or files one in it, so the earlier
-theory is never changed.  Every fact whose derivation has a removed premiss
-as a leaf is dropped, from the table and from its two keys, children before
-parents; every other fact keeps its step, since each derivation left
-without the additions was a candidate before.  The level loop then runs
-from the table left (Knuth, "A generalization of Dijkstra's algorithm",
-1977; Ramalingam & Reps 1996), with the new premisses and the new types'
+Subrahmanian, "Maintaining views incrementally", 1993), and so is its index,
+which a write changes at a few keys only (Motik, Nenov, Piro & Horrocks,
+"Incremental update of datalog materialisation", AAAI 2015): the pass starts
+from a copy of the index's dictionary and writes each key it changes as a
+new tuple, so the earlier theory shares every other key's tuple and is never
+changed (Driscoll, Sarnak, Sleator & Tarjan, "Making data structures
+persistent", 1989).  Every fact whose derivation has a removed premiss as a
+leaf is dropped, from the table and from its two keys, children before
+parents; every other fact keeps its step, since each derivation left without
+the additions was a candidate before.  The level loop then runs from the
+table left (Knuth, "A generalization of Dijkstra's algorithm", 1977;
+Ramalingam & Reps 1996), with the new premisses and the new types'
 identities as height-1 candidates, and each dropped fact sought again by
 every rule instance that concludes it from the facts left, at one more than
 its tallest child's height.  When facts were dropped or types added, the
@@ -51,9 +52,9 @@ unary rules fire once on the facts left.  Only a new or lowered fact joins,
 once, with every fact in the table; a fact that keeps its height takes the
 least of its old step and the candidates at its level, which moves no other
 fact's candidates, since candidates name child triples.  So any write, one
-that both removes and adds included, takes one pass, and the kept facts
-keep their places with the new and re-derived ones appended, where a fresh
-pass lists every fact level by level.
+that both removes and adds included, takes one pass, and the kept facts keep
+their places with the new and re-derived ones appended, where a fresh pass
+lists every fact level by level.
 
 The default calculus is sound but not complete for the set semantics: it
 cannot derive implied existential import (I(A,B) forces A nonempty, yet
@@ -208,14 +209,14 @@ class Theory:
     minimal derivation per oriented fact, under the rules of ``calculus``,
     over the sorted ``types``.  The propositions are the canonical entries,
     and each starred set holds the propositions of one form.  ``index``
-    files each fact of ``steps`` under its two keys, in table order, for a
-    later ``close`` to reuse; a later pass never changes its lists."""
+    files each fact of ``steps`` under its two keys, each key's facts a
+    tuple in table order, for a later ``close`` to reuse and share."""
 
     ologism: Ologism
     calculus: str
     types: tuple[str, ...]
     steps: Mapping[Triple, Step]
-    index: Mapping[Key, list[Triple]] = field(compare=False, repr=False)
+    index: Mapping[Key, tuple[Triple, ...]] = field(compare=False, repr=False)
 
     @cached_property
     def derivations(self) -> Mapping[CategoricalProposition, Derivation]:
@@ -304,31 +305,27 @@ def _by_form(rows: tuple, at: int) -> dict[str, list[tuple]]:
 
 
 # The ``_JOINS`` rows that take a fact of each form as left, and as right,
-# premiss, and that conclude a fact of each form; ``_saturate`` loops only
-# over these.
+# premiss, and that conclude a fact of each form, and each calculus's unary
+# rows by the form they take; ``_saturate`` loops only over these.
 _AS_LEFT, _AS_RIGHT, _CONCLUDING = _by_form(_JOINS, 1), _by_form(_JOINS, 3), _by_form(_JOINS, 5)
+_UNARY = {calculus: _by_form(rows, 1) for calculus, rows in _CALCULI.items()}
 
 
-def _drop(steps: dict[Triple, Step], index: dict[Key, list[Triple]], removed: set[Triple]) -> set[Triple]:
+def _drop(steps: dict[Triple, Step], index: dict[Key, tuple[Triple, ...]], removed: set[Triple]) -> set[Triple]:
     """Delete from ``steps``, and from their keys in ``index``, every fact
     whose derivation has a premiss leaf of ``removed``, and return those
     facts.  Steps are judged in height order, so each child is judged
-    before its parent.  Each key changed gets a new list."""
+    before its parent."""
     gone = {t for t in removed if steps[t][0] == PREMISS}
     if not gone:
         return gone
-    by_height: dict[int, list[tuple[Triple, tuple[Triple, ...]]]] = {}
-    for concl, (_, children, height) in steps.items():
-        if children:
-            by_height.setdefault(height, []).append((concl, children))
-    for height in sorted(by_height):
-        for concl, children in by_height[height]:
-            if not gone.isdisjoint(children):
-                gone.add(concl)
+    for concl, (_, children, _) in sorted(steps.items(), key=lambda item: item[1][2]):
+        if not gone.isdisjoint(children):
+            gone.add(concl)
     for concl in gone:
         del steps[concl]
     for key in {k for form, s, p in gone for k in ((form, 1, s), (form, 2, p))}:
-        left = [t for t in index[key] if t not in gone]
+        left = tuple([t for t in index[key] if t not in gone])
         if left:
             index[key] = left
         else:
@@ -337,19 +334,17 @@ def _drop(steps: dict[Triple, Step], index: dict[Key, list[Triple]], removed: se
 
 
 def _saturate(calculus: str, types: tuple[str, ...], steps: dict[Triple, Step],
-              index: dict[Key, list[Triple]], premisses: Iterable[Triple],
-              lost: Iterable[Triple] = (), within: Optional[set[Triple]] = None,
-              shared: Optional[Mapping[Key, list[Triple]]] = None) -> None:
+              index: dict[Key, tuple[Triple, ...]], premisses: Iterable[Triple],
+              lost: Iterable[Triple] = (), within: Optional[set[Triple]] = None) -> None:
     """Seed the table ``steps`` and close it under ``_JOINS`` and the unary
     rules of ``calculus``, level by level in derivation height (see the
     module docstring).  The height-1 seeds are the identities ``steps``
     lacks, in ``types`` order, then the triples of ``premisses`` in sorted
     order; an identity wins over an A(X,X) premiss.  A fresh pass starts
     from an empty table and index.  ``index`` files each fact of ``steps``
-    under its two keys, in table order, and each fact admitted is filed
-    at the end of both; a list that is ``shared``'s, the index of the
-    theory this pass started from, is copied at its first change instead.
-    ``lost`` holds the facts just dropped from
+    under its two keys, a tuple each in table order, and each fact admitted
+    is filed at the end of both, in a new tuple, so a tuple another theory
+    holds is never changed.  ``lost`` holds the facts just dropped from
     ``steps``; every rule instance that concludes one of them from the
     facts in ``steps`` is a candidate too.  When ``lost`` is not empty, or
     a table that is not empty gains types, the unary rules, some of which
@@ -360,7 +355,7 @@ def _saturate(calculus: str, types: tuple[str, ...], steps: dict[Triple, Step],
     step.  Each new or lowered fact joins with every fact in the index, and
     each conclusion waits at one more than its tallest child's height.
     When ``within`` is given, only its facts are seeded or admitted."""
-    by_form = _by_form(_CALCULI[calculus], 1)
+    unary = _UNARY[calculus]
     identities = [t for t in types if ("A", t, t) not in steps]
     seeds = {("A", t, t): (IDENTITY, ()) for t in identities}
     for t in sorted(premisses):
@@ -377,7 +372,7 @@ def _saturate(calculus: str, types: tuple[str, ...], steps: dict[Triple, Step],
                     if right in steps:
                         found.append((concl, tag, (left, right)))
         for t in steps:
-            for tag, _, conclude in by_form.get(t[0], ()):
+            for tag, _, conclude in unary.get(t[0], ()):
                 for concl in conclude(t, types):
                     if concl not in steps:  # lost, or over a new type
                         found.append((concl, tag, (t,)))
@@ -385,7 +380,11 @@ def _saturate(calculus: str, types: tuple[str, ...], steps: dict[Triple, Step],
             waiting = agenda.setdefault(max([steps[c][2] for c in children]) + 1, {})
             if concl not in waiting or (tag, children) < waiting[concl]:
                 waiting[concl] = (tag, children)
-    known = len(steps)  # the starting table's facts are no taller than their count
+    # A fresh pass admits each fact at its least height, and no fact indexed
+    # is taller than the level, so a conclusion the table holds is final and
+    # any other waits one level up; a reuse pass checks the children's heights.
+    settled = not steps
+    done = steps if settled else {}
     while agenda:
         level = min(agenda)
         changed = []
@@ -398,26 +397,15 @@ def _saturate(calculus: str, types: tuple[str, ...], steps: dict[Triple, Step],
                     steps[concl] = (tag, children, level)
                 continue
             if old is None:
-                # Filed under both keys, a list of ``shared`` copied first;
-                # unrolled, since a loop over the two keys slowed a fresh
-                # pass by about 3% (CPython 3.11).
+                # Filed under both keys; unrolled, since a loop over the two
+                # keys slowed a fresh pass by about 3% (CPython 3.11).
                 key = (concl[0], 1, concl[1])
-                filed = index.setdefault(key, [])
-                if shared and filed is shared.get(key):
-                    filed = index[key] = filed.copy()
-                filed.append(concl)
+                index[key] = index.get(key, ()) + (concl,)
                 key = (concl[0], 2, concl[2])
-                filed = index.setdefault(key, [])
-                if shared and filed is shared.get(key):
-                    filed = index[key] = filed.copy()
-                filed.append(concl)
+                index[key] = index.get(key, ()) + (concl,)
             steps[concl] = (tag, children, level)
             changed.append(concl)
         above = agenda.setdefault(level + 1, {})
-        # Once no fact of the starting table can be taller than this level,
-        # no fact in the table takes a candidate found here.
-        settled = level >= known
-        done = steps if settled else {}
         for t in changed:
             found = []
             for tag, _, lj, rf, rj, out in _AS_LEFT.get(t[0], ()):
@@ -430,7 +418,7 @@ def _saturate(calculus: str, types: tuple[str, ...], steps: dict[Triple, Step],
                     concl = (out, left[3 - lj], t[3 - rj])
                     if concl not in done:
                         found.append((concl, tag, (left, t)))
-            for tag, _, conclude in by_form.get(t[0], ()):
+            for tag, _, conclude in unary.get(t[0], ()):
                 for concl in conclude(t, types):
                     found.append((concl, tag, (t,)))
             for concl, tag, children in found:
@@ -473,24 +461,25 @@ def close(ologism: Ologism, calculus: str = "default",
     ``ologism`` no longer holds are dropped from both, and one pass derives
     from the new premisses, the new types' identities and the dropped
     facts' candidates, whatever mix of premisses and types a write adds and
-    removes.  The index is not rebuilt: the pass copies a key's list before
-    its first change, so ``previous`` is left as it was.  Otherwise the
-    pass starts from an empty table and index.
+    removes.  The index is not rebuilt: the pass starts from a copy of its
+    dictionary and writes each key it changes as a new tuple, so
+    ``previous`` is left as it was.  Otherwise the pass starts from an empty
+    table and index.
     """
     if calculus not in _CALCULI:
         raise ValueError(f"calculus must be one of {', '.join(_CALCULI)}, got {calculus!r}")
     types = _types(ologism)
     premisses = tuple([_triple(p) for p in ologism.premisses])
     steps: dict[Triple, Step] = {}
-    index: dict[Key, list[Triple]] = {}
-    new, lost, shared = premisses, (), None
+    index: dict[Key, tuple[Triple, ...]] = {}
+    new, lost = premisses, ()
     if previous is not None and previous.calculus == calculus and set(previous.types) <= set(types):
         held = {_triple(p) for p in previous.ologism.premisses}
-        steps, index, shared = dict(previous.steps), dict(previous.index), previous.index
+        steps, index = dict(previous.steps), dict(previous.index)
         new = [t for t in premisses if t not in held]
         lost = _drop(steps, index, held.difference(premisses))
     # Seeded as a fresh pass is seeded: closing a document again gives a fresh close's table.
-    _saturate(calculus, types, steps, index, new, lost, shared=shared)
+    _saturate(calculus, types, steps, index, new, lost)
     return Theory(ologism, calculus, types, steps, index)
 
 

@@ -151,15 +151,15 @@ def minimal_derivations(
     return info
 
 
-def join_index(steps: Iterable[Triple]) -> dict[tuple[str, int, str], list[Triple]]:
+def join_index(steps: Iterable[Triple]) -> dict[tuple[str, int, str], tuple[Triple, ...]]:
     """The join index a fresh closure pass files the facts of ``steps``
     under: each fact under (form, 1, subject) and (form, 2, predicate), each
-    key's facts in table order."""
+    key's facts a tuple in table order."""
     index: dict[tuple[str, int, str], list[Triple]] = {}
     for form, s, p in steps:
         index.setdefault((form, 1, s), []).append((form, s, p))
         index.setdefault((form, 2, p), []).append((form, s, p))
-    return index
+    return {key: tuple(facts) for key, facts in index.items()}
 
 
 # --- exact set semantics over Venn regions ---------------------------------------

@@ -1182,9 +1182,11 @@ class TestMixedWrites:
 
 
 class TestKeptIndex:
-    """``Theory.index`` is the join index ``close`` built, kept for a later
-    close, which copies a key's list before it changes it: ``previous`` is
-    never changed, and each result's index is a rebuild from its table."""
+    """``Theory.index`` is the join index ``close`` built, each key's facts
+    a tuple, kept for a later close, which starts from a copy of its
+    dictionary and writes each key it changes as a new tuple: ``previous``
+    is never changed, every other key's tuple is shared with it, and each
+    result's index is a rebuild from its table."""
 
     @pytest.mark.parametrize("calculus", ["default", "complete"])
     def test_two_writes_from_one_previous(self, calculus):
@@ -1193,7 +1195,7 @@ class TestKeptIndex:
         for _ in range(150):
             doc = random_ologism(rng, max_types=8, max_premisses=16)
             previous = close(doc, calculus=calculus)
-            steps, index = list(previous.steps.items()), {k: list(v) for k, v in previous.index.items()}
+            steps, index = list(previous.steps.items()), dict(previous.index)
             writes = []
             for _ in range(2):
                 after = _without(doc, rng.sample(doc.premisses, rng.randint(0, min(3, len(doc.premisses)))))
@@ -1206,15 +1208,58 @@ class TestKeptIndex:
             assert previous.index == index, doc.name
             for after, theory in zip(writes, theories):
                 # The same write from a copy of ``previous`` that shares no
-                # list, its index rebuilt as every pass once rebuilt it.
+                # tuple, its index rebuilt from its table.
                 alone = replace(previous, steps=dict(steps), index=join_index(previous.steps))
                 assert list(theory.steps.items()) == list(close(after, calculus, previous=alone).steps.items())
                 assert _table(theory) == _table(close(after, calculus=calculus)), after.name
                 assert theory.index == join_index(theory.steps), after.name
-                shared += sum(theory.index.get(k) is v for k, v in previous.index.items())
-        assert shared > 0  # the results do share lists with ``previous``
+                moved = _leaning(previous, after) | set(theory.steps).difference(previous.steps)
+                changed = {k for form, x, y in moved for k in ((form, 1, x), (form, 2, y))}
+                for key, facts in previous.index.items():
+                    if key in changed:
+                        assert theory.index.get(key) is not facts, (after.name, key)
+                    else:
+                        assert theory.index[key] is facts, (after.name, key)
+                        shared += 1
+        assert shared > 0
 
     def test_a_fresh_pass_builds_the_index(self, sample):
         for doc in sample[:60]:
             theory = close(doc)
             assert theory.index == join_index(theory.steps), doc.name
+
+
+class TestBranchingHistories:
+    """A chain of writes, each closed from a randomly chosen earlier theory
+    of the chain rather than the latest: every result equals a fresh
+    close, and no later write changes an earlier theory's table or index."""
+
+    @pytest.mark.parametrize("calculus", ["default", "complete"])
+    def test_writes_from_earlier_theories(self, calculus):
+        rng = random.Random(35)
+        kinds, older = {"add": 0, "retract": 0, "mixed": 0, "types": 0}, 0
+        for _ in range(30):
+            chain = [close(random_ologism(rng, max_types=7, max_premisses=12), calculus=calculus)]
+            snapshots = [(list(chain[0].steps.items()), dict(chain[0].index))]
+            for _ in range(20):
+                previous = rng.choice(chain)
+                older += previous is not chain[-1]
+                doc = previous.ologism
+                kind = rng.choice(list(kinds) if doc.premisses else ["add", "types"])
+                kinds[kind] += 1
+                if kind in ("retract", "mixed"):
+                    doc = _without(doc, rng.sample(doc.premisses, rng.randint(1, min(3, len(doc.premisses)))))
+                if kind == "types":
+                    new = tuple(TypeDecl(f"N{len(doc.types) + k}", "a new type") for k in range(rng.randint(1, 2)))
+                    doc = Ologism.build(doc.name, doc.types + new, premisses=doc.premisses)
+                if kind != "retract":
+                    doc = _with(doc, _new_premisses(rng, doc, rng.randint(0 if kind == "types" else 1, 3)))
+                theory = close(doc, calculus=calculus, previous=previous)
+                assert _table(theory) == _table(close(doc, calculus=calculus)), doc.name
+                assert theory.index == join_index(theory.steps), doc.name
+                chain.append(theory)
+                snapshots.append((list(theory.steps.items()), dict(theory.index)))
+            for theory, (steps, index) in zip(chain, snapshots):
+                assert list(theory.steps.items()) == steps, theory.ologism.name
+                assert theory.index == index, theory.ologism.name
+        assert min(kinds.values()) > 50 and older > 300

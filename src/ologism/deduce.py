@@ -29,8 +29,11 @@ height h, each through the rule rows of its form, with the indexed facts, so
 every conclusion not yet known gets height h + 1, and among that level's
 candidates for it the least (rule tag, child triples) wins.  That is the
 least (height, rule, operands) over all derivations, found without
-re-running old joins.  The theory keeps the index beside the table, each
-key's facts a tuple in table order, for a later pass to reuse.
+re-running old joins.  Identities are neither indexed nor joined: joined
+under any rule, A(X,X) concludes its other operand, which the table already
+holds lower, so no step names an identity as a child.  The theory keeps the
+index beside the table, each key's facts a tuple in table order, for a
+later pass to reuse.
 
 An earlier table is reused by delete and re-derive (Gupta, Mumick &
 Subrahmanian, "Maintaining views incrementally", 1993), and so is its index,
@@ -40,14 +43,17 @@ from a copy of the index's dictionary and writes each key it changes as a
 new tuple, so the earlier theory shares every other key's tuple and is never
 changed (Driscoll, Sarnak, Sleator & Tarjan, "Making data structures
 persistent", 1989).  Every fact whose derivation has a removed premiss as a
-leaf is dropped, from the table and from its two keys, children before
-parents; every other fact keeps its step, since each derivation left without
-the additions was a candidate before.  The level loop then runs from the
-table left (Knuth, "A generalization of Dijkstra's algorithm", 1977;
-Ramalingam & Reps 1996), with the new premisses and the new types'
-identities as height-1 candidates, and each dropped fact sought again by
-every rule instance that concludes it from the facts left, at one more than
-its tallest child's height.  When facts were dropped or types added, the
+leaf is dropped, from the table and from its two keys, by a walk up from the
+removed premisses: a fact's parents are the conclusions of the rule
+instances that take it, found through the index as the level loop finds a
+fact's joins, whose steps name it.  Every other fact keeps its step, since
+each derivation left without the additions was a candidate before.  The
+level loop then runs from the table left (Knuth, "A generalization of
+Dijkstra's algorithm", 1977; Ramalingam & Reps 1996), with the new
+premisses and the new types' identities as height-1 candidates, and each
+dropped fact, in order of old height, then triple, sought again by every
+rule instance that concludes it from the facts left, at one more than its
+tallest child's height.  When facts were dropped or types added, the
 unary rules fire once on the facts left.  Only a new or lowered fact joins,
 once, with every fact in the table; a fact that keeps its height takes the
 least of its old step and the candidates at its level, which moves no other
@@ -209,8 +215,11 @@ class Theory:
     minimal derivation per oriented fact, under the rules of ``calculus``,
     over the sorted ``types``.  The propositions are the canonical entries,
     and each starred set holds the propositions of one form.  ``index``
-    files each fact of ``steps`` under its two keys, each key's facts a
-    tuple in table order, for a later ``close`` to reuse and share."""
+    files each fact of ``steps`` but the identities under its two keys,
+    each key's facts a tuple in table order, for a later ``close`` to reuse
+    and share.  An identity A(X,X) is left out since a join with it
+    concludes its other operand, already in the table lower down: no step
+    names it, and no join need find it."""
 
     ologism: Ologism
     calculus: str
@@ -306,31 +315,59 @@ def _by_form(rows: tuple, at: int) -> dict[str, list[tuple]]:
 
 # The ``_JOINS`` rows that take a fact of each form as left, and as right,
 # premiss, and that conclude a fact of each form, and each calculus's unary
-# rows by the form they take; ``_saturate`` loops only over these.
+# rows by the form they take; ``_taking`` and ``_saturate`` loop only over these.
 _AS_LEFT, _AS_RIGHT, _CONCLUDING = _by_form(_JOINS, 1), _by_form(_JOINS, 3), _by_form(_JOINS, 5)
 _UNARY = {calculus: _by_form(rows, 1) for calculus, rows in _CALCULI.items()}
 
 
-def _drop(steps: dict[Triple, Step], index: dict[Key, tuple[Triple, ...]], removed: set[Triple]) -> set[Triple]:
+def _taking(t: Triple, index: Mapping[Key, tuple[Triple, ...]], unary: dict[str, list[tuple]],
+            types: tuple[str, ...]) -> list[tuple[Triple, str, tuple[Triple, ...]]]:
+    """Each rule instance that takes ``t`` as a premiss, a join's other
+    premiss a fact filed in ``index``, as (conclusion, rule, child triples):
+    the joins with ``t`` as left premiss, then as right, then the ``unary``
+    rows of ``t``'s form."""
+    found = []
+    for tag, _, lj, rf, rj, out in _AS_LEFT.get(t[0], ()):
+        for r in index.get((rf, rj, t[lj]), ()):
+            found.append(((out, t[3 - lj], r[3 - rj]), tag, (t, r)))
+    for tag, lf, lj, _, rj, out in _AS_RIGHT.get(t[0], ()):
+        for left in index.get((lf, lj, t[rj]), ()):
+            found.append(((out, left[3 - lj], t[3 - rj]), tag, (left, t)))
+    for tag, _, conclude in unary.get(t[0], ()):
+        for concl in conclude(t, types):
+            found.append((concl, tag, (t,)))
+    return found
+
+
+def _drop(calculus: str, types: tuple[str, ...], steps: dict[Triple, Step],
+          index: dict[Key, tuple[Triple, ...]], removed: Iterable[Triple]) -> list[Triple]:
     """Delete from ``steps``, and from their keys in ``index``, every fact
     whose derivation has a premiss leaf of ``removed``, and return those
-    facts.  Steps are judged in height order, so each child is judged
-    before its parent."""
-    gone = {t for t in removed if steps[t][0] == PREMISS}
-    if not gone:
-        return gone
-    for concl, (_, children, _) in sorted(steps.items(), key=lambda item: item[1][2]):
-        if not gone.isdisjoint(children):
-            gone.add(concl)
-    for concl in gone:
+    facts sorted by (old height, triple).  The walk goes up from the removed
+    premisses: a fact's parents are the conclusions of the rule instances
+    that take it (``_taking``, under the rules of ``calculus`` over
+    ``types``) whose steps name it, so only the facts above a removed
+    premiss are visited.  No step names an identity (see ``Theory``), so
+    the index, which files none, finds every parent."""
+    unary = _UNARY[calculus]
+    stack = [t for t in removed if steps[t][0] == PREMISS]
+    gone = set(stack)
+    while stack:
+        t = stack.pop()
+        for concl, _, _ in _taking(t, index, unary, types):
+            if concl not in gone and concl in steps and t in steps[concl][1]:
+                gone.add(concl)
+                stack.append(concl)
+    dropped = sorted(gone, key=lambda t: (steps[t][2], t))
+    for concl in dropped:
         del steps[concl]
-    for key in {k for form, s, p in gone for k in ((form, 1, s), (form, 2, p))}:
+    for key in {k for form, s, p in dropped for k in ((form, 1, s), (form, 2, p))}:
         left = tuple([t for t in index[key] if t not in gone])
         if left:
             index[key] = left
         else:
             del index[key]
-    return gone
+    return dropped
 
 
 def _saturate(calculus: str, types: tuple[str, ...], steps: dict[Triple, Step],
@@ -342,18 +379,20 @@ def _saturate(calculus: str, types: tuple[str, ...], steps: dict[Triple, Step],
     lacks, in ``types`` order, then the triples of ``premisses`` in sorted
     order; an identity wins over an A(X,X) premiss.  A fresh pass starts
     from an empty table and index.  ``index`` files each fact of ``steps``
-    under its two keys, a tuple each in table order, and each fact admitted
-    is filed at the end of both, in a new tuple, so a tuple another theory
-    holds is never changed.  ``lost`` holds the facts just dropped from
-    ``steps``; every rule instance that concludes one of them from the
-    facts in ``steps`` is a candidate too.  When ``lost`` is not empty, or
+    but the identities under its two keys, a tuple each in table order, and
+    each fact admitted but an identity is filed at the end of both, in a new
+    tuple, so a tuple another theory holds is never changed.  An identity is
+    not joined either (see ``Theory``).  ``lost`` holds the facts just
+    dropped from ``steps``; every rule instance that concludes one of them
+    from the facts in ``steps`` is a candidate too.  When ``lost`` is not empty, or
     a table that is not empty gains types, the unary rules, some of which
     range over all types, run once on every fact in ``steps``.
 
     At its level a fact takes the least (rule, child triples) among its
     candidates there and, when it already has that height, its current
-    step.  Each new or lowered fact joins with every fact in the index, and
-    each conclusion waits at one more than its tallest child's height.
+    step.  Each new or lowered fact joins with every fact in the index
+    (``_taking``), and each conclusion waits at one more than its tallest
+    child's height.
     When ``within`` is given, only its facts are seeded or admitted."""
     unary = _UNARY[calculus]
     identities = [t for t in types if ("A", t, t) not in steps]
@@ -384,7 +423,6 @@ def _saturate(calculus: str, types: tuple[str, ...], steps: dict[Triple, Step],
     # is taller than the level, so a conclusion the table holds is final and
     # any other waits one level up; a reuse pass checks the children's heights.
     settled = not steps
-    done = steps if settled else {}
     while agenda:
         level = min(agenda)
         changed = []
@@ -396,6 +434,9 @@ def _saturate(calculus: str, types: tuple[str, ...], steps: dict[Triple, Step],
                 if old[2] == level and (tag, children) < old[:2]:
                     steps[concl] = (tag, children, level)
                 continue
+            steps[concl] = (tag, children, level)
+            if tag == IDENTITY:
+                continue  # joined, it concludes its other operand, already lower
             if old is None:
                 # Filed under both keys; unrolled, since a loop over the two
                 # keys slowed a fresh pass by about 3% (CPython 3.11).
@@ -403,25 +444,10 @@ def _saturate(calculus: str, types: tuple[str, ...], steps: dict[Triple, Step],
                 index[key] = index.get(key, ()) + (concl,)
                 key = (concl[0], 2, concl[2])
                 index[key] = index.get(key, ()) + (concl,)
-            steps[concl] = (tag, children, level)
             changed.append(concl)
         above = agenda.setdefault(level + 1, {})
         for t in changed:
-            found = []
-            for tag, _, lj, rf, rj, out in _AS_LEFT.get(t[0], ()):
-                for r in index.get((rf, rj, t[lj]), ()):
-                    concl = (out, t[3 - lj], r[3 - rj])
-                    if concl not in done:
-                        found.append((concl, tag, (t, r)))
-            for tag, lf, lj, _, rj, out in _AS_RIGHT.get(t[0], ()):
-                for left in index.get((lf, lj, t[rj]), ()):
-                    concl = (out, left[3 - lj], t[3 - rj])
-                    if concl not in done:
-                        found.append((concl, tag, (left, t)))
-            for tag, _, conclude in unary.get(t[0], ()):
-                for concl in conclude(t, types):
-                    found.append((concl, tag, (t,)))
-            for concl, tag, children in found:
+            for concl, tag, children in _taking(t, index, unary, types):
                 if concl in steps and (settled or steps[concl][2] <= level):
                     continue
                 if within is not None and concl not in within:
@@ -477,7 +503,7 @@ def close(ologism: Ologism, calculus: str = "default",
         held = {_triple(p) for p in previous.ologism.premisses}
         steps, index = dict(previous.steps), dict(previous.index)
         new = [t for t in premisses if t not in held]
-        lost = _drop(steps, index, held.difference(premisses))
+        lost = _drop(calculus, types, steps, index, held.difference(premisses))
     # Seeded as a fresh pass is seeded: closing a document again gives a fresh close's table.
     _saturate(calculus, types, steps, index, new, lost)
     return Theory(ologism, calculus, types, steps, index)

@@ -7,10 +7,10 @@ semantics for premiss-only documents over Venn regions, the same semantics
 on one universe size by enumerating subset assignments (and the models they
 give, listed one by one), a search of every carrier assignment for one that
 meets a full document's premisses and aspects, subset-semantics for
-syllogistic moods, a union-find over rewrite edges, the join index rebuilt
-from a step table, random document generators, the character-stepping
-lexer that the document lexer replaced, and a small structural checker for
-DOT output.
+syllogistic moods, a union-find over rewrite edges, the facts a retract
+drops from a step table and the join index rebuilt from one, random
+document generators, the character-stepping lexer that the document lexer
+replaced, and a small structural checker for DOT output.
 Two exceptions.  The spliced re-parse that REPL ``add`` used before it
 parsed items alone is the whole-document parser run on a document with the
 item spliced in, a reference for the item parser.  ``region_mask`` reads
@@ -151,12 +151,25 @@ def minimal_derivations(
     return info
 
 
+def dropped(steps: dict[Triple, tuple], removed: Iterable[Triple]) -> set[Triple]:
+    """The facts of the step table ``steps`` whose derivations have a
+    premiss leaf of ``removed``: a sweep of the whole table in height order,
+    so each child is judged before its parent."""
+    gone = {t for t in removed if steps[t][0] == "Premiss"}
+    for concl, (_, children, _) in sorted(steps.items(), key=lambda item: item[1][2]):
+        if not gone.isdisjoint(children):
+            gone.add(concl)
+    return gone
+
+
 def join_index(steps: Iterable[Triple]) -> dict[tuple[str, int, str], tuple[Triple, ...]]:
     """The join index a fresh closure pass files the facts of ``steps``
-    under: each fact under (form, 1, subject) and (form, 2, predicate), each
-    key's facts a tuple in table order."""
+    under: each fact but the identities A(X,X) under (form, 1, subject) and
+    (form, 2, predicate), each key's facts a tuple in table order."""
     index: dict[tuple[str, int, str], list[Triple]] = {}
     for form, s, p in steps:
+        if form == "A" and s == p:
+            continue
         index.setdefault((form, 1, s), []).append((form, s, p))
         index.setdefault((form, 2, p), []).append((form, s, p))
     return {key: tuple(facts) for key, facts in index.items()}

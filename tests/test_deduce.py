@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import io
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,7 @@ from ologism.deduce import (
 )
 from ologism.syll import Rejection, enumerate_moods, mood_premisses, prove
 from .oracles import (
+    dropped,
     exact_consequences,
     exact_satisfiable,
     join_index,
@@ -32,6 +37,8 @@ from .oracles import (
     random_ologism,
 )
 from .test_cli import INCONCLUSIVE
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def star_sets(theory: Theory) -> dict[str, frozenset]:
@@ -1186,7 +1193,8 @@ class TestKeptIndex:
     a tuple, kept for a later close, which starts from a copy of its
     dictionary and writes each key it changes as a new tuple: ``previous``
     is never changed, every other key's tuple is shared with it, and each
-    result's index is a rebuild from its table."""
+    result's index is a rebuild from its table.  The index files no
+    identity A(X,X), and neither does ``join_index``, the rebuild."""
 
     @pytest.mark.parametrize("calculus", ["default", "complete"])
     def test_two_writes_from_one_previous(self, calculus):
@@ -1263,3 +1271,80 @@ class TestBranchingHistories:
                 assert list(theory.steps.items()) == steps, theory.ologism.name
                 assert theory.index == index, theory.ologism.name
         assert min(kinds.values()) > 50 and older > 300
+
+
+def written_tables() -> list[str]:
+    """A fixed script of writes under both calculi (adds, retracts, mixed
+    writes and added types), each closed from the theory before it: the
+    table and the join index each write leaves, in order, one line each."""
+    lines = []
+    for calculus in ("default", "complete"):
+        rng = random.Random(36)
+        for _ in range(25):
+            doc = random_ologism(rng, max_types=8, max_premisses=14)
+            theory = close(doc, calculus=calculus)
+            for kind in ("retract", "add", "mixed", "types", "retract", "mixed"):
+                if kind in ("retract", "mixed") and doc.premisses:
+                    doc = _without(doc, rng.sample(doc.premisses, rng.randint(1, min(3, len(doc.premisses)))))
+                if kind == "types":
+                    new = (TypeDecl(f"N{len(doc.types)}", "a new type"),)
+                    doc = Ologism.build(doc.name, doc.types + new, premisses=doc.premisses)
+                if kind != "retract":
+                    doc = _with(doc, _new_premisses(rng, doc, rng.randint(1, 3)))
+                theory = close(doc, calculus=calculus, previous=theory)
+                lines.append(repr((list(theory.steps.items()), list(theory.index.items()))))
+    return lines
+
+
+class TestHashSeed:
+    """The table and index a write leaves, in order, do not follow the
+    string hash seed: a retract re-derives its dropped facts in the order of
+    their old heights, then triples."""
+
+    def test_two_hash_seeds_leave_one_table(self):
+        probe = "from tests.test_deduce import written_tables; print('\\n'.join(written_tables()))"
+        runs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT)])}
+            ran = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                 env=env, cwd=ROOT, timeout=300)
+            assert ran.returncode == 0, ran.stderr
+            runs.append(ran.stdout.splitlines())
+        assert len(runs[0]) == 300
+        differ = [k for k, (a, b) in enumerate(zip(*runs)) if a != b]
+        assert not differ, f"writes {differ} leave other tables under hash seeds 0 and 1"
+
+
+class TestWalkUp:
+    """A retract's ``_drop`` walks up from the removed premisses: it drops
+    what ``dropped``, a sweep of the whole table, drops, returns those facts
+    sorted by (old height, triple), and leaves the table's other steps in
+    order and the index a rebuild's."""
+
+    @pytest.mark.parametrize("calculus", ["default", "complete"])
+    def test_drops_what_the_sweep_drops(self, calculus):
+        rng = random.Random(38)
+        walked = older = 0
+        for _ in range(40):
+            chain = [close(random_ologism(rng, max_types=8, max_premisses=14), calculus=calculus)]
+            for _ in range(12):
+                previous = rng.choice(chain)
+                older += previous is not chain[-1]
+                doc = previous.ologism
+                if doc.premisses and rng.random() < 0.7:
+                    doc = _without(doc, rng.sample(doc.premisses, rng.randint(1, min(3, len(doc.premisses)))))
+                if rng.random() < 0.2:
+                    doc = Ologism.build(doc.name, doc.types + (TypeDecl(f"N{len(doc.types)}", "a new type"),),
+                                        premisses=doc.premisses)
+                doc = _with(doc, _new_premisses(rng, doc, rng.randint(0, 2)))
+                removed = {_triple(p) for p in previous.ologism.premisses} - {_triple(p) for p in doc.premisses}
+                steps, index = dict(previous.steps), dict(previous.index)
+                gone = deduce._drop(calculus, tuple(sorted(doc.type_ids())), steps, index, removed)
+                reference = dropped(previous.steps, removed)
+                assert gone == sorted(reference, key=lambda t: (previous.steps[t][2], t)), doc.name
+                assert list(steps.items()) == [item for item in previous.steps.items() if item[0] not in reference]
+                assert index == join_index(steps), doc.name
+                walked += len(reference - removed)
+                chain.append(close(doc, calculus=calculus, previous=previous))
+        assert walked > 300 and older > 200

@@ -297,6 +297,14 @@ class Ologism:
         # Like ``_labels``, not a field; ``validate`` reads it.
         return tuple(_diagnose(self))
 
+    @cached_property
+    def _premiss_triples(self) -> frozenset[tuple[str, str, str]]:
+        # Like ``_labels``, not a field: each premiss as the (form, subject,
+        # predicate) triple it is written as, which ``deduce`` closes.  Most
+        # are their canonical key, whose tuple the premiss already holds.
+        return frozenset([p._key if p._key[1] == p.subject else (p.form, p.subject, p.predicate)
+                          for p in self.premisses])
+
     def aspect(self, name: str, source: str, target: str) -> Aspect:
         for a in self.aspects:
             if (a.name, a.source, a.target) == (name, source, target):
@@ -310,6 +318,39 @@ class Ologism:
         """Functional update used by the REPL; re-runs the A/is completion."""
         non_is = tuple(a for a in self.aspects if not a.is_flag)
         return Ologism.build(self.name, self.types, non_is, self.facts, premisses)
+
+    def without_premiss(self, premiss: CategoricalProposition) -> "Ologism":
+        """This document less every premiss with ``premiss``'s canonical
+        triple (so ``E(Y,X)`` removes ``E(X,Y)``) and, for an A premiss,
+        its ``is`` aspect, the rest in declaration order: the REPL's
+        ``retract``.  Raises ``ValueError`` when no premiss has that triple.
+
+        When this document passes ``validate``, so does the result unless a
+        fact reads the removed ``is`` arrow, and the result keeps the empty
+        verdict instead of checking itself again.  Of ``_diagnose``'s checks:
+        the type checks (EmptyTypeId, DuplicateType, EmptyTypeLabel,
+        ReservedIdentifier) see the same types; the aspect checks
+        (UnknownAspectEndpoint, DuplicateAspect) and the premiss checks
+        UnknownPremissType and DuplicatePremiss see a subset of what passed;
+        NonParallelFact sees the same facts; OrphanUniversalAffirmative and
+        OrphanIsAspect see each remaining A premiss and ``is`` aspect with
+        the partner it had, since the removed pair goes together and a valid
+        document holds no second copy of either.  Only FactAspectUndeclared
+        sees an aspect gone, and only a fact that reads the ``is`` arrow."""
+        key = premiss._key
+        premisses = tuple([p for p in self.premisses if p._key != key])
+        if len(premisses) == len(self.premisses):
+            raise ValueError(f"premiss {premiss} is not declared")
+        aspects, read = self.aspects, False
+        if premiss.form == "A":
+            arrow = (IS, premiss.subject, premiss.predicate)
+            aspects = tuple([a for a in aspects if (a.name, a.source, a.target) != arrow])
+            read = any((arc.name, arc.source, arc.target) == arrow
+                       for f in self.facts for side in (f.lhs, f.rhs) for arc in side.arcs)
+        doc = Ologism(self.name, self.types, aspects, self.facts, premisses)
+        if not self._diagnostics and not read:
+            doc.__dict__["_diagnostics"] = ()  # what ``_diagnose`` would find
+        return doc
 
     def sorted(self) -> "Ologism":
         """Canonical declaration order; the serializer and comparisons use it."""

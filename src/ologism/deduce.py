@@ -53,14 +53,20 @@ Dijkstra's algorithm", 1977; Ramalingam & Reps 1996), with the new
 premisses and the new types' identities as height-1 candidates, and each
 dropped fact, in order of old height, then triple, sought again by every
 rule instance that concludes it from the facts left, at one more than its
-tallest child's height.  When facts were dropped or types added, the
-unary rules fire once on the facts left.  Only a new or lowered fact joins,
-once, with every fact in the table; a fact that keeps its height takes the
-least of its old step and the candidates at its level, which moves no other
-fact's candidates, since candidates name child triples.  So any write, one
-that both removes and adds included, takes one pass, and the kept facts keep
-their places with the new and re-derived ones appended, where a fresh pass
-lists every fact level by level.
+tallest child's height: a join's through the index, and a unary rule's
+through the rule's inverse, which names the facts that would conclude it
+(the mirror under symmetry; under the complete calculus, the facts filed
+under (I,1,X) and (O,1,X) for existence, E(X,X) for emptiness and any
+O(X,X) for explosion).  No other unary conclusion of a fact left can be
+new, since the table was closed before the write, but one over a new
+type, which only emptiness and explosion reach, from a diagonal E(X,X) or
+O(X,X): when types are added, those rows fire on the diagonal facts left.
+Only a new or lowered fact joins, once, with every fact in the table; a fact
+that keeps its height takes the least of its old step and the candidates at
+its level, which moves no other fact's candidates, since candidates name
+child triples.  So any write, one that both removes and adds included, takes
+one pass, and the kept facts keep their places with the new and re-derived
+ones appended, where a fresh pass lists every fact level by level.
 
 The default calculus is sound but not complete for the set semantics: it
 cannot derive implied existential import (I(A,B) forces A nonempty, yet
@@ -189,7 +195,7 @@ def replay(steps: Mapping[Triple, Step], t: Triple, ologism: Ologism) -> Triple:
     yield (a premiss leaf the document does not state included) or a child
     with no step below it."""
     types, checked = ologism.type_ids(), set()
-    premisses = {_triple(p) for p in ologism.premisses}
+    premisses = ologism._premiss_triples
 
     def check(fact: Triple) -> None:
         if fact not in steps:
@@ -260,8 +266,10 @@ class Theory:
 # left form, left position, right form, right position, conclusion form)
 # matches two facts that agree on the term at those positions (1 subject, 2
 # predicate) and concludes from the left fact's other term to the right
-# fact's other term.  A unary rule (tag, form, conclusions) maps one fact of
-# that form, and the types, to what it concludes.
+# fact's other term.  A unary rule (tag, form, conclude, inverse) maps one
+# fact of that form, and the types, to what it concludes; its inverse maps a
+# triple, the join index and the types to the facts of that form that would
+# conclude the triple, which the caller looks up in the table.
 
 _JOINS = (
     ("R1", "A", 2, "A", 1, "A"),  # A_xy, A_yz |- A_xz
@@ -273,21 +281,23 @@ _JOINS = (
     ("R7", "A", 1, "O", 1, "O"),  # A_yx, O_yz |- O_xz
     ("R8", "O", 2, "A", 2, "O"),  # O_xy, A_zy |- O_xz
 )
-_SYMMETRY = tuple((SYMMETRY, form, lambda t, types: ((t[0], t[2], t[1]),)) for form in "EI")
+_SYMMETRY = tuple((SYMMETRY, form, lambda t, types: ((t[0], t[2], t[1]),),
+                   lambda c, index, types, form=form: ((form, c[2], c[1]),) if c[0] == form else ())
+                  for form in "EI")
 _EXTENSIONS = (
-    (EXISTENCE, "I", lambda t, types: (("I", t[1], t[1]),)),
-    (EXISTENCE, "O", lambda t, types: (("I", t[1], t[1]),)),
+    (EXISTENCE, "I", lambda t, types: (("I", t[1], t[1]),),
+     lambda c, index, types: index.get(("I", 1, c[1]), ()) if c[0] == "I" and c[1] == c[2] else ()),
+    (EXISTENCE, "O", lambda t, types: (("I", t[1], t[1]),),
+     lambda c, index, types: index.get(("O", 1, c[1]), ()) if c[0] == "I" and c[1] == c[2] else ()),
     (EMPTINESS, "E", lambda t, types: (
-        [(f, t[1], y) for y in types for f in "AE"] if t[1] == t[2] else ())),
-    (EXPLOSION, "O", lambda t, types: [("O", y, y) for y in types] if t[1] == t[2] else ()),
+        [(f, t[1], y) for y in types for f in "AE"] if t[1] == t[2] else ()),
+     lambda c, index, types: (("E", c[1], c[1]),) if c[0] in "AE" else ()),
+    (EXPLOSION, "O", lambda t, types: [("O", y, y) for y in types] if t[1] == t[2] else (),
+     lambda c, index, types: [("O", x, x) for x in types] if c[0] == "O" and c[1] == c[2] else ()),
 )
 
 # Each calculus's unary rules; every calculus runs all of ``_JOINS``.
 _CALCULI = {"default": _SYMMETRY, "complete": _SYMMETRY + _EXTENSIONS}
-
-
-def _triple(p: CategoricalProposition) -> Triple:
-    return (p.form, p.subject, p.predicate)
 
 
 def _yields(rule: str, kids: list[Triple], types: tuple[str, ...]) -> list[Triple]:
@@ -299,7 +309,7 @@ def _yields(rule: str, kids: list[Triple], types: tuple[str, ...]) -> list[Tripl
         return [(out, left[3 - lj], right[3 - rj]) for tag, lf, lj, rf, rj, out in _JOINS
                 if tag == rule and (left[0], right[0]) == (lf, rf) and left[lj] == right[rj]]
     if len(kids) == 1:
-        return [c for tag, form, conclude in _CALCULI["complete"]
+        return [c for tag, form, conclude, _ in _CALCULI["complete"]
                 if tag == rule and kids[0][0] == form for c in conclude(kids[0], types)]
     return []
 
@@ -333,7 +343,7 @@ def _taking(t: Triple, index: Mapping[Key, tuple[Triple, ...]], unary: dict[str,
     for tag, lf, lj, _, rj, out in _AS_RIGHT.get(t[0], ()):
         for left in index.get((lf, lj, t[rj]), ()):
             found.append(((out, left[3 - lj], t[3 - rj]), tag, (left, t)))
-    for tag, _, conclude in unary.get(t[0], ()):
+    for tag, _, conclude, _ in unary.get(t[0], ()):
         for concl in conclude(t, types):
             found.append((concl, tag, (t,)))
     return found
@@ -384,9 +394,11 @@ def _saturate(calculus: str, types: tuple[str, ...], steps: dict[Triple, Step],
     tuple, so a tuple another theory holds is never changed.  An identity is
     not joined either (see ``Theory``).  ``lost`` holds the facts just
     dropped from ``steps``; every rule instance that concludes one of them
-    from the facts in ``steps`` is a candidate too.  When ``lost`` is not empty, or
-    a table that is not empty gains types, the unary rules, some of which
-    range over all types, run once on every fact in ``steps``.
+    from the facts in ``steps`` is a candidate too, a join's found through
+    ``index`` and a unary rule's through its inverse.  When a table that is
+    not empty gains types, the unary rows of the diagonal E(X,X) and O(X,X)
+    facts in ``steps`` run too, since emptiness and explosion range over
+    all types; no other fact of a closed table concludes anything new.
 
     At its level a fact takes the least (rule, child triples) among its
     candidates there and, when it already has that height, its current
@@ -394,7 +406,7 @@ def _saturate(calculus: str, types: tuple[str, ...], steps: dict[Triple, Step],
     (``_taking``), and each conclusion waits at one more than its tallest
     child's height.
     When ``within`` is given, only its facts are seeded or admitted."""
-    unary = _UNARY[calculus]
+    unary, rows = _UNARY[calculus], _CALCULI[calculus]
     identities = [t for t in types if ("A", t, t) not in steps]
     seeds = {("A", t, t): (IDENTITY, ()) for t in identities}
     for t in sorted(premisses):
@@ -410,11 +422,19 @@ def _saturate(calculus: str, types: tuple[str, ...], steps: dict[Triple, Step],
                     right = (rf, left[lj], concl[2]) if rj == 1 else (rf, concl[2], left[lj])
                     if right in steps:
                         found.append((concl, tag, (left, right)))
-        for t in steps:
-            for tag, _, conclude in unary.get(t[0], ()):
-                for concl in conclude(t, types):
-                    if concl not in steps:  # lost, or over a new type
+            for tag, _, _, inverse in rows:
+                for t in inverse(concl, index, types):
+                    if t in steps:
                         found.append((concl, tag, (t,)))
+        if steps and identities:
+            # Only emptiness and explosion conclude over a new type, and
+            # only from a diagonal fact.
+            for t in [(form, x, x) for x in types for form in "EO"]:
+                if t in steps:
+                    for tag, _, conclude, _ in unary.get(t[0], ()):
+                        for concl in conclude(t, types):
+                            if concl not in steps:
+                                found.append((concl, tag, (t,)))
         for concl, tag, children in found:
             waiting = agenda.setdefault(max([steps[c][2] for c in children]) + 1, {})
             if concl not in waiting or (tag, children) < waiting[concl]:
@@ -495,15 +515,15 @@ def close(ologism: Ologism, calculus: str = "default",
     if calculus not in _CALCULI:
         raise ValueError(f"calculus must be one of {', '.join(_CALCULI)}, got {calculus!r}")
     types = _types(ologism)
-    premisses = tuple([_triple(p) for p in ologism.premisses])
+    premisses = ologism._premiss_triples
     steps: dict[Triple, Step] = {}
     index: dict[Key, tuple[Triple, ...]] = {}
     new, lost = premisses, ()
     if previous is not None and previous.calculus == calculus and set(previous.types) <= set(types):
-        held = {_triple(p) for p in previous.ologism.premisses}
+        held = previous.ologism._premiss_triples
         steps, index = dict(previous.steps), dict(previous.index)
-        new = [t for t in premisses if t not in held]
-        lost = _drop(calculus, types, steps, index, held.difference(premisses))
+        new = premisses - held
+        lost = _drop(calculus, types, steps, index, held - premisses)
     # Seeded as a fresh pass is seeded: closing a document again gives a fresh close's table.
     _saturate(calculus, types, steps, index, new, lost)
     return Theory(ologism, calculus, types, steps, index)
@@ -656,7 +676,7 @@ class StarRows(NamedTuple):  # not a dataclass, which takes far longer to build 
         below = self._below([(form, at[s], at[p]) for form, s, p in goals])
         # Seeded as ``close`` seeds a fresh pass, less the seeds not below.
         steps: dict[Triple, Step] = {}
-        _saturate("default", self.types, steps, {}, map(_triple, self.ologism.premisses), within=below)
+        _saturate("default", self.types, steps, {}, self.ologism._premiss_triples, within=below)
         return steps
 
 

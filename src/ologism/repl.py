@@ -8,12 +8,15 @@ document it closed.  Every write closes the new document, passing the
 current theory as ``previous``: ``close`` drops the facts that leaned on a
 premiss the write removed and derives, in one pass, what the write adds and
 what of the dropped facts still follows; no other step changes unless an
-addition lowers it.  A ``load`` closes its document afresh.  ``why`` and
-``contradictions`` print derivations from that table with ``deduce.render``,
-as ``check`` prints its trees.  An ``add`` prints the newly derived
-propositions and any fresh contradiction, which is the whole point of
-assisting an author while they impose constraints; a ``retract`` can derive
-nothing new, and prints only what it removed.  Facts are listed as
+addition lowers it.  A ``retract`` builds its document from the current
+one with ``Ologism.without_premiss``, which carries the current document's
+empty verdict unless a fact reads the removed ``is`` arrow, so ``close``
+does not validate it again.  A ``load`` closes its document afresh.
+``why`` and ``contradictions`` print derivations from that table with
+``deduce.render``, as ``check`` prints its trees.  An ``add`` prints the
+newly derived propositions and any fresh contradiction, which is the whole
+point of assisting an author while they impose constraints; a ``retract``
+can derive nothing new, and prints only what it removed.  Facts are listed as
 ``check`` lists them, canonical triples with their readings.
 """
 
@@ -158,19 +161,11 @@ class Repl:
 
     def retract_item(self, item: str) -> None:
         theory = self.current()
-        doc = theory.ologism
         words = item.split()
         if len(words) == 3 and words[0] in ("A", "E", "I", "O"):
-            # Found and filtered by canonical triple, which E and I share
-            # with their converse and which compares without a Python-level call.
             target = proposition(words[0], words[1], words[2])
-            key = target.sort_key()
-            kept = tuple([p for p in doc.premisses if p._key != key])
-            if len(kept) == len(doc.premisses):
-                raise ValueError(f"premiss {target} is not declared")
-            doc = doc.replace_premisses(kept)
-            # A removal derives nothing new, so ``adopt`` prints nothing.
-            self.adopt(deduce.close(doc, previous=theory))
+            # A removal derives nothing new, so there is nothing to ``adopt``.
+            self.theory = deduce.close(theory.ologism.without_premiss(target), previous=theory)
             self.say(f"retracted {target}")
             return
         raise ValueError("retract handles premisses, e.g.: retract E B M")

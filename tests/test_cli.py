@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -681,6 +684,73 @@ class TestReplGoldens:
             shutil.copy(doc, tmp_path)
         monkeypatch.chdir(tmp_path)
         assert repl_transcript(commands) == expected
+
+
+def session_script(folder: Path) -> list[str]:
+    """The commands of one fixed REPL session, each ending in a newline,
+    over copies of the bundled documents and four generated 16-type
+    documents written into ``folder``, the working directory: each document
+    is loaded, takes eight random adds and retracts, each followed by two
+    ``why``s of derived facts and ``derived`` or ``contradictions``, and is
+    saved and loaded again.  The choices are drawn from what a session run
+    beside the script holds after each command, in sorted order."""
+    rng, names = random.Random(41), []
+    for doc in sorted(DATA.glob("*.olgm")):
+        shutil.copy(doc, folder)
+        names.append(doc.name)
+    for k in range(4):
+        (folder / f"gen{k}.olgm").write_text(render_premiss_only(f"gen{k}", *premiss_only(rng, 16)))
+        names.append(f"gen{k}.olgm")
+    shadow, commands = Repl(io.StringIO()), []
+
+    def do(command: str) -> None:
+        commands.append(command + "\n")
+        try:
+            shadow.dispatch(command)
+        except ValueError:
+            pass  # printed as an error by the session, as here
+
+    for name in names:
+        do(f"load {name}")
+        for w in range(8):
+            premisses, types = shadow.doc.premisses, shadow.theory.types
+            if premisses and rng.random() < 0.5:
+                p = rng.choice(premisses)
+                do(f"retract {p.form} {p.predicate} {p.subject}" if p.form in "EI" and rng.random() < 0.5
+                   else f"retract {p.form} {p.subject} {p.predicate}")
+            else:
+                do(f"add {rng.choice('AEIO')} {rng.choice(types)} {rng.choice(types)}")
+            for form, s, p in rng.sample(shadow.theory.triples(), 2):
+                do(f"why {form} {s} {p}")
+            do("derived" if w % 2 else "contradictions")
+        do(f"save saved-{name}")
+        do(f"load saved-{name}")
+        do("derived")
+    return commands
+
+
+class TestReplHashSeed:
+    """A REPL session prints the same transcript under any string hash
+    seed: a retract re-derives its dropped facts in an order the hash seed
+    does not set, and every listing and tree is printed from that table."""
+
+    def test_two_hash_seeds_print_one_transcript(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "script.txt").write_text("".join(session_script(tmp_path)))
+        root = Path(__file__).resolve().parents[1]
+        probe = ("import sys; from tests.test_cli import repl_transcript; "
+                 "sys.stdout.write(repl_transcript(open('script.txt').read().splitlines(keepends=True)))")
+        runs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONIOENCODING": "utf-8",
+                   "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
+            ran = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env, cwd=tmp_path,
+                                 timeout=300)
+            assert ran.returncode == 0, ran.stderr.decode()
+            runs.append(ran.stdout)
+        said = runs[0].decode()
+        assert said.count("retracted ") > 20 and said.count("now derivable:") > 20 and "wrote saved-" in said
+        assert runs[0] == runs[1]
 
 
 class ReplSession(RuleBasedStateMachine):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,7 +24,8 @@ from ologism.core import (
     structurally_equal,
     validate,
 )
-from .oracles import _holds
+from ologism.core import IS, _diagnose
+from .oracles import _holds, random_document, random_ologism
 
 f = Aspect("f", "X", "Y")
 g = Aspect("g", "Y", "Z")
@@ -260,3 +262,54 @@ class TestValidate:
             tuple(reversed(animals.premisses)),
         )
         assert structurally_equal(animals, shuffled)
+
+
+def _retract_documents() -> list[Ologism]:
+    """Random documents with aspects and facts, random is-only documents,
+    and copies of the first with a fact that reads the ``is`` arrow of an A
+    premiss, all of which pass ``validate``."""
+    rng = random.Random(40)
+    docs = [random_document(rng) for _ in range(200)] + [random_ologism(rng, 6, 10) for _ in range(100)]
+    for doc in docs[:200]:
+        for p in doc.premisses:
+            if p.form == "A":
+                arrow = PathWord(p.subject, p.predicate, (Aspect(IS, p.subject, p.predicate),))
+                docs.append(Ologism(doc.name, doc.types, doc.aspects, doc.facts + (Fact(arrow, arrow, "via"),),
+                                    doc.premisses))
+                break
+    assert all(validate(doc) == [] for doc in docs)
+    return docs
+
+
+class TestWithoutPremiss:
+    """``Ologism.without_premiss``, the REPL's ``retract``, removes every
+    premiss with the canonical triple it is given, and an A premiss's
+    ``is`` aspect, keeping declaration order otherwise; it equals
+    ``replace_premisses`` up to order, and the verdict it carries is the
+    one ``_diagnose`` finds."""
+
+    def test_equals_replace_premisses_and_carries_the_verdict(self):
+        carried = judged = 0
+        for doc in _retract_documents():
+            for p in doc.premisses:
+                # An E or I premiss is named either way round.
+                for written in [p, p.swapped()] if p.form in "EI" else [p]:
+                    new = doc.without_premiss(written)
+                    kept = tuple([q for q in doc.premisses if q.sort_key() != p.sort_key()])
+                    assert new.premisses == kept, doc.name
+                    assert new.aspects == tuple([a for a in doc.aspects
+                                                 if p.form != "A" or (a.name, a.source, a.target) != (IS, *p.terms)])
+                    assert structurally_equal(new, doc.replace_premisses(kept)), doc.name
+                    fresh = _diagnose(Ologism(new.name, new.types, new.aspects, new.facts, new.premisses))
+                    if "_diagnostics" in new.__dict__:
+                        carried += 1
+                        assert list(new.__dict__["_diagnostics"]) == fresh, (doc.name, str(p))
+                    else:
+                        judged += 1
+                        assert {d.code for d in fresh} == {"FactAspectUndeclared"}, (doc.name, str(p))
+                    assert validate(new) == fresh, (doc.name, str(p))
+        assert carried > 1000 and judged > 50
+
+    def test_an_undeclared_premiss_raises(self, animals):
+        with pytest.raises(ValueError, match=r"premiss E\(V,V\) is not declared"):
+            animals.without_premiss(E("V", "V"))

@@ -1348,3 +1348,50 @@ class TestWalkUp:
                 walked += len(reference - removed)
                 chain.append(close(doc, calculus=calculus, previous=previous))
         assert walked > 300 and older > 200
+
+
+class TestInverseRows:
+    """Under the complete calculus a retract seeks each dropped fact's unary
+    candidates through each rule's inverse, not over the whole table: here a
+    dropped fact can come back only by existence, emptiness or explosion
+    from a fact left, and a new type is reached only by emptiness and
+    explosion from a diagonal fact.  Each table equals a fresh close's, and
+    its index is a rebuild's."""
+
+    @staticmethod
+    def rewrite(before: Ologism, after: Ologism, fact: tuple, rule: str, calculus: str = "complete") -> None:
+        theory = close(after, calculus, previous=close(before, calculus))
+        assert _table(theory) == _table(close(after, calculus)), after.name
+        assert theory.index == join_index(theory.steps), after.name
+        assert theory.steps[fact][0] == rule, after.name
+
+    @pytest.mark.parametrize("calculus", ["default", "complete"])
+    def test_a_dropped_fact_comes_back_by_its_mirror(self, calculus):
+        # E(Y,X) is first derived by R2, which sorts before symmetry, over
+        # A(X,Z); with that gone, only the mirror E(X,Y) gives it again.
+        before = Ologism.build("mirror", ["X", "Y", "Z"], premisses=[E("X", "Y"), E("Y", "Z"), A("X", "Z")])
+        assert close(before, calculus).steps[("E", "Y", "X")][0] == "R2"
+        self.rewrite(before, before.without_premiss(A("X", "Z")), ("E", "Y", "X"), "Symmetry", calculus)
+
+    @pytest.mark.parametrize("kept, back, rule", [
+        (I("X", "Y"), ("I", "X", "X"), "Existence"),
+        (O("X", "Y"), ("I", "X", "X"), "Existence"),
+        (E("X", "X"), ("E", "X", "Y"), "Emptiness"),
+        (E("X", "X"), ("A", "X", "Y"), "Emptiness"),
+        (O("X", "X"), ("O", "Y", "Y"), "Explosion"),
+    ])
+    def test_a_dropped_fact_comes_back_by_one_unary_rule(self, kept, back, rule):
+        # ``back`` is a premiss, then is retracted; only ``kept`` gives it again.
+        stated = proposition(*back)
+        before = Ologism.build("inverse", ["X", "Y"], premisses=[kept, stated])
+        self.rewrite(before, before.without_premiss(stated), back, rule)
+
+    @pytest.mark.parametrize("kept, reached, rule", [
+        (E("X", "X"), ("A", "X", "N"), "Emptiness"),
+        (E("X", "X"), ("E", "X", "N"), "Emptiness"),
+        (O("X", "X"), ("O", "N", "N"), "Explosion"),
+    ])
+    def test_a_new_type_is_reached_from_a_diagonal_fact(self, kept, reached, rule):
+        before = Ologism.build("types", ["X", "Y"], premisses=[kept])
+        after = Ologism.build("types", before.types + (TypeDecl("N", "a new type"),), premisses=before.premisses)
+        self.rewrite(before, after, reached, rule)

@@ -114,8 +114,8 @@ goals, a fact's premisses under every rule instance that concludes it from
 derivable facts (a bit test on the rows) join the set, until nothing is
 added: the goal-directed restriction of bottom-up evaluation (Bancilhon,
 Maier, Sagiv & Ullman, "Magic sets", 1986).  Every derivation of a fact in
-the set uses only facts in the set, so the level loop, seeding and
-admitting only the set's facts, finds each fact's step as ``close`` does.
+the set uses only facts in the set, so a fresh pass over the set's
+premisses alone gives each fact of the set ``close``'s height and step.
 A derivation is data, a step table, which ``render`` prints and ``replay``
 checks against the document's types and stated premisses (a proof as data
 and a small checker: Chihani, Miller & Renaud, CADE 2013); ``explain``, ``contradictions`` and ``derivations`` return
@@ -382,7 +382,7 @@ def _drop(calculus: str, types: tuple[str, ...], steps: dict[Triple, Step],
 
 def _saturate(calculus: str, types: tuple[str, ...], steps: dict[Triple, Step],
               index: dict[Key, tuple[Triple, ...]], premisses: Iterable[Triple],
-              lost: Iterable[Triple] = (), within: Optional[set[Triple]] = None) -> None:
+              lost: Iterable[Triple] = ()) -> None:
     """Seed the table ``steps`` and close it under ``_JOINS`` and the unary
     rules of ``calculus``, level by level in derivation height (see the
     module docstring).  The height-1 seeds are the identities ``steps``
@@ -404,15 +404,12 @@ def _saturate(calculus: str, types: tuple[str, ...], steps: dict[Triple, Step],
     candidates there and, when it already has that height, its current
     step.  Each new or lowered fact joins with every fact in the index
     (``_taking``), and each conclusion waits at one more than its tallest
-    child's height.
-    When ``within`` is given, only its facts are seeded or admitted."""
+    child's height."""
     unary, rows = _UNARY[calculus], _CALCULI[calculus]
     identities = [t for t in types if ("A", t, t) not in steps]
     seeds = {("A", t, t): (IDENTITY, ()) for t in identities}
     for t in sorted(premisses):
         seeds.setdefault(t, (PREMISS, ()))
-    if within is not None:
-        seeds = {t: step for t, step in seeds.items() if t in within}
     agenda = {1: seeds}
     if lost or steps and identities:
         found = []
@@ -469,8 +466,6 @@ def _saturate(calculus: str, types: tuple[str, ...], steps: dict[Triple, Step],
         for t in changed:
             for concl, tag, children in _taking(t, index, unary, types):
                 if concl in steps and (settled or steps[concl][2] <= level):
-                    continue
-                if within is not None and concl not in within:
                     continue
                 waiting = above
                 if not settled:  # the other child may be taller than t
@@ -667,17 +662,17 @@ class StarRows(NamedTuple):  # not a dataclass, which takes far longer to build 
 
     def steps_below(self, goals: Iterable[Triple]) -> dict[Triple, Step]:
         """The step ``close(ologism)`` holds for each fact below the
-        derivable triples of ``goals``, goals included; a goal that is not
-        derivable is absent.  A derivation of a fact below the goals uses
-        only facts below them, so a saturation that admits nothing else
-        finds each fact's least height and step."""
+        derivable triples of ``goals``, goals included, in table order; a
+        goal that is not derivable is absent.  Every rule instance that
+        concludes a fact below the goals from derivable facts takes only
+        facts below them, so a fresh pass over the premisses below the goals
+        alone finds each such fact at its least height with its least step."""
         at = {t: k for k, t in enumerate(self.types)}
         goals = [g for g in goals if self.rows[g[0]][at[g[1]]] >> at[g[2]] & 1]
         below = self._below([(form, at[s], at[p]) for form, s, p in goals])
-        # Seeded as ``close`` seeds a fresh pass, less the seeds not below.
         steps: dict[Triple, Step] = {}
-        _saturate("default", self.types, steps, {}, self.ologism._premiss_triples, within=below)
-        return steps
+        _saturate("default", self.types, steps, {}, self.ologism._premiss_triples & below)
+        return {t: step for t, step in steps.items() if t in below}
 
 
 def star_rows(ologism: Ologism) -> StarRows:

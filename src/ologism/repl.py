@@ -22,6 +22,7 @@ can derive nothing new, and prints only what it removed.  Facts are listed as
 
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
 from typing import IO, Optional
 
@@ -110,10 +111,11 @@ class Repl:
         Callers close first, so a document that fails validation raises
         before anything here changes."""
         # The facts the old table lacks, canonical and so in ``sort_key``
-        # order once sorted; a fresh contradiction is a new O(X,X).
-        before = self.theory.steps if self.theory else {}
+        # order once sorted; a fresh contradiction is a new O(X,X).  An add
+        # keeps every earlier fact in its place and appends the new ones.
+        start = len(self.theory.steps) if self.theory else 0
         self.theory = theory
-        fresh = sorted([t for t in theory.steps if t not in before and not (t[0] in "EI" and t[2] < t[1])])
+        fresh = sorted([t for t in islice(theory.steps, start, None) if not (t[0] in "EI" and t[2] < t[1])])
         said = [t for t in fresh if t[0] != "A" or t[1] != t[2]]
         if said:
             self.say("now derivable:")

@@ -287,10 +287,11 @@ def prove(
 
     The search tries each premiss order with each per-premiss reversal mask,
     fewest reversals first and otherwise in ``itertools`` order, so the
-    returned proof tree is deterministic.  Conclusion matching is up to
-    reversal, since a mirrored diagram denotes the same proposition.  Before
-    searching at all: bullets are conserved by every move, so unequal bullet
-    counts reject immediately.
+    returned proof tree is deterministic.  Only the conclusion's own diagram
+    is matched: a chain that lands on its mirror has a partner, the reversed
+    order with every reversal flipped, that lands on it.  Before searching
+    at all: bullets are conserved by every move, so unequal bullet counts
+    reject immediately.
     """
     if not 1 <= len(premisses) <= 3:
         raise PatternError(f"expected 1 to 3 premisses, got {len(premisses)}")
@@ -319,7 +320,6 @@ def prove(
     # Each premiss's leaf and its reversal, drawn once: trees are values.
     drawn = [(t, SyllProofTree(reverse(t.root), REVERSAL, (t,))) for t in map(_leaf, premisses)]
     rejections: list[Rejection] = []
-    mirrored: Optional[SyllProofTree] = None
     for order, mask in candidates:
         trees = [drawn[idx][mask[idx]] for idx in order]
         if any(a.root.last != b.root.first for a, b in zip(trees, trees[1:])):
@@ -336,12 +336,6 @@ def prove(
             rejections.append(Rejection("ConclusionMismatch", f"calculation yields {got}, wanted {conclusion}"))
         elif reduced.root == goal:
             return reduced
-        elif mirrored is None:
-            # Right proposition, mirrored drawing; keep looking for a chain
-            # that lands on the conclusion diagram itself.
-            mirrored = SyllProofTree(goal, REVERSAL, (reduced,))
-    if mirrored is not None:
-        return mirrored
     # The first rejection of the highest rank: the one that got furthest.
     rank = ("DiscordantArrows", "ResultNotWellFormed", "ConclusionMismatch")
     return max(

@@ -168,6 +168,20 @@ class TestCheck:
         assert first == second
 
 
+class TestEmptyLabel:
+    """A document the parser reads but ``validate`` rejects: the parser's
+    warnings come first, then the validation problems, and check exits 2."""
+
+    def test_text_and_json(self, capsys, tmp_path):
+        path = tmp_path / "empty.olgm"
+        path.write_text('ologism "e" {\n  type X ""\n}\n')
+        said = ["2:10: warning: LabelWithoutArticle: label '' does not begin with an indefinite article",
+                "EmptyTypeLabel: type 'X' has an empty label"]
+        assert run(capsys, "check", str(path)) == (2, "".join(line + "\n" for line in said))
+        code, payload = run_json(capsys, "check", str(path))
+        assert (code, payload["status"], payload["sections"]) == (2, "parse_error", {"diagnostics": said})
+
+
 class TestProve:
     def test_valid(self, capsys):
         code, out = run(capsys, "prove", "--premiss", "E:M,P", "--premiss", "A:S,M",
@@ -265,6 +279,82 @@ class TestModelCheck:
             assert code in (0, 1), out
             checked += 1
         assert checked > 0
+
+
+# (case, model document, what model-check prints).  Each document declares
+# set P twice after its faulty item, so the diagnostic of that later item
+# follows, which shows the parser recovered.
+MODEL_DIAGNOSTICS = [
+    ("for", 'model "m" fro "has-mother" {\n  set P = {a}\n  set P = {b}\n}\n',
+     ["1:11: error: UnexpectedToken: expected 'for', found 'fro'",
+      "3:7: error: DuplicateSet: set 'P' declared twice"]),
+    ("element", 'model "m" for "has-mother" {\n  set P = {a, a}\n  set P = {b}\n}\n',
+     ["2:7: error: DuplicateElement: set 'P' repeats an element",
+      "3:7: error: DuplicateSet: set 'P' declared twice"]),
+    # Reported at the token after the repeated pair.
+    ("mapping", 'model "m" for "has-mother" {\n  map w : x -> y, x -> z\n  set P = {b}\n  set P = {c}\n}\n',
+     ["3:3: error: DuplicateMapping: element 'x' mapped twice",
+      "4:7: error: DuplicateSet: set 'P' declared twice"]),
+    ("map", 'model "m" for "has-mother" {\n  map w : x -> y\n  map w : x -> z\n  set P = {c}\n  set P = {d}\n}\n',
+     ["3:7: error: DuplicateMap: map 'w' declared twice",
+      "5:7: error: DuplicateSet: set 'P' declared twice"]),
+    ("arrow", 'model "m" for "has-mother" {\n  map w : x -> y, z y2\n  set P = {c}\n  set P = {d}\n}\n',
+     ["2:21: error: UnexpectedToken: expected '->', found 'y2'",
+      "4:7: error: DuplicateSet: set 'P' declared twice"]),
+    ("source", 'model "m" for "has-mother" {\n  map w : x -> y, -> z\n  set P = {c}\n  set P = {d}\n}\n',
+     ["2:19: error: UnexpectedToken: expected an element name",
+      "4:7: error: DuplicateSet: set 'P' declared twice"]),
+    ("target", 'model "m" for "has-mother" {\n  map w : x -> ,\n  set P = {c}\n  set P = {d}\n}\n',
+     ["2:16: error: UnexpectedToken: expected an element name",
+      "4:7: error: DuplicateSet: set 'P' declared twice"]),
+]
+
+# Two types, an ``is`` aspect and a fact that equates a map with it.
+INCLUSION = ('ologism "inc" {\n  type W "a woman"\n  type P "a person"\n'
+             '  aspect is : W -> P\n  aspect self : W -> P\n  fact "self" : self = is\n}\n')
+
+
+class TestModelDocuments:
+    """``model-check`` on model documents: each diagnostic of the model
+    parser at its position, and the checker's verdicts on maps that are
+    missing or left to the ``is`` inclusion."""
+
+    @pytest.mark.parametrize("name, text, said", MODEL_DIAGNOSTICS, ids=[n for n, _, _ in MODEL_DIAGNOSTICS])
+    def test_diagnostics(self, capsys, tmp_path, name, text, said):
+        path = tmp_path / "m.olgmodel"
+        path.write_text(text)
+        argv = ["model-check", str(DATA / "has_mother.olgm"), str(path)]
+        assert run(capsys, *argv) == (2, "".join(line + "\n" for line in said))
+        code, payload = run_json(capsys, *argv)
+        assert (code, payload["status"], payload["sections"]) == (2, "parse_error", {"diagnostics": said})
+
+    def check(self, capsys, tmp_path, model: str) -> tuple[tuple[int, str], tuple[int, dict]]:
+        (tmp_path / "inc.olgm").write_text(INCLUSION)
+        (tmp_path / "inc.olgmodel").write_text(model)
+        argv = ["model-check", str(tmp_path / "inc.olgm"), str(tmp_path / "inc.olgmodel")]
+        return run(capsys, *argv), run_json(capsys, *argv)
+
+    def test_a_model_declared_for_another_document(self, capsys, tmp_path):
+        # The ``is`` arc in the fact has no map: it is W's inclusion in P.
+        text, (code, payload) = self.check(
+            capsys, tmp_path, 'model "m" for "other" {\n  set W = {w}\n  set P = {w, q}\n  map self : w -> w\n}\n')
+        assert text == (0, "note: model is declared for 'other', checking against 'inc'\n"
+                           "model 'm' satisfies 'inc' against premisses\n")
+        assert (code, payload["status"], payload["sections"]) == (0, "ok", {"alarms": [], "violations": []})
+
+    def test_an_inclusion_arc_in_a_broken_fact(self, capsys, tmp_path):
+        text, (code, payload) = self.check(
+            capsys, tmp_path, 'model "m" for "inc" {\n  set W = {w}\n  set P = {w, q}\n  map self : w -> q\n}\n')
+        said = 'FactBroken: fact "self": self = is sends w to q one way and w the other (witness: w)'
+        assert text == (1, said + "\n")
+        assert (code, payload["status"], payload["sections"]) == (1, "violation", {"alarms": [], "violations": [said]})
+
+    def test_no_map_for_an_aspect(self, capsys, tmp_path):
+        text, (code, payload) = self.check(
+            capsys, tmp_path, 'model "m" for "inc" {\n  set W = {w}\n  set P = {w, q}\n}\n')
+        said = "MapNotTotal: no map given for aspect self: W -> P"
+        assert text == (1, said + "\n")
+        assert (code, payload["status"], payload["sections"]) == (1, "violation", {"alarms": [], "violations": [said]})
 
 
 class TestOracle:
@@ -753,12 +843,61 @@ class TestReplHashSeed:
         assert runs[0] == runs[1]
 
 
+class TestCheckOracleHashSeed:
+    """``check`` and the three ``oracle`` modes write the same JSON under
+    any string hash seed, on the bundled documents and on generated
+    contradictory ones, whose trees ``check`` takes from a pass over the
+    premisses below its goals.  The oracle runs on the documents of at most
+    five types."""
+
+    @staticmethod
+    def runs(folder: Path) -> list[list[str]]:
+        """The argument lists, over the documents they write into ``folder``."""
+        rng, paths, small = random.Random(43), sorted(DATA.glob("*.olgm")), []
+        found = {16: 0, 40: 0, 80: 0, 5: 0}
+        while any(count < 2 for count in found.values()):
+            n = rng.choice([n for n, count in found.items() if count < 2])
+            types, premisses = premiss_only(rng, n)
+            doc = Ologism.build("gen", types, premisses=[proposition(*t) for t in premisses])
+            if not any(form == "O" and s == p for form, s, p in deduce.star_rows(doc).triples()):
+                continue
+            path = folder / f"gen{len(paths)}.olgm"
+            path.write_text(render_premiss_only(f"gen{len(paths)}", types, premisses))
+            paths.append(path)
+            small += [path] if n == 5 else []
+            found[n] += 1
+        oracled = sorted(DATA.glob("*.olgm")) + small
+        return ([["--format", "json", "check", str(p)] for p in paths]
+                + [["--format", "json", "oracle", str(p), "--mode", mode]
+                   for p in oracled for mode in ("models", "soundness", "completeness")])
+
+    def test_two_hash_seeds_write_one_report(self, tmp_path):
+        runs = self.runs(tmp_path)
+        (tmp_path / "runs.json").write_text(json.dumps(runs))
+        root = Path(__file__).resolve().parents[1]
+        probe = ("import json; from ologism.cli import main; "
+                 "[main(argv) for argv in json.load(open('runs.json'))]")
+        outs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONIOENCODING": "utf-8",
+                   "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
+            ran = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env, cwd=tmp_path,
+                                 timeout=300)
+            assert ran.returncode == 0, ran.stderr.decode()
+            outs.append(ran.stdout)
+        said = outs[0].decode()
+        assert said.count('"command": ') == len(runs)
+        assert said.count('"status": "contradiction"') >= 8 and said.count('"derivation": ') > 20
+        assert outs[0] == outs[1]
+
+
 class ReplSession(RuleBasedStateMachine):
     """A REPL session under random writes and queries.  After each write
     the session holds the table, and prints the ``derived`` and
     ``contradictions`` listings, that a fresh load of its saved document
-    does; every ``why``, ``derived`` and ``contradictions`` prints what it
-    prints in that fresh session."""
+    does, and an ``add`` lists as now derivable just the facts it gained;
+    every ``why``, ``derived`` and ``contradictions`` prints what it prints
+    in that fresh session."""
 
     def __init__(self, folder: Path):
         super().__init__()
@@ -792,10 +931,22 @@ class ReplSession(RuleBasedStateMachine):
         assert self.ask(self.session, command) == self.ask(self.fresh, command), command
 
     def write(self, command: str) -> None:
-        self.ask(self.session, command)
+        before = set(self.session.theory.steps)
+        out = self.ask(self.session, command).splitlines()
         self.reload()
         assert dict(self.session.theory.steps) == dict(self.fresh.theory.steps), command
         assert self.session.theory.index == join_index(self.session.theory.steps), command
+        if command.startswith("add "):
+            # Every canonical fact the add gains but an identity, in sort order.
+            gained = [f"{form}({s},{p})" for form, s, p in self.session.theory.triples()
+                      if (form, s, p) not in before and not (form == "A" and s == p)]
+            listed = []
+            if "now derivable:" in out:
+                for line in out[out.index("now derivable:") + 1:]:
+                    if not line.startswith("  "):
+                        break
+                    listed.append(line.split()[0])
+            assert listed == gained, command
         self.same("derived")
         self.same("contradictions")
 

@@ -488,9 +488,9 @@ class TestMinimalDerivations:
 
 class TestTreesBelow:
     """``star_rows(doc).steps_below(goals)`` gives each fact below the
-    derivable goals the step ``close`` stores for it, from a saturation
-    confined to those facts, so each goal's derivation in that table is
-    ``close``'s, step for step, and replays; a goal that is not derivable
+    derivable goals the step ``close`` stores for it, from a fresh pass over
+    the premisses below those goals, so each goal's derivation in that table
+    is ``close``'s, step for step, and replays; a goal that is not derivable
     is absent.  The rows serve the default calculus only."""
 
     @staticmethod
@@ -537,13 +537,20 @@ class TestTreesBelow:
 
     @pytest.mark.parametrize("calculus", ["default"])
     def test_only_facts_below_the_goals_are_seeded(self, sample, calculus, monkeypatch):
-        tables, saturate = [], deduce._saturate
-        monkeypatch.setattr(deduce, "_saturate",
-                            lambda *args, within: tables.append((args[2], within)) or saturate(*args, within=within))
+        # One fresh pass, seeded with the premisses below the goals and
+        # none above, and only the facts below the goals are returned.
+        belows, seeds = [], []
+        below, saturate = deduce.StarRows._below, deduce._saturate
+        monkeypatch.setattr(deduce.StarRows, "_below",
+                            lambda self, goals: belows.append(below(self, goals)) or belows[-1])
+        monkeypatch.setattr(deduce, "_saturate", lambda *args: seeds.append(set(args[4])) or saturate(*args))
+        cut = 0
         for doc in sample:
             rows = star_rows(doc)
-            rows.steps_below(rows.triples()[-2:])
-        assert tables and all(set(steps) <= within for steps, within in tables)
+            got = rows.steps_below(rows.triples()[-2:])
+            assert len(belows) == len(seeds) and seeds[-1] <= belows[-1] and set(got) <= belows[-1], doc.name
+            cut += len(seeds[-1]) < len(doc._premiss_triples)
+        assert seeds and cut > 0
 
     @pytest.mark.parametrize("n_types, per_type", [(40, 2), (80, 2), (120, 1), (160, 1), (160, 2)])
     def test_large_documents(self, n_types, per_type):

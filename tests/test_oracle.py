@@ -194,6 +194,42 @@ class TestSoundness:
         verdict = check_soundness(doc, OracleConfig(sample_count=3))
         assert verdict.inconclusive and not verdict.passed
 
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_inconclusive_when_attempts_run_out_after_some_samples(self, custodian, monkeypatch, k):
+        # Each attempt after the k-th model is rejected, so the sample k
+        # exhausts its attempts and the k models drawn are all there is.
+        real, drawn = oracle._sample_model, []
+
+        def attempt(doc, n, rng):
+            model = real(doc, n, rng) if len(drawn) < k else None
+            if model is not None:
+                drawn.append(model)
+            return model
+
+        monkeypatch.setattr(oracle, "_sample_model", attempt)
+        config = OracleConfig(sample_count=10)
+        models, quota = sample_models(custodian, config)
+        assert not quota and [m.name for m in models] == [f"sample-{i}" for i in range(k)]
+        drawn.clear()
+        verdict = check_soundness(custodian, config)
+        assert verdict == SoundnessVerdict(False, "sampled", k, None, inconclusive=True)
+        assert str(verdict) == f"soundness inconclusive after {k} sampled models"
+
+    def test_unsound_closure_fails_on_a_sampled_model(self, animals, unsound_close):
+        # The animals document with an aspect is beyond the exact fragment,
+        # so its models are sampled, and the first one refutes E(M,V).
+        doc = Ologism.build("animals-f", sorted(animals.type_ids()), aspects=[Aspect("f", "B", "V")],
+                            premisses=list(animals.premisses))
+        verdict = check_soundness(doc, OracleConfig())
+        assert (verdict.passed, verdict.mode, verdict.models_checked, verdict.inconclusive) == (
+            False, "sampled", 1, False)
+        prop, model = verdict.counterexample
+        assert prop == E("M", "V") and check_model(doc, model).ok and not satisfies(model, prop)
+        assert str(verdict) == (
+            "soundness FAILS: E(M,V) does not hold in model sample-0: "
+            "A={1, 2}, B={0, 1}, M={2}, V={0, 1, 2}"
+        )
+
     def test_aspects_sharing_a_name_share_one_map(self):
         # f : X -> Y and f : Y -> Z are one function on X and Y; the sampler
         # draws each element's image once, into that one map.

@@ -315,7 +315,8 @@ class Ologism:
         return tuple(a for a in self.aspects if a.is_flag)
 
     def replace_premisses(self, premisses: Iterable[CategoricalProposition]) -> "Ologism":
-        """Functional update used by the REPL; re-runs the A/is completion."""
+        """This document with ``premisses`` in place of its own, the A/is
+        completion re-run: how the oracle declares the I(X,X) it imports."""
         non_is = tuple(a for a in self.aspects if not a.is_flag)
         return Ologism.build(self.name, self.types, non_is, self.facts, premisses)
 

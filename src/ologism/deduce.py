@@ -127,7 +127,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .core import (
     CategoricalProposition,
@@ -532,15 +532,7 @@ def close(ologism: Ologism, calculus: str = "default",
 # R such as a premiss row; ``_scatter`` walks S's nonzero rows through R's
 # converse, for an R whose converse is free (up and down are each other's,
 # I* its own).  The kernels loop over bits inline, which costs less than a
-# generator per row; only ``StarRows._below`` still reads ``_bits``.
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+# generator per row.
 
 
 def _compose(left: list[int], right: list[int]) -> list[int]:
@@ -649,9 +641,13 @@ class StarRows(NamedTuple):  # not a dataclass, which takes far longer to build 
             form, x, z = stack.pop()
             found = []
             for _, lf, lj, rf, rj, _ in _CONCLUDING.get(form, ()):
-                for m in _bits(line(lf, 3 - lj, x) & line(rf, 3 - rj, z)):
+                middles = line(lf, 3 - lj, x) & line(rf, 3 - rj, z)
+                while middles:
+                    low = middles & -middles
+                    m = low.bit_length() - 1
                     found.append((lf, x, m) if lj == 2 else (lf, m, x))
                     found.append((rf, m, z) if rj == 1 else (rf, z, m))
+                    middles ^= low
             if form in "EI":
                 found.append((form, z, x))  # symmetry
             for t in found:

@@ -268,12 +268,8 @@ def _read_lines(source: str) -> Optional[Ologism]:
 
 
 class _Parser:
-    def __init__(self, source: str, closing_brace: bool = False):
-        """With ``closing_brace``, a '}' is read just past the end of ``source``."""
+    def __init__(self, source: str):
         self.tokens, self.diagnostics = _tokenize(source)
-        if closing_brace:
-            end = self.tokens[-1]
-            self.tokens.insert(-1, Token("RBRACE", "}", end.line, end.column))
         self.index = 0
         self.here = self.tokens[0]
 
@@ -293,22 +289,31 @@ class _Parser:
     def warn(self, code: str, message: str, tok: Token) -> None:
         self.diagnostics.append(SourceDiagnostic("warning", code, message, tok.line, tok.column))
 
-    def expect(self, kind: str, what: str) -> Optional[Token]:
-        if self.here.kind == kind:
+    def expect(self, kind: Union[str, tuple[str, ...]], what: str) -> Optional[Token]:
+        """The current token, read, if it is of ``kind`` (or of one of a
+        tuple of kinds); else None, after reporting the token found."""
+        if self.here.kind == kind or type(kind) is tuple and self.here.kind in kind:
             return self.advance()
         found = "end of input" if self.here.kind == "EOF" else self.here.value
         self.error("UnexpectedToken", f"expected {what}, found {found!r}")
         return None
+
+    def keyword(self, word: str) -> Optional[Token]:
+        """The identifier ``word``, read; else None, after reporting the
+        token found, an identifier other than ``word`` included."""
+        tok = self.expect("IDENT", f"the keyword {word!r}")
+        if tok is not None and tok.value != word:
+            self.error("UnexpectedToken", f"expected {word!r}, found {tok.value!r}", tok)
+            return None
+        return tok
 
     def at_keyword(self, *words: str) -> bool:
         return self.here.kind == "IDENT" and self.here.value in words
 
     def skip_to_next_item(self) -> None:
         """Error recovery: drop tokens until something that can start an item."""
-        starters = {"type", "aspect", "A", "E", "I", "O", "fact", "set", "map"}
-        while self.here.kind not in ("EOF", "RBRACE"):
-            if self.here.kind == "IDENT" and self.here.value in starters:
-                return
+        starters = ("type", "aspect", "A", "E", "I", "O", "fact", "set", "map")
+        while self.here.kind not in ("EOF", "RBRACE") and not self.at_keyword(*starters):
             self.advance()
 
     def errors_present(self) -> bool:
@@ -362,10 +367,7 @@ def parse_ologism(source: str) -> ParseResult:
 def _parse_tokens(source: str) -> ParseResult:
     """``parse_ologism`` by the token parser, which reads every document."""
     p = _Parser(source)
-    kw = p.expect("IDENT", "the keyword 'ologism'")
-    if kw is None or kw.value != "ologism":
-        if kw is not None:
-            p.error("UnexpectedToken", f"expected 'ologism', found {kw.value!r}", kw)
+    if p.keyword("ologism") is None:
         return ParseResult(None, p.diagnostics)
     name_tok = p.expect("STRING", "the document name")
     if name_tok is None:
@@ -384,7 +386,10 @@ def parse_item(doc: Ologism, item: str) -> ParseResult:
     positions in ``item``, and one about a declaration ``doc`` already
     holds (a fact that a new aspect makes ambiguous) is at 1:1.
     """
-    p = _Parser(item, closing_brace=True)
+    p = _Parser(item)
+    end = p.tokens[-1]
+    p.tokens.insert(-1, Token("RBRACE", "}", end.line, end.column))
+    p.here = p.tokens[0]
     return _parse_items(p, doc.name, _Declarations.of(doc))
 
 
@@ -608,18 +613,16 @@ def _resolve_fact(p: _Parser, types, aspects, lhs_items, rhs_items, at: Token):
     return pairs[0]
 
 
+_ELEMENT = ("IDENT", "STRING")  # a model's element is an identifier or a string
+
+
 def parse_model(source: str) -> ParseResult:
     """Parse a model document; aspect references resolve at check time."""
     p = _Parser(source)
-    kw = p.expect("IDENT", "the keyword 'model'")
-    if kw is None or kw.value != "model":
-        if kw is not None:
-            p.error("UnexpectedToken", f"expected 'model', found {kw.value!r}", kw)
+    if p.keyword("model") is None:
         return ParseResult(None, p.diagnostics)
     name_tok = p.expect("STRING", "the model name")
-    for_kw = p.expect("IDENT", "the keyword 'for'")
-    if for_kw is not None and for_kw.value != "for":
-        p.error("UnexpectedToken", f"expected 'for', found {for_kw.value!r}", for_kw)
+    p.keyword("for")
     doc_tok = p.expect("STRING", "the ologism name")
     if name_tok is None or doc_tok is None or p.expect("LBRACE", "'{'") is None:
         return ParseResult(None, p.diagnostics)
@@ -634,7 +637,7 @@ def parse_model(source: str) -> ParseResult:
                 p.skip_to_next_item()
                 continue
             elems: list[str] = []
-            while p.here.kind in ("IDENT", "STRING"):
+            while p.here.kind in _ELEMENT:
                 elems.append(p.advance().value)
                 if p.here.kind == "COMMA":
                     p.advance()
@@ -653,38 +656,27 @@ def parse_model(source: str) -> ParseResult:
                 p.skip_to_next_item()
                 continue
             pairs: dict[str, str] = {}
-            bad = False
             # Pairs start with an element and '->'; without them the map is
             # empty, as serialize writes the map of an empty carrier.
-            more = p.here.kind in ("IDENT", "STRING") and p.tokens[p.index + 1].kind == "ARROW"
+            more = p.here.kind in _ELEMENT and p.tokens[p.index + 1].kind == "ARROW"
             while more:
-                if p.here.kind not in ("IDENT", "STRING"):
-                    p.error("UnexpectedToken", "expected an element name")
-                    bad = True
+                src = p.expect(_ELEMENT, "an element name")
+                dst = src and p.expect("ARROW", "'->'") and p.expect(_ELEMENT, "an element name")
+                if dst is None:
+                    p.skip_to_next_item()
                     break
-                src = p.advance().value
-                if p.expect("ARROW", "'->'") is None:
-                    bad = True
-                    break
-                if p.here.kind not in ("IDENT", "STRING"):
-                    p.error("UnexpectedToken", "expected an element name")
-                    bad = True
-                    break
-                dst = p.advance().value
-                if src in pairs:
-                    p.error("DuplicateMapping", f"element {src!r} mapped twice")
-                pairs[src] = dst
+                if src.value in pairs:
+                    p.error("DuplicateMapping", f"element {src.value!r} mapped twice", src)
+                pairs[src.value] = dst.value
                 more = p.here.kind == "COMMA"
                 if more:
                     p.advance()
-            if bad:
-                p.skip_to_next_item()
-                continue
-            if ident is not None:
-                if ident.value in maps:
-                    p.error("DuplicateMap", f"map {ident.value!r} declared twice", ident)
-                else:
-                    maps[ident.value] = pairs
+            else:  # every pair was read
+                if ident is not None:
+                    if ident.value in maps:
+                        p.error("DuplicateMap", f"map {ident.value!r} declared twice", ident)
+                    else:
+                        maps[ident.value] = pairs
         else:
             p.error("UnexpectedToken", f"expected 'set' or 'map', found {p.here.value!r}")
             p.advance()

@@ -330,14 +330,13 @@ def prove(
         reduced = _reduce(chain)
         if isinstance(reduced, Rejection):
             rejections.append(reduced)
-        elif (got := classify(reduced.root)) is None:
-            rejections.append(Rejection("ResultNotWellFormed", f"{reduced.root} is not a syllogistic diagram"))
-        elif got != conclusion:
+        # Past the count check, bullets alternate source and sink and number at most two: classify reads all.
+        elif (got := classify(reduced.root)) != conclusion:
             rejections.append(Rejection("ConclusionMismatch", f"calculation yields {got}, wanted {conclusion}"))
         elif reduced.root == goal:
             return reduced
     # The first rejection of the highest rank: the one that got furthest.
-    rank = ("DiscordantArrows", "ResultNotWellFormed", "ConclusionMismatch")
+    rank = ("DiscordantArrows", "ConclusionMismatch")
     return max(
         rejections,
         key=lambda r: rank.index(r.reason),
@@ -414,15 +413,12 @@ def enumerate_moods(with_import: bool = False) -> list[MoodRecord]:
 def derive_contradiction(
     p: CategoricalProposition, q: CategoricalProposition
 ) -> Optional[SyllProofTree]:
-    """For a diagonally opposed pair, derive the unreadable diagram O(X,X).
+    """For a diagonally opposed pair, derive the unreadable diagram O(X,X) on ``p``'s subject X.
 
     The diagonals of the square of opposition are {A(S,P), O(S,P)} and
     {I(S,P), E(S,P)}; any pair but ``p`` and its contradictory returns None.
     """
     if q != p.contradictory():
         return None
-    for x in (p.subject, p.predicate):
-        result = prove([p, q], proposition("O", x, x))
-        if not isinstance(result, Rejection):
-            return result
-    return None
+    result = prove([p, q], proposition("O", p.subject, p.subject))
+    return None if isinstance(result, Rejection) else result

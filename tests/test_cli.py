@@ -280,6 +280,18 @@ class TestModelCheck:
             checked += 1
         assert checked > 0
 
+    def test_an_unsound_closure_raises_the_alarm(self, capsys, unsound_close):
+        # The menagerie's bat is a mammal and a vertebrate: it satisfies the
+        # premisses and breaks the E(M,V) the unsound closure claims.
+        argv = ["model-check", str(DATA / "animals.olgm"), str(DATA / "animals.olgmodel"), "--against", "closure"]
+        broken = "PrescriptionBroken: E(M,V) does not hold (witness: bat)"
+        alarm = ("model satisfies the premisses but not the closure (or vice versa); "
+                 "this contradicts soundness and indicates an engine bug")
+        assert run(capsys, *argv) == (1, f"{broken}\nALARM: {alarm}\n")
+        code, payload = run_json(capsys, *argv)
+        assert (code, payload["status"], payload["sections"]) == (
+            1, "violation", {"alarms": [alarm], "violations": [broken]})
+
 
 # (case, model document, what model-check prints).  Each document declares
 # set P twice after its faulty item, so the diagnostic of that later item
@@ -291,9 +303,8 @@ MODEL_DIAGNOSTICS = [
     ("element", 'model "m" for "has-mother" {\n  set P = {a, a}\n  set P = {b}\n}\n',
      ["2:7: error: DuplicateElement: set 'P' repeats an element",
       "3:7: error: DuplicateSet: set 'P' declared twice"]),
-    # Reported at the token after the repeated pair.
     ("mapping", 'model "m" for "has-mother" {\n  map w : x -> y, x -> z\n  set P = {b}\n  set P = {c}\n}\n',
-     ["3:3: error: DuplicateMapping: element 'x' mapped twice",
+     ["2:19: error: DuplicateMapping: element 'x' mapped twice",
       "4:7: error: DuplicateSet: set 'P' declared twice"]),
     ("map", 'model "m" for "has-mother" {\n  map w : x -> y\n  map w : x -> z\n  set P = {c}\n  set P = {d}\n}\n',
      ["3:7: error: DuplicateMap: map 'w' declared twice",
@@ -302,10 +313,19 @@ MODEL_DIAGNOSTICS = [
      ["2:21: error: UnexpectedToken: expected '->', found 'y2'",
       "4:7: error: DuplicateSet: set 'P' declared twice"]),
     ("source", 'model "m" for "has-mother" {\n  map w : x -> y, -> z\n  set P = {c}\n  set P = {d}\n}\n',
-     ["2:19: error: UnexpectedToken: expected an element name",
+     ["2:19: error: UnexpectedToken: expected an element name, found '->'",
       "4:7: error: DuplicateSet: set 'P' declared twice"]),
     ("target", 'model "m" for "has-mother" {\n  map w : x -> ,\n  set P = {c}\n  set P = {d}\n}\n',
-     ["2:16: error: UnexpectedToken: expected an element name",
+     ["2:16: error: UnexpectedToken: expected an element name, found ','",
+      "4:7: error: DuplicateSet: set 'P' declared twice"]),
+    ("set-equals", 'model "m" for "has-mother" {\n  set Q a\n  set P = {c}\n  set P = {d}\n}\n',
+     ["2:9: error: UnexpectedToken: expected '=', found 'a'",
+      "4:7: error: DuplicateSet: set 'P' declared twice"]),
+    ("set-brace", 'model "m" for "has-mother" {\n  set Q = a, b\n  set P = {c}\n  set P = {d}\n}\n',
+     ["2:11: error: UnexpectedToken: expected '{', found 'a'",
+      "4:7: error: DuplicateSet: set 'P' declared twice"]),
+    ("map-colon", 'model "m" for "has-mother" {\n  map w x -> y\n  set P = {c}\n  set P = {d}\n}\n',
+     ["2:9: error: UnexpectedToken: expected ':', found 'x'",
       "4:7: error: DuplicateSet: set 'P' declared twice"]),
 ]
 
@@ -523,6 +543,81 @@ class TestExitCodes:
         assert payload["sections"]["soundness"] == {
             "passed": False, "mode": "exhaustive", "models_checked": 42, "inconclusive": False,
         }
+
+
+# What the robustness mutations insert: a carriage return, NUL, a byte order
+# mark, a non-ASCII letter, and pieces of both document grammars.
+FUZZ_INSERTS = ["\r", "\x00", "\ufeff", "é", "{", "}", '"', "->", ",", ":", ";", "=", "(", ")", "#", "\n", " ",
+                "type", "aspect", "fact", "set", "map", "A", "O", "X"]
+# Proposition literals that are malformed, or well formed with an odd term.
+BAD_LITERALS = ["E:M", "X:M,P", "E:,P", "E:M,P,Q", "E:9,P", "", ":", "E:M\x00,P", "\ufeffE:M,P",
+                "é:M,P", "E M P", "A:S,é", "O: S ,P\r"]
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """``text`` after one to four random insertions, deletions and copies of its own spans."""
+    for _ in range(rng.randrange(1, 5)):
+        at, op = rng.randrange(len(text) + 1), rng.randrange(3)
+        if op == 0:
+            text = text[:at] + rng.choice(FUZZ_INSERTS) + text[at:]
+        elif op == 1:
+            text = text[:at] + text[at + rng.randrange(1, 4):]
+        else:
+            start = rng.randrange(len(text) + 1)
+            text = text[:at] + text[start:start + rng.randrange(1, 12)] + text[at:]
+    return text
+
+
+class TestRobustness:
+    """Every subcommand but ``repl``, in text and JSON, on seeded mutations
+    of the bundled documents and models and on malformed ``prove`` literals:
+    each run ends in an exit code from 0 to 3, argparse's usage errors
+    included, and within 2 s."""
+
+    SEED, ROUNDS, BOUND_S = 16, 8, 2.0
+
+    def argvs(self, tmp_path: Path):
+        rng = random.Random(self.SEED)
+        for k in range(self.ROUNDS):
+            for doc in sorted(DATA.glob("*.olgm")):
+                path = tmp_path / f"{k}-{doc.name}"
+                path.write_text(mutate(rng, doc.read_text(encoding="utf-8")), encoding="utf-8")
+                yield ["check", str(path)]
+                for mode in ("models", "soundness", "completeness"):
+                    yield ["oracle", str(path), "--mode", mode]
+                yield ["export-dot", str(path)]
+                yield ["export-dot", str(path), "--derived"]
+            for model in sorted(DATA.glob("*.olgmodel")):
+                path = tmp_path / f"{k}-{model.name}"
+                path.write_text(mutate(rng, model.read_text(encoding="utf-8")), encoding="utf-8")
+                yield ["model-check", str(model.with_suffix(".olgm")), str(path), "--against", "premisses"]
+                yield ["model-check", str(tmp_path / f"{k}-{model.stem}.olgm"), str(model), "--against", "closure"]
+        for literal in BAD_LITERALS:
+            yield ["prove", "--premiss", literal, "--premiss", "A:S,M", "--conclusion", "A:S,P"]
+            yield ["prove", "--premiss", "A:M,P", "--premiss", "A:S,M", "--conclusion", literal]
+        yield ["prove", "--premiss", "A:M,P", "--conclusion", "A:S,P"]  # S in no premiss
+        yield ["prove", *["--premiss", "A:M,P"] * 4, "--conclusion", "A:M,P"]  # too many premisses
+        yield ["prove", "--premiss", "A:M,P", "--import", "9", "--conclusion", "A:M,P"]
+        yield ["enumerate"]
+        yield ["enumerate", "--import"]
+
+    def test_every_run_ends_in_an_exit_code_in_bounded_time(self, capsys, tmp_path):
+        codes = set()
+        for argv in self.argvs(tmp_path):
+            for fmt in ("text", "json"):
+                start = time.perf_counter()
+                try:
+                    code = main(["--format", fmt, *argv])
+                except SystemExit as exc:
+                    code = exc.code
+                except Exception as exc:
+                    pytest.fail(f"{argv!r} in {fmt} raised {exc!r}")
+                elapsed = time.perf_counter() - start
+                capsys.readouterr()
+                assert code in (0, 1, 2, 3), (argv, fmt, code)
+                assert elapsed < self.BOUND_S, (argv, fmt, elapsed)
+                codes.add(code)
+        assert codes == {0, 1, 2}  # verdicts as well as parse errors
 
 
 # (golden file under tests/golden/dot, CLI arguments); DOC names a bundled document.
@@ -1052,6 +1147,24 @@ class TestRepl:
     def test_bare_add_says_its_usage(self):
         out = self.run_session([f"load {DATA / 'animals.olgm'}", "add", "quit"])
         assert out.endswith("\nerror: usage: add ITEM\n")
+
+    def test_blank_lines_unknown_commands_and_bare_words(self, tmp_path):
+        # A blank line is skipped; a load with parse errors prints them and
+        # keeps the document; a bare load or save and a retract of what is
+        # not a premiss say their usage.
+        bad = tmp_path / "bad.olgm"
+        bad.write_text('ologism "bad" {\n  type Z "a z"\n  E Z\n}\n')
+        out = self.run_session(["", "   ", "frobnicate", "load", f"load {DATA / 'animals.olgm'}", f"load {bad}",
+                                "retract type B", "save", "contradictions", "quit"])
+        assert out.startswith("ologism workbench; 'help' lists commands\n"
+                              "unknown command 'frobnicate'; 'help' lists commands\n"
+                              "error: usage: load FILE\n"
+                              "loaded 'animals': 4 types, 5 premisses\n")
+        assert out.endswith('"Some vertebrate is not an animal that is able to fly"\n'
+                            "4:1: error: UnexpectedToken: expected the predicate type, found '}'\n"
+                            "error: retract handles premisses, e.g.: retract E B M\n"
+                            "error: usage: save FILE\n"
+                            "consistent: no O(X,X) is derivable\n")
 
     def test_save_says_it_cannot_write(self, tmp_path):
         target = tmp_path / "nosuchdir" / "x.olgm"

@@ -125,6 +125,10 @@ class TestReading(object):
     def test_universal_affirmative(self, animals):
         assert reading(A("B", "V"), animals) == "Every bird is a vertebrate"
 
+    def test_a_label_without_an_article_is_read_whole(self):
+        doc = Ologism.build("d", [TypeDecl("X", "pure essence"), TypeDecl("Y", "a y")], premisses=[A("X", "Y")])
+        assert reading(A("X", "Y"), doc) == "Every pure essence is a y"
+
     def test_unknown_type_raises(self, animals):
         with pytest.raises(LookupError):
             reading(A("B", "ZZ"), animals)

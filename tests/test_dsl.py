@@ -108,6 +108,22 @@ class TestParseOlogism:
         result = parse_ologism(src)
         assert any(d.code == "AmbiguousAspect" for d in result.errors)
 
+    def test_header_without_a_brace(self):
+        result = parse_ologism('ologism "x" type X "an x" }')
+        assert result.value is None
+        assert [str(d) for d in result.diagnostics] == ["1:13: error: UnexpectedToken: expected '{', found 'type'"]
+
+    def test_a_path_with_too_many_readings(self):
+        # 64 aspects f, one between each ordered pair of 8 types: the first
+        # f reads in 64 ways, as many as _CHAIN_CAP allows, and f ; f in 512.
+        src = ('ologism "fan" {\n' + "".join(f'  type T{i} "a t{i}"\n' for i in range(8))
+               + "".join(f"  aspect f : T{i} -> T{j}\n" for i in range(8) for j in range(8))
+               + "  aspect g : T0 -> T0\n  fact : f ; f = g\n}\n")
+        result = parse_ologism(src)
+        assert result.value is None
+        assert [str(d) for d in result.diagnostics] == [
+            "75:14: error: AmbiguousAspect: path through 'f' resolves in too many ways; rename aspects"]
+
     def test_unterminated_string(self):
         result = parse_ologism('ologism "x { }')
         assert any(d.code == "UnterminatedString" for d in result.errors)
@@ -152,6 +168,17 @@ class TestParseModel:
     def test_duplicate_set(self):
         result = parse_model('model "m" for "d" { set X = {a}\n set X = {b} }')
         assert any(d.code == "DuplicateSet" for d in result.errors)
+
+    @pytest.mark.parametrize("source, said", [
+        ('model for "d" {}', "1:7: error: UnexpectedToken: expected the model name, found 'for'"),
+        ('model "m" for "d" set P = {a} }', "1:19: error: UnexpectedToken: expected '{', found 'set'"),
+        ('model "m" "d" {}', "1:11: error: UnexpectedToken: expected the keyword 'for', found 'd'"),
+        ('mode "m" for "d" {}', "1:1: error: UnexpectedToken: expected 'model', found 'mode'"),
+    ], ids=["no-name", "no-brace", "no-for", "not-model"])
+    def test_header_diagnostics(self, source, said):
+        result = parse_model(source)
+        assert result.value is None
+        assert [str(d) for d in result.diagnostics] == [said]
 
     def test_bad_arrow(self):
         result = parse_model('model "m" for "d" { map f : a b }')
@@ -235,6 +262,26 @@ def test_parser_never_raises_on_arbitrary_text(text):
 def test_parser_never_raises_on_near_miss_text(text):
     parse_ologism(text)
     parse_model(text)
+
+
+# Texts of the words a model document is made of, so that near misses spell
+# ``set`` and ``map`` items as well as break them.
+_MODEL_SOUP = st.lists(st.sampled_from([
+    "model", "for", "set", "map", "->", ",", "{", "}", "=", ":", '"', '"m"', '"a b"',
+    "x", "y", "P", "é", " ", "\n", "\r", "\t", "#", "\\"]), max_size=40).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_MODEL_SOUP, _MODEL_SOUP.map(lambda items: 'model "m" for "d" {\n' + items)))
+@example('model "m" for "d" {\n  map w : x -> y, x -> z\n  set P = {a b}\n}')
+def test_model_parser_diagnostics_lie_inside_the_text(text):
+    # Each at a character of the text, or just past its end, where the
+    # lexer puts end of input; parse_model never raises.
+    lines = text.split("\n")
+    end = (len(lines), len(lines[-1]) + 1)
+    for d in parse_model(text).diagnostics:
+        assert (d.line, d.column) == end or (
+            d.line <= len(lines) and 1 <= d.column <= len(lines[d.line - 1])), (str(d), text)
 
 
 # Characters where the str predicates and the lexer's classes could part:

@@ -15,6 +15,7 @@ from ologism.syll import (
     SuperpositionError,
     SyllDiagram,
     SyllProofTree,
+    _reduce,
     bullet_count,
     classify,
     delete_middle,
@@ -209,6 +210,33 @@ class TestProve:
         got = prove([A("M", "P"), A("S", "M")], A("P", "S"))
         assert isinstance(got, Rejection)
         assert got.reason == "ConclusionMismatch"
+
+    def test_every_reduced_chain_is_a_syllogistic_diagram(self):
+        # Why prove needs no rejection for a result classify cannot read: in
+        # the four base diagrams each bullet is a source or a sink, which
+        # reversal, superposition and middle-term deletion keep, so adjacent
+        # bullets alternate.  Bullets are conserved, and prove rejects first
+        # premisses with more than the conclusion's two at most; a chain of
+        # at most two, reduced to its end terms, is A, E, I, O or a mirror.
+        literals = [proposition(f, s, t) for f in "AEIO" for s in "SMP" for t in "SMP"]
+        rng = random.Random(11)
+        arguments = [[p] for p in literals] + [list(pq) for pq in itertools.product(literals, repeat=2)]
+        arguments += [[rng.choice(literals) for _ in range(3)] for _ in range(300)]
+        reduced = 0
+        for premisses in arguments:
+            for order in itertools.permutations(premisses):
+                for mask in itertools.product((False, True), repeat=len(order)):
+                    parts = [reverse(diagram_of(p)) if flip else diagram_of(p) for p, flip in zip(order, mask)]
+                    if sum(map(bullet_count, parts)) > 2 or any(a.last != b.first for a, b in zip(parts, parts[1:])):
+                        continue
+                    chain = parts[0]
+                    for part in parts[1:]:
+                        chain = superpose(chain, part)
+                    result = _reduce(SyllProofTree(chain, "Axiom-Premiss"))
+                    if not isinstance(result, Rejection):
+                        assert classify(result.root) is not None, (order, mask)
+                        reduced += 1
+        assert reduced > 1000
 
     def test_unrelated_conclusion_is_a_pattern_error(self):
         from ologism.syll import PatternError

@@ -38,8 +38,9 @@ matches each line once: every line is blank or a comment, the header, one
 ASCII identifiers, blanks of spaces and tabs, and no escape in a string.
 The reader checks syntax only; its document stands when ``validate`` finds
 nothing wrong with it, and is then the one the token parser would give.
-Every other document goes to the token parser, which makes every
-diagnostic.
+Every other document goes to the token parser, which makes every diagnostic,
+each of ``validate``'s checks among them at a position.  So a document either
+reader returns passes ``validate``.
 
 One syntactic wrinkle: fact paths name arrows by label, and the label
 ``is`` may legitimately mark several inclusions.  Resolution keeps every
@@ -415,12 +416,11 @@ def _parse_items(p: _Parser, name: str, d: _Declarations) -> ParseResult:
                 if ident.value in d.declared:
                     p.error("DuplicateType", f"type {ident.value!r} declared twice", ident)
                 else:
-                    if not (label.value.startswith("a ") or label.value.startswith("an ")):
-                        p.warn(
-                            "LabelWithoutArticle",
-                            f"label {label.value!r} does not begin with an indefinite article",
-                            label,
-                        )
+                    if not label.value:
+                        p.error("EmptyTypeLabel", f"type {ident.value!r} has an empty label", label)
+                    elif not label.value.startswith(("a ", "an ")):
+                        p.warn("LabelWithoutArticle",
+                               f"label {label.value!r} does not begin with an indefinite article", label)
                     d.types.append(TypeDecl(ident.value, label.value))
                     d.declared.add(ident.value)
         elif keyword.value == "aspect":
@@ -633,15 +633,21 @@ def parse_model(source: str) -> ParseResult:
         if p.at_keyword("set"):
             p.advance()
             ident = p.expect("IDENT", "a type id")
-            if p.expect("EQUALS", "'='") is None or p.expect("LBRACE", "'{'") is None:
+            # A set that lacks its '=' but has its '{' reads on from the '{'.
+            if p.expect("EQUALS", "'='") is None and p.here.kind != "LBRACE" or p.expect("LBRACE", "'{'") is None:
                 p.skip_to_next_item()
                 continue
             elems: list[str] = []
-            while p.here.kind in _ELEMENT:
+            while p.here.kind in _ELEMENT:  # with a comma between elements, as map pairs, and none after the last
                 elems.append(p.advance().value)
-                if p.here.kind == "COMMA":
-                    p.advance()
-            p.expect("RBRACE", "'}' closing the element set")
+                comma = p.here.kind == "COMMA" and p.advance()
+                if comma and p.here.kind == "RBRACE" or not comma and p.here.kind in _ELEMENT:
+                    p.expect(_ELEMENT if comma else "COMMA", "an element name" if comma else "',' or '}'")
+                    while p.advance().kind not in ("EOF", "RBRACE"):  # recover past the set's own '}'
+                        pass
+                    break
+            else:
+                p.expect("RBRACE", "'}' closing the element set")
             if ident is not None:
                 if ident.value in carriers:
                     p.error("DuplicateSet", f"set {ident.value!r} declared twice", ident)

@@ -17,7 +17,8 @@ does not validate it again.  A ``load`` closes its document afresh.
 newly derived propositions and any fresh contradiction, which is the whole
 point of assisting an author while they impose constraints; a ``retract``
 can derive nothing new, and prints only what it removed.  Facts are listed as
-``check`` lists them, canonical triples with their readings.
+``check`` lists them, canonical triples with their readings.  ``help`` and
+``dispatch`` both read one table of the commands, ``COMMANDS``.
 """
 
 from __future__ import annotations
@@ -29,18 +30,22 @@ from typing import IO, Optional
 from . import deduce, dsl
 from .core import Ologism, proposition, reading, reading_of
 
-HELP = """commands:
-  load FILE             read an ologism document
-  add ITEM              add a declaration (same syntax as in a document)
-  retract ITEM          remove a declaration
-  why PROP              show the derivation of a proposition, e.g.  why O V A
-  derived               list propositions derived beyond the premisses
-  contradictions        list every derivable O(X,X)
-  models N              count models on an N-element universe (is-only documents)
-  save FILE             write the current document canonically
-  help                  this text
-  quit                  leave
-"""
+# Each command's syntax as ``help`` lists it, what it does, and the ``Repl``
+# method that runs it on the rest of the line; ``run`` handles ``quit``.
+COMMANDS = (
+    ("load FILE", "read an ologism document", "load"),
+    ("add ITEM", "add a declaration (same syntax as in a document)", "mutate"),
+    ("retract ITEM", "remove a declaration", "retract_item"),
+    ("why PROP", "show the derivation of a proposition, e.g.  why O V A", "why"),
+    ("derived", "list propositions derived beyond the premisses", "show_derived"),
+    ("contradictions", "list every derivable O(X,X)", "show_contradictions"),
+    ("models N", "count models on an N-element universe (is-only documents)", "models"),
+    ("save FILE", "write the current document canonically", "save"),
+    ("help", "this text", "help"),
+    ("quit", "leave", None),
+)
+HELP = "commands:\n" + "".join(f"  {syntax:<22}{what}\n" for syntax, what, _ in COMMANDS)
+_METHODS = {syntax.split()[0]: method for syntax, _, method in COMMANDS if method}
 
 
 class Repl:
@@ -76,27 +81,11 @@ class Repl:
 
     def dispatch(self, line: str) -> None:
         command, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if command == "help":
-            self.say(HELP)
-        elif command == "load":
-            self.load(rest)
-        elif command == "add":
-            self.mutate(rest)
-        elif command == "retract":
-            self.retract_item(rest)
-        elif command == "why":
-            self.why(rest)
-        elif command == "derived":
-            self.show_derived()
-        elif command == "contradictions":
-            self.show_contradictions()
-        elif command == "models":
-            self.models(rest)
-        elif command == "save":
-            self.save(rest)
-        else:
+        method = _METHODS.get(command)
+        if method is None:
             self.say(f"unknown command {command!r}; 'help' lists commands")
+            return
+        getattr(self, method)(rest.strip())
 
     # -- state ---------------------------------------------------------------
 
@@ -185,14 +174,17 @@ class Repl:
                 raise ValueError(f"unknown type {term!r}")
         self.say("not derivable")
 
-    def show_derived(self) -> None:
+    def help(self, _: str = "") -> None:
+        self.say(HELP)
+
+    def show_derived(self, _: str = "") -> None:
         theory = self.current()
         triples = deduce.beyond_premisses(theory.triples(), theory.ologism.premisses, theory.types)
         if not triples:
             self.say("nothing beyond the premisses")
         self.say_facts(triples)
 
-    def show_contradictions(self) -> None:
+    def show_contradictions(self, _: str = "") -> None:
         theory = self.current()
         clashes = [("O", x, x) for x in theory.types if ("O", x, x) in theory.steps]
         if not clashes:

@@ -15,13 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule, run_state_machine_as_test
 
-from ologism import deduce, dsl
+from ologism import core, deduce, dsl
 from ologism.cli import EXIT_CODES, json_text, main
 from ologism.core import Ologism, proposition
 from ologism.dsl import serialize
-from ologism.repl import Repl
+from ologism.repl import COMMANDS, HELP, Repl
 from perfbench.docs import premiss_only, render_premiss_only
-from .oracles import check_dot, join_index, random_document, random_model
+from .oracles import check_dot, join_index, random_document, random_model, random_ologism
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "ologism" / "data"
 GOLDEN_DOT = Path(__file__).resolve().parent / "golden" / "dot"
@@ -168,15 +168,55 @@ class TestCheck:
         assert first == second
 
 
+class TestColor:
+    """On a terminal, ``check`` and ``prove`` color their verdict lines: red
+    for a contradiction or a rejection, green for consistency or validity.
+    ``model-check``'s verdict line stays plain, and ``--no-color`` and
+    ``--format json`` color nothing."""
+
+    @staticmethod
+    def runs(contradictory: str) -> list[list[str]]:
+        return [["check", str(DATA / "animals.olgm")], ["check", contradictory],
+                ["prove", "--premiss", "A:M,P", "--premiss", "A:S,M", "--conclusion", "A:S,P"],
+                ["prove", "--premiss", "E:M,P", "--premiss", "I:M,S", "--conclusion", "I:S,P"],
+                ["model-check", str(DATA / "has_mother.olgm"), str(DATA / "has_mother.olgmodel")]]
+
+    def test_verdict_lines_on_a_terminal(self, capsys, monkeypatch, contradictory):
+        plain = [run(capsys, *argv) for argv in self.runs(contradictory)]
+        json_runs = [run(capsys, "--format", "json", *argv) for argv in self.runs(contradictory)]
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+        colored = [run(capsys, *argv) for argv in self.runs(contradictory)]
+        red, green = "\x1b[31m{}\x1b[0m".format, "\x1b[32m{}\x1b[0m".format
+        painted = ["consistent: no O(X,X) is derivable",
+                   'CONTRADICTION O(P,P), read "Some polygon is not a polygon":',
+                   'CONTRADICTION O(S,S), read "Some square is not a square":', "valid; proof tree:",
+                   "rejected: BulletCountMismatch: premisses carry 2 bullet(s) but the conclusion carries 1"]
+        expected = []
+        for code, text in plain:
+            for line in painted:
+                text = text.replace(line + "\n", (green if line[0] in "cv" else red)(line) + "\n")
+            expected.append((code, text))
+        assert colored == expected
+        assert [text.count("\x1b[") for _, text in colored] == [2, 4, 2, 2, 0]
+        assert [run(capsys, "--no-color", *argv) for argv in self.runs(contradictory)] == plain
+        assert [run(capsys, "--format", "json", *argv) for argv in self.runs(contradictory)] == json_runs
+
+
+class TestReplSubcommand:
+    def test_the_repl_subcommand_reads_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("help\nquit\n"))
+        prompt = "olgm> "
+        assert run(capsys, "repl") == (0, f"ologism workbench; 'help' lists commands\n{prompt}{HELP}\n{prompt}")
+
+
 class TestEmptyLabel:
-    """A document the parser reads but ``validate`` rejects: the parser's
-    warnings come first, then the validation problems, and check exits 2."""
+    """An empty type label is a parse error at the label, with no warning
+    beside it, and check exits 2: the parser makes ``validate``'s checks."""
 
     def test_text_and_json(self, capsys, tmp_path):
         path = tmp_path / "empty.olgm"
         path.write_text('ologism "e" {\n  type X ""\n}\n')
-        said = ["2:10: warning: LabelWithoutArticle: label '' does not begin with an indefinite article",
-                "EmptyTypeLabel: type 'X' has an empty label"]
+        said = ["2:10: error: EmptyTypeLabel: type 'X' has an empty label"]
         assert run(capsys, "check", str(path)) == (2, "".join(line + "\n" for line in said))
         code, payload = run_json(capsys, "check", str(path))
         assert (code, payload["status"], payload["sections"]) == (2, "parse_error", {"diagnostics": said})
@@ -326,6 +366,15 @@ MODEL_DIAGNOSTICS = [
       "4:7: error: DuplicateSet: set 'P' declared twice"]),
     ("map-colon", 'model "m" for "has-mother" {\n  map w x -> y\n  set P = {c}\n  set P = {d}\n}\n',
      ["2:9: error: UnexpectedToken: expected ':', found 'x'",
+      "4:7: error: DuplicateSet: set 'P' declared twice"]),
+    ("set-comma", 'model "m" for "has-mother" {\n  set Q = {a b}\n  set P = {c}\n  set P = {d}\n}\n',
+     ["2:14: error: UnexpectedToken: expected ',' or '}', found 'b'",
+      "4:7: error: DuplicateSet: set 'P' declared twice"]),
+    ("set-trailing-comma", 'model "m" for "has-mother" {\n  set Q = {a,}\n  set P = {c}\n  set P = {d}\n}\n',
+     ["2:14: error: UnexpectedToken: expected an element name, found '}'",
+      "4:7: error: DuplicateSet: set 'P' declared twice"]),
+    ("set-brace-for-equals", 'model "m" for "has-mother" {\n  set Q {a}\n  set P = {c}\n  set P = {d}\n}\n',
+     ["2:9: error: UnexpectedToken: expected '=', found '{'",
       "4:7: error: DuplicateSet: set 'P' declared twice"]),
 ]
 
@@ -618,6 +667,56 @@ class TestRobustness:
                 assert elapsed < self.BOUND_S, (argv, fmt, elapsed)
                 codes.add(code)
         assert codes == {0, 1, 2}  # verdicts as well as parse errors
+
+
+class TestParsedDocumentsPassValidate:
+    """Every document either parser returns passes ``validate``: the line
+    reader's stands only when it does, and the token parser makes each of
+    ``validate``'s checks at a position.  The corpus is seeded: serialized
+    generated documents, mutations of them and of the bundled documents,
+    some with a declaration doubled or an empty type label, and items
+    parsed against documents that pass ``validate``.  Each document is
+    judged by ``core._diagnose`` itself, not by the verdict it keeps."""
+
+    SEED, ROUNDS = 29, 1000
+
+    @staticmethod
+    def doubled(rng: random.Random, text: str) -> str:
+        """``text`` with one of its lines written twice, or with an empty
+        type label before its last line."""
+        lines = text.split("\n")
+        k = rng.randrange(len(lines))
+        if rng.randrange(4) == 0:
+            return "\n".join(lines[:-2] + ['  type Z ""'] + lines[-2:])
+        return "\n".join(lines[:k] + [lines[k]] + lines[k:])
+
+    def test_every_parsed_document_passes_diagnose(self):
+        rng = random.Random(self.SEED)
+        bundled = [doc.read_text(encoding="utf-8") for doc in sorted(DATA.glob("*.olgm"))]
+        held = [dsl.parse_ologism(text).value for text in bundled]
+        parsed = 0
+        for _ in range(self.ROUNDS):
+            made = rng.choice([random_document, random_ologism])(rng)
+            text = serialize(made)
+            texts = [text, mutate(rng, text), self.doubled(rng, text), mutate(rng, rng.choice(bundled)),
+                     self.doubled(rng, rng.choice(bundled))]
+            for text in texts:
+                doc = dsl.parse_ologism(text).value
+                if doc is not None:
+                    parsed += 1
+                    assert core._diagnose(doc) == [], text
+            held.append(made)
+            against = rng.choice(held)
+            types = against.type_ids()
+            new = [f"{rng.choice('AEIO')} {rng.choice(types)} {rng.choice(types)}",
+                   f"aspect g : {rng.choice(types)} -> {rng.choice(types)}", 'type N "a new one"']
+            lines = serialize(made).split("\n")[1:-2] + serialize(against).split("\n")[1:-2] + new
+            for item in [*new, rng.choice(lines), mutate(rng, rng.choice(lines)), 'type Z ""']:
+                doc = dsl.parse_item(against, item).value
+                if doc is not None:
+                    parsed += 1
+                    assert core._diagnose(doc) == [], (serialize(against), item)
+        assert parsed > 4000
 
 
 # (golden file under tests/golden/dot, CLI arguments); DOC names a bundled document.
@@ -1264,7 +1363,7 @@ class TestRepl:
             "derived",
             "quit",
         ])
-        assert "error: ologism fails validation: EmptyTypeLabel" in out
+        assert "\n1:8: error: EmptyTypeLabel: type 'Z' has an empty label\n1:" in out
         # The item's brace closes the spliced document; the document's own,
         # reported just past the item, is left over.
         assert "1:8: error: UnexpectedToken: expected end of input, found '}'" in out
@@ -1289,7 +1388,7 @@ class TestRepl:
         repl.out = out
         repl.run(io.StringIO(f"load {bad}\nderived\n"), prompt="")
         assert "loaded" not in out.getvalue()
-        assert "error: ologism fails validation: EmptyTypeLabel" in out.getvalue()
+        assert "2:10: error: EmptyTypeLabel: type 'Z' has an empty label\n" in out.getvalue()
         assert repl.doc is doc and repl.theory is theory
 
     def test_retract_finds_its_target_by_canonical_triple(self, tmp_path):
@@ -1340,3 +1439,89 @@ class TestRepl:
         repl.run(io.StringIO(f"load {path}\n"), prompt="")
         assert f"\nerror: {said}" in out.getvalue()
         assert repl.theory is theory
+
+
+class TestReplHelp:
+    """``help`` lists the table of commands, and a word that names none is
+    reported, both byte for byte."""
+
+    def test_help_and_an_unknown_word(self):
+        out = io.StringIO()
+        Repl(out).run(io.StringIO("help\nfrobnicate x\nquit\n"), prompt="> ")
+        assert out.getvalue() == (
+            "ologism workbench; 'help' lists commands\n"
+            "> commands:\n"
+            "  load FILE             read an ologism document\n"
+            "  add ITEM              add a declaration (same syntax as in a document)\n"
+            "  retract ITEM          remove a declaration\n"
+            "  why PROP              show the derivation of a proposition, e.g.  why O V A\n"
+            "  derived               list propositions derived beyond the premisses\n"
+            "  contradictions        list every derivable O(X,X)\n"
+            "  models N              count models on an N-element universe (is-only documents)\n"
+            "  save FILE             write the current document canonically\n"
+            "  help                  this text\n"
+            "  quit                  leave\n"
+            "\n"
+            "> unknown command 'frobnicate'; 'help' lists commands\n"
+            "> ")
+
+
+class TestReplRobustness:
+    """The REPL's slice of the robustness promise: seeded sessions through
+    ``Repl.dispatch`` that use every command of the table on mutated
+    documents, items and premisses, and send unknown words and blank lines.
+    Each error is a ``ValueError``, which ``run`` prints as ``error: ...``;
+    each session ends within 2 s; and after every line the session's
+    document, if it has one, passes ``core._diagnose``."""
+
+    SEED, SESSIONS, LINES, BOUND_S = 31, 24, 40, 2.0
+
+    @staticmethod
+    def line(rng: random.Random, repl: Repl, folder: Path, k: int) -> str:
+        """One command, drawn from what ``repl`` holds."""
+        types = list(repl.theory.types) if repl.theory else ["T0"]
+        premisses = repl.doc.premisses if repl.doc else ()
+        fact = f"{rng.choice('AEIO')} {rng.choice(types + ['Q'])} {rng.choice(types)}"
+        word = rng.choice(["load", "load", "add", "add", "add", "retract", "retract", "why", "why", "derived",
+                           "contradictions", "models", "help", "save", "frobnicate", ""])
+        if word == "load":
+            doc = rng.choice(sorted(DATA.glob("*.olgm")))
+            path = folder / f"{k}.olgm"
+            text = doc.read_text(encoding="utf-8")
+            path.write_text(mutate(rng, text) if rng.randrange(2) else text, encoding="utf-8")
+            return f"load {path}"
+        if word == "add":
+            item = rng.choice([fact, fact, f'type N{k} "a new one"', 'type Z ""', f"aspect g : {fact[2:]}",
+                               "fact : g = g", *[f"{p.form} {p.subject} {p.predicate}" for p in premisses[:2]]])
+            return f"add {mutate(rng, item) if rng.randrange(3) == 0 else item}"
+        if word == "retract":
+            item = fact
+            if premisses and rng.randrange(3):
+                p = rng.choice(premisses)
+                item = f"{p.form} {p.subject} {p.predicate}"
+            return f"retract {mutate(rng, item) if rng.randrange(4) == 0 else item}"
+        if word == "why":
+            return f"why {mutate(rng, fact) if rng.randrange(4) == 0 else fact}"
+        if word == "models":
+            return f"models {rng.randint(1, 3)}"
+        if word == "save":
+            return f"save {folder / f'saved-{k}.olgm'}"
+        return word
+
+    def test_every_session_keeps_a_valid_document_in_bounded_time(self, tmp_path):
+        rng, words = random.Random(self.SEED), set()
+        for k in range(self.SESSIONS):
+            repl, start = Repl(io.StringIO()), time.perf_counter()
+            for j in range(self.LINES):
+                line = self.line(rng, repl, tmp_path, k * self.LINES + j)
+                words.add(line.partition(" ")[0])
+                try:
+                    repl.dispatch(line)
+                except ValueError:
+                    pass  # printed by ``run`` as an error
+                except Exception as exc:
+                    pytest.fail(f"{line!r} raised {exc!r}")
+                if repl.doc is not None:
+                    assert core._diagnose(repl.doc) == [], line
+            assert time.perf_counter() - start < self.BOUND_S, k
+        assert words >= {syntax.split()[0] for syntax, _, method in COMMANDS if method}

@@ -317,3 +317,22 @@ class TestWithoutPremiss:
     def test_an_undeclared_premiss_raises(self, animals):
         with pytest.raises(ValueError, match=r"premiss E\(V,V\) is not declared"):
             animals.without_premiss(E("V", "V"))
+
+
+class TestEdges:
+    """Behaviour the rest of the suite does not reach, pinned as it is."""
+
+    def test_a_path_whose_endpoints_disagree_with_its_arcs(self):
+        with pytest.raises(ValueError, match="path claims source X but starts at Z"):
+            PathWord("X", "Y", (Aspect("f", "Z", "Y"),))
+        with pytest.raises(ValueError, match="path claims target Y but ends at Z"):
+            PathWord("X", "Y", (Aspect("f", "X", "Z"),))
+
+    def test_a_proposition_is_never_equal_to_another_kind_of_value(self):
+        assert A("X", "Y").__eq__("A(X,Y)") is NotImplemented
+        assert A("X", "Y") != ("A", "X", "Y") and A("X", "Y") != "A(X,Y)"
+
+    def test_a_missing_aspect_is_a_key_error(self, has_mother):
+        assert has_mother.aspect("w", "Pair", "W") == Aspect("w", "Pair", "W")
+        with pytest.raises(KeyError):
+            has_mother.aspect("w", "W", "Pair")

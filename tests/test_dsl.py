@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from ologism.core import E, I, SerializeError, TypeDecl, Ologism, structurally_equal, validate
+from ologism.core import E, I, Aspect, SerializeError, TypeDecl, Ologism, structurally_equal, validate
 from ologism.dsl import (
     ParseResult, _parse_tokens, _read_lines, _tokenize, parse_item, parse_model, parse_ologism, serialize,
 )
+from ologism.model import Model
 from perfbench.docs import premiss_only, render_premiss_only
 from .oracles import random_document, random_model, random_ologism, reference_tokens, spliced_item
 
@@ -771,3 +772,29 @@ def test_a_long_document_read_to_its_last_line():
     near = text.replace("\n}", "\n  A T0 T0 x\n}")
     assert not _reader_agrees(near)
     assert parse_ologism(near) == _parse_tokens(near)
+
+
+class TestEdges:
+    """Behaviour the rest of the suite does not reach, pinned as it is."""
+
+    def test_a_header_without_a_name(self):
+        result = parse_ologism("ologism {\n}\n")
+        assert result.value is None
+        assert [str(d) for d in result.diagnostics] == [
+            "1:9: error: UnexpectedToken: expected the document name, found '{'"]
+
+    def test_an_identity_path_without_its_type(self):
+        result = parse_ologism('ologism "x" {\n  type X "an x"\n  aspect f : X -> X\n  fact : id() = f\n}\n')
+        assert result.value is None
+        assert [str(d) for d in result.diagnostics] == ["4:13: error: UnexpectedToken: expected a type id, found ')'"]
+
+    @pytest.mark.parametrize("value, said", [
+        (3, "cannot serialize int"),
+        (Ologism("d", (TypeDecl("X", "an x"),), (Aspect("bad name", "X", "X"),)),
+         "aspect name 'bad name' is not a valid identifier"),
+        (Model("m", {"9a": frozenset()}), "type id '9a' is not a valid identifier"),
+        (Model("m", {}, {"bad name": {}}), "aspect name 'bad name' is not a valid identifier"),
+    ], ids=["not-a-document", "aspect", "model-set", "model-map"])
+    def test_what_cannot_be_written_is_refused(self, value, said):
+        with pytest.raises(SerializeError, match=re.escape(said)):
+            serialize(value)

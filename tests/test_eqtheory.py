@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +10,8 @@ from ologism import eqtheory
 from ologism.core import Aspect, Fact, Ologism, PathWord, empty_path
 from ologism.eqtheory import (
     ParallelismError,
+    PathEquality,
+    RewriteStep,
     StateCapExceeded,
     congruent_closure_classes,
     default_bound,
@@ -205,3 +209,42 @@ class TestDefaults:
             facts=[Fact(PathWord("X", "X", (f,) * 5), PathWord("X", "X", (f,)))],
         )
         assert default_bound(doc) == 12
+
+
+class TestEdges:
+    """Behaviour the rest of the suite does not reach, pinned as it is."""
+
+    def test_a_step_reads_as_its_fact_direction_position_and_result(self, has_mother, mother_paths):
+        lhs, rhs = mother_paths
+        result = equal_paths(has_mother, lhs, rhs)
+        assert [str(step) for step in result.trace] == ["[has-mother => @0] hasAsParents ; w"]
+        unnamed = RewriteStep(Fact(lhs, rhs), False, 0, lhs)
+        assert str(unnamed) == "[hasAsMother = hasAsParents ; w <= @0] hasAsMother"
+
+    def test_a_result_is_true_when_the_paths_are_equal(self, has_mother, mother_paths):
+        lhs, rhs = mother_paths
+        assert bool(equal_paths(has_mother, lhs, rhs)) is True
+        assert bool(PathEquality(False, lhs)) is False
+
+    def test_a_tampered_trace_does_not_replay(self, has_mother, mother_paths):
+        lhs, rhs = mother_paths
+        result = equal_paths(has_mother, lhs, rhs)
+        (step,) = result.trace
+        for tampered, said in [(replace(step, result=lhs), "[has-mother => @0] hasAsMother"),
+                               (replace(step, position=1), "[has-mother => @1] hasAsParents ; w")]:
+            with pytest.raises(ValueError, match=re.escape(f"trace step does not replay: {said}")):
+                replace(result, trace=(tampered,)).replay()
+
+    def test_an_identity_side_rewrites_only_at_its_own_type(self):
+        # id(X) = f, replayed at boundary 1 of g : X -> Y, where the node is Y.
+        f, g = Aspect("f", "X", "X"), Aspect("g", "X", "Y")
+        fact = Fact(empty_path("X"), PathWord("X", "X", (f,)))
+        start = PathWord("X", "Y", (g,))
+        step = RewriteStep(fact, True, 1, start)
+        with pytest.raises(ValueError, match="trace step does not replay"):
+            PathEquality(True, start, (step,)).replay()
+
+    def test_classes_take_the_default_bound(self, has_mother, mother_paths):
+        assert congruent_closure_classes(has_mother, "P", "W") == [frozenset(mother_paths)]
+        assert congruent_closure_classes(has_mother, "P", "W") == congruent_closure_classes(
+            has_mother, "P", "W", bound=default_bound(has_mother))

@@ -4,8 +4,8 @@ import itertools
 
 import pytest
 
-from ologism.core import A, E, I, O, proposition
-from ologism.model import HOLDS, Model, check_model, satisfies
+from ologism.core import A, E, I, O, Aspect, Fact, Ologism, PathWord, TypeDecl, proposition
+from ologism.model import HOLDS, Model, ViolationReport, check_model, satisfies
 from .oracles import _holds
 
 # Every pair of carriers over a 3-element universe, as bitmasks.
@@ -133,3 +133,22 @@ class TestCheckModel:
         carriers = {k: v for k, v in animals_model.carriers.items() if k != "V"}
         report = check_model(animals, Model("partial", carriers, {}, "animals"))
         assert any(v.kind == "MapNotTotal" for v in report.violations)
+
+
+class TestEdges:
+    """Behaviour the rest of the suite does not reach, pinned as it is."""
+
+    def test_a_report_reads_as_ok_or_as_its_lines(self, animals, animals_model):
+        assert str(check_model(animals, animals_model)) == "ok"
+        report = check_model(animals, Model("partial", {}, {}, "animals"))
+        assert str(report) == "\n".join(str(v) for v in report.violations)
+        alarmed = ViolationReport(report.violations[:1], ("engine bug",))
+        assert str(alarmed) == f"{report.violations[0]}\nALARM: engine bug"
+        assert str(ViolationReport((), ("engine bug",))) == "ALARM: engine bug"
+
+    def test_a_fact_whose_sides_are_not_parallel_is_skipped(self):
+        f, g = Aspect("f", "X", "Y"), Aspect("g", "X", "X")
+        doc = Ologism("skew", (TypeDecl("X", "an x"), TypeDecl("Y", "a y")), (f, g),
+                      (Fact(PathWord("X", "Y", (f,)), PathWord("X", "X", (g,))),))
+        model = Model("m", {"X": frozenset({"x"}), "Y": frozenset({"y"})}, {"f": {"x": "y"}, "g": {"x": "x"}})
+        assert check_model(doc, model).violations == ()

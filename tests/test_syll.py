@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -348,3 +350,41 @@ class TestContradiction:
                 assert _holds(p.form, assign[p.subject], assign[p.predicate]) != _holds(
                     q.form, assign[q.subject], assign[q.predicate]
                 )
+
+
+class TestEdges:
+    """Behaviour the rest of the suite does not reach, pinned as it is."""
+
+    def test_the_bullet_reads_as_a_star(self):
+        assert repr(BULLET) == "*"
+
+    @pytest.mark.parametrize("nodes, arrows, said", [
+        ((), (), "a diagram has at least one node"),
+        (("S", "P"), (), "need exactly one arrow between consecutive nodes"),
+        (("S", "P"), ("X",), "bad arrow 'X'"),
+    ])
+    def test_a_malformed_diagram_is_refused(self, nodes, arrows, said):
+        with pytest.raises(ValueError, match=re.escape(said)):
+            SyllDiagram(nodes, arrows)
+
+    def test_deletion_passes_an_earlier_different_interior_term(self):
+        assert str(delete_middle(diagram("S -> M -> N -> P"), "N")) == "S -> M -> P"
+
+    def test_a_tampered_tree_does_not_replay(self):
+        tree = prove([A("M", "P"), A("S", "M")], A("S", "P"))
+        discordant = SyllProofTree(diagram("S -> P"), "Composition",
+                                   (SyllProofTree(diagram("S -> M <- P"), "Axiom-Premiss"),), "M")
+        for tampered, said in [
+            (discordant, "replay hit a rejection: rejected: DiscordantArrows: "
+                         "term 'M' sits between discordant arrows in S -> M <- P"),
+            (replace(tree, rule="Magic"), "unknown rule 'Magic'"),
+            (replace(tree, root=diagram("S <- P")), "replay of Composition produced S -> P, recorded S <- P"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(said)):
+                tampered.replay()
+
+    def test_a_tree_reads_as_its_rendering(self):
+        tree = prove([A("M", "P"), A("S", "M")], A("S", "P"))
+        assert str(tree) == tree.render() == (
+            "S -> P   (Composition [M])\n  S -> M -> P   (Superposition)\n"
+            "    S -> M   (Axiom-Premiss)\n    M -> P   (Axiom-Premiss)")
